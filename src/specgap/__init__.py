@@ -9,10 +9,8 @@ spectral    eigenvalues, Cheeger constants, spectral certificates
 expansion   long-range expansion checking, fitting, sufficient conditions
 norms       1-unconditional norm trees, cotype and concavity constants
 poincare    Poincare-ratio evaluation, search, embeddings, distance sweeps
-certify     instance-level certifier for the binary Poincare inequality
 constants   log-space evaluation of the named constants
 logspace    sign + log-magnitude scalar arithmetic
-cli         command-line entry point
 """
 
 __version__ = "0.1.0"

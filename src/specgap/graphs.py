@@ -2,7 +2,9 @@
 
 Vertices are 0-based ints.  ``RegularGraph`` is immutable after construction
 and every operation here is a pure function, so instances are safe to share
-across threads and worker processes.  Disconnected graphs are legal inputs;
+across threads and worker processes.  Its one private slot, ``_spectra``, is
+a cache that only ``specgap.spectral`` fills; it is excluded from equality,
+hashing and repr.  Disconnected graphs are legal inputs;
 operations whose meaning requires connectivity say so explicitly.
 """
 
@@ -45,6 +47,7 @@ class RegularGraph:
     n: int
     d: int
     adj: tuple[tuple[int, ...], ...]
+    _spectra: dict = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "RegularGraph":

@@ -27,7 +27,7 @@ from .graphs import RegularGraph, bfs_distances
 from .logspace import LogScalar
 from .norms import Lq, UncondNorm
 from .rand import as_rng
-from .spectral import adjacency_matrix, eigen_summary
+from . import spectral
 
 __all__ = [
     "RatioReport",
@@ -113,16 +113,17 @@ def gamma_scalar_l2_exact(g: RegularGraph) -> ScalarGapResult:
     """Closed form for scalar fields, Euclidean norm, p = 2.
 
     Certified value d/(d - lambda2), achieved by the second eigenvector;
-    infinite for disconnected graphs.
+    infinite for disconnected graphs.  lambda2 and the extremizer come from
+    the graph's shared spectrum (dense up to spectral.DENSE_LIMIT, ARPACK
+    above); the extremizer is a copy.
     """
     dd = bfs_distances(g, [0])
     if any(x == float("inf") for x in dd):
         return ScalarGapResult(math.inf, math.inf, float("nan"), None)
-    a = adjacency_matrix(g)
-    vals, vecs = np.linalg.eigh(a)
-    lam2 = float(vals[-2])
+    summary, vec = spectral._spectrum(g)
+    lam2 = summary.lambda2
     gamma = g.d / (g.d - lam2)
-    return ScalarGapResult(gamma, gamma / 2.0, lam2, vecs[:, -2])
+    return ScalarGapResult(gamma, gamma / 2.0, lam2, vec.copy())
 
 
 def gamma_search(
@@ -242,7 +243,8 @@ def bourgain_style_embedding(
     equality somewhere; the reported distortion is then the worst stretch,
     max ||f(v)-f(w)||_q / dist(v, w).  If a draw still collapses a pair,
     single-source distance columns are appended until every pair is
-    separated.  Connected graphs only.
+    separated.  Connected graphs only, and n <= spectral.DENSE_LIMIT: the
+    all-pairs distance table is n x n.
     """
     def positive_int(x) -> bool:
         return isinstance(x, (int, np.integer)) and x >= 1
@@ -258,8 +260,13 @@ def bourgain_style_embedding(
             )
     if trials is not None and not positive_int(trials):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    rng = as_rng(rng)
     n = g.n
+    if n > spectral.DENSE_LIMIT:
+        raise ValueError(
+            f"bourgain_style_embedding builds an n x n distance table and is "
+            f"limited to n <= DENSE_LIMIT = {spectral.DENSE_LIMIT} (got n={n})"
+        )
+    rng = as_rng(rng)
     all_dist = np.array([bfs_distances(g, [v]) for v in range(n)], dtype=float)
     if np.any(np.isinf(all_dist)):
         raise ValueError("embedding needs a connected graph")

@@ -1,10 +1,17 @@
 """Adjacency spectra, Cheeger constants, and the spectral certificates.
 
 The eigensolver contract: dense symmetric decomposition (LAPACK through
-numpy) up to n = 4096, iterative extremal pairs (ARPACK through scipy) above,
-with residual certification against ``tol``.  Cheeger constants are exact
-rationals from a full subset scan up to n = 24; beyond that only heuristic
-upper bounds are produced, never the lower inequality.
+numpy) up to n = DENSE_LIMIT = 4096, iterative extremal pairs (ARPACK through
+scipy) above, with residual certification against ``tol``.  Cheeger constants
+are exact rationals from a full subset scan up to n = 24; beyond that only
+heuristic upper bounds are produced, never the lower inequality.
+
+Each graph is solved once: the first call that needs its spectrum stores the
+``SpectralSummary`` and the lambda_2 eigenvector (n floats, never the n x n
+matrix) in the graph's private ``_spectra`` slot, keyed by (mode, tol) with
+the mode read from DENSE_LIMIT at call time.  Every certificate here, and
+``poincare.gamma_scalar_l2_exact``, reads that entry; callers get copies of
+the vector, and a solve that fails is not stored.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import RegularGraph
+from .graphs import RegularGraph, bfs_distances
 
 __all__ = [
     "SpectralSummary",
@@ -38,18 +45,20 @@ DENSE_LIMIT = 4096
 CHEEGER_EXACT_LIMIT = 24
 
 
+def _neighbour_array(g: RegularGraph) -> np.ndarray:
+    """The (n, d) array of sorted neighbour lists."""
+    return np.array(g.adj, dtype=np.int64)
+
+
 def adjacency_matrix(g: RegularGraph, sparse: bool = False):
+    nbrs = _neighbour_array(g)
     if sparse:
-        rows, cols = [], []
-        for u in range(g.n):
-            for v in g.adj[u]:
-                rows.append(u)
-                cols.append(v)
-        data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+        indptr = np.arange(0, g.n * g.d + 1, g.d)
+        return sp.csr_matrix(
+            (np.ones(g.n * g.d), nbrs.ravel(), indptr), shape=(g.n, g.n)
+        )
     a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        a[u, list(g.adj[u])] = 1.0
+    a[np.repeat(np.arange(g.n), g.d), nbrs.ravel()] = 1.0
     return a
 
 
@@ -81,21 +90,43 @@ def eigen_summary(g: RegularGraph, tol: float = 1e-8) -> SpectralSummary:
 
     Iterative mode certifies ||A v - lambda v||_2 <= tol for each reported
     extremal pair and raises RuntimeError when ARPACK cannot reach that.
+    Solved once per graph and (mode, tol); see the module docstring.
     """
-    if g.n <= DENSE_LIMIT:
-        evals = np.linalg.eigvalsh(adjacency_matrix(g))
-        lam2 = float(evals[-2])
-        lam_min = float(evals[0])
-        return SpectralSummary(
-            n=g.n,
-            d=g.d,
-            mode="dense",
-            lambda1=float(evals[-1]),
-            lambda2=lam2,
-            lambda_min=lam_min,
-            lam=max(abs(lam2), abs(lam_min)),
-            eigenvalues=tuple(float(x) for x in evals),
-        )
+    return _spectrum(g, tol)[0]
+
+
+def _spectrum(g: RegularGraph, tol: float = 1e-8) -> tuple[SpectralSummary, np.ndarray]:
+    """The graph's cached (summary, lambda_2 eigenvector), solving on a miss.
+
+    The vector is the cache's own array: callers that hand it on copy it.
+    """
+    key = ("dense" if g.n <= DENSE_LIMIT else "iterative", tol)
+    if g._spectra is None:
+        object.__setattr__(g, "_spectra", {})
+    if key not in g._spectra:
+        solve = _dense_spectrum if key[0] == "dense" else _iterative_spectrum
+        g._spectra[key] = solve(g, tol)
+    return g._spectra[key]
+
+
+def _dense_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.ndarray]:
+    evals, vecs = np.linalg.eigh(adjacency_matrix(g))
+    lam2 = float(evals[-2])
+    lam_min = float(evals[0])
+    summary = SpectralSummary(
+        n=g.n,
+        d=g.d,
+        mode="dense",
+        lambda1=float(evals[-1]),
+        lambda2=lam2,
+        lambda_min=lam_min,
+        lam=max(abs(lam2), abs(lam_min)),
+        eigenvalues=tuple(float(x) for x in evals),
+    )
+    return summary, vecs[:, -2].copy()  # the copy lets the n x n matrix go
+
+
+def _iterative_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.ndarray]:
     a = adjacency_matrix(g, sparse=True)
     try:
         top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=tol / 10)
@@ -115,7 +146,7 @@ def eigen_summary(g: RegularGraph, tol: float = 1e-8) -> SpectralSummary:
         )
     lam2 = float(top_vals[0])
     lam_min = float(bot_vals[0])
-    return SpectralSummary(
+    summary = SpectralSummary(
         n=g.n,
         d=g.d,
         mode="iterative",
@@ -125,6 +156,7 @@ def eigen_summary(g: RegularGraph, tol: float = 1e-8) -> SpectralSummary:
         lam=max(abs(lam2), abs(lam_min)),
         residual=residual,
     )
+    return summary, top_vecs[:, 0].copy()
 
 
 # -- Cheeger constant ----------------------------------------------------------
@@ -178,46 +210,50 @@ def cheeger_exact(g: RegularGraph) -> CheegerResult:
 
 def cheeger_upper(g: RegularGraph) -> CheegerResult:
     """Heuristic upper bound: best sweep cut of the second eigenvector,
-    plus BFS balls around every vertex.  Upper bound only."""
-    summary = eigen_summary(g)
-    if summary.mode == "dense":
-        a = adjacency_matrix(g)
-        _, vecs = np.linalg.eigh(a)
-        fiedler = vecs[:, -2]
-    else:
-        a = adjacency_matrix(g, sparse=True)
-        _, vecs = spla.eigsh(a, k=2, which="LA")
-        fiedler = vecs[:, 0]
-    order = np.argsort(fiedler)
-    best = None
-    in_s = set()
-    cut = 0
-    for idx in order[: g.n - 1]:
-        v = int(idx)
-        cut += sum(1 if w not in in_s else -1 for w in g.adj[v])
-        in_s.add(v)
-        if len(in_s) <= g.n // 2:
-            cand = (Fraction(cut, len(in_s)), frozenset(in_s))
-            if best is None or cand[0] < best[0]:
-                best = cand
-    from .graphs import bfs_distances
+    plus BFS balls around the first 32 vertices.  Upper bound only.
 
+    Each sweep takes the first prefix with the least cut/size over sizes
+    1..n/2; a later sweep replaces the best only when strictly smaller.
+    """
+    nbrs = _neighbour_array(g)
+    best = None  # (cut, size, prefix)
+    for order in _sweep_orders(g):
+        prefix = order[: g.n // 2]
+        cut, size = _best_prefix(nbrs, prefix)
+        if best is None or cut * best[1] < best[0] * size:
+            best = (cut, size, prefix[:size])
+    cut, size, witness = best
+    return CheegerResult(Fraction(cut, size), frozenset(witness.tolist()), exact=False)
+
+
+def _sweep_orders(g: RegularGraph):
+    """The lambda_2 eigenvector order, then BFS orders from the first 32
+    vertices by (distance, vertex), each without its unreachable vertices."""
+    yield np.argsort(_spectrum(g)[1])
     for v in range(min(g.n, 32)):  # ball seeds; heuristic, upper bound only
-        dd = bfs_distances(g, [v])
-        order_b = sorted(range(g.n), key=lambda w: (dd[w], w))
-        in_s = set()
-        cut = 0
-        for w in order_b:
-            if dd[w] == float("inf"):
-                break
-            cut += sum(1 if x not in in_s else -1 for x in g.adj[w])
-            in_s.add(w)
-            if len(in_s) > g.n // 2:
-                break
-            cand = (Fraction(cut, len(in_s)), frozenset(in_s))
-            if cand[0] < best[0]:
-                best = cand
-    return CheegerResult(best[0], best[1], exact=False)
+        dd = np.array(bfs_distances(g, [v]))
+        order = np.argsort(dd, kind="stable")  # stable: ties keep vertex order
+        yield order[: np.count_nonzero(np.isfinite(dd))]
+
+
+def _best_prefix(nbrs: np.ndarray, order: np.ndarray) -> tuple[int, int]:
+    """(cut, size) of the first prefix of ``order`` minimizing cut / size.
+
+    Adding the vertex at position i changes the cut by d minus twice its
+    neighbours at earlier positions, so the cuts are one cumulative sum.
+    Comparing the float ratios is exact: equal fractions round to the same
+    double, and distinct ones with denominators <= n differ by >= 1/n^2,
+    far above the rounding error for any n below 10^7.
+    """
+    n, d = nbrs.shape
+    k = len(order)
+    pos = np.arange(k)
+    rank = np.full(n, k)
+    rank[order] = pos
+    earlier = np.count_nonzero(rank[nbrs[order]] < pos[:, None], axis=1)
+    cuts = np.cumsum(d - 2 * earlier)
+    i = int(np.argmin(cuts / (pos + 1)))
+    return int(cuts[i]), i + 1
 
 
 def cheeger_sandwich_check(g: RegularGraph) -> dict:

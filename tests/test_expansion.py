@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from specgap.constants import eval_constant
 from specgap.expansion import (
+    _LN_GUARD,
+    _growth_requirement,
+    _sample_subset,
     ExpanParams,
     ExpanPreconditionError,
     cheeger_growth_check,
@@ -17,6 +21,8 @@ from specgap.expansion import (
 )
 from specgap.graphs import (
     ball,
+    bfs_distances,
+    circular_ladder,
     complete_bipartite,
     complete_graph,
     disjoint_union,
@@ -91,6 +97,54 @@ def test_growth_sampled_zero_trials_and_agreement():
     g = complete_graph(4)
     assert growth_check_sampled(g, 1.0, 0, make_rng(0)).status == "not_falsified"
     assert growth_check_sampled(g, 1.0, 100, make_rng(0)).status == "not_falsified"
+
+
+def reference_growth_check_sampled(g, alpha, trials, rng):
+    """The sampled falsifier with the radius scan over every l in 1..n."""
+    rng = make_rng(rng)
+    n, d = g.n, g.d
+    for _ in range(trials):
+        subset = _sample_subset(g, rng)
+        dd = bfs_distances(g, subset)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for x in dd:
+            if x != float("inf") and x <= n:
+                counts[int(x)] += 1
+        sizes = np.cumsum(counts)
+        for l in range(1, n + 1):
+            kind, t = _growth_requirement(alpha, d, l, len(subset), n)
+            bsize = int(sizes[l])
+            ok = (4 * bsize >= 3 * n) if kind == "cap" else (
+                math.log(bsize) >= t - _LN_GUARD
+            )
+            if not ok:
+                return "fail", {
+                    "S": tuple(sorted(subset)),
+                    "l": l,
+                    "ball_size": bsize,
+                    "required": "3n/4" if kind == "cap" else math.exp(t),
+                }
+    return "not_falsified", None
+
+
+def test_growth_sampled_matches_full_radius_scan():
+    graphs = [
+        sample_simple_regular(60, 3, make_rng(40))[0],
+        sample_simple_regular(200, 4, make_rng(41))[0],
+        circular_ladder(30),
+        disjoint_union(petersen_graph(), circular_ladder(5)),
+    ]
+    statuses = set()
+    for g in graphs:
+        for alpha in (0.05, 0.3, 1.0):
+            for seed in range(4):
+                verdict = growth_check_sampled(g, alpha, 25, make_rng(seed))
+                status, witness = reference_growth_check_sampled(
+                    g, LogScalar.from_float(alpha), 25, seed
+                )
+                assert (verdict.status, verdict.witness) == (status, witness)
+                statuses.add(status)
+    assert statuses == {"fail", "not_falsified"}
 
 
 def test_fit_alpha_maximality():

@@ -10,6 +10,8 @@ from specgap.graphs import (
     disjoint_union,
     petersen_graph,
 )
+import specgap.poincare as poincare
+import specgap.spectral as spectral
 from specgap.norms import Lq
 from specgap.poincare import (
     average_pairwise_distance,
@@ -89,6 +91,25 @@ def test_scalar_closed_form_matches_eigenvector_ratio():
 def test_scalar_closed_form_disconnected():
     g = disjoint_union(complete_graph(4), complete_graph(4))
     assert gamma_scalar_l2_exact(g).gamma == math.inf
+
+
+def test_scalar_closed_form_iterative_above_dense_limit(monkeypatch):
+    g, _ = sample_simple_regular(400, 3, make_rng(8))
+    dense = gamma_scalar_l2_exact(g)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigensolve above DENSE_LIMIT")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    fresh, _ = sample_simple_regular(400, 3, make_rng(8))
+    it = gamma_scalar_l2_exact(fresh)
+    assert it.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
+    assert it.gamma == pytest.approx(dense.gamma, rel=1e-7)
+    assert abs(float(it.extremizer @ dense.extremizer)) == pytest.approx(1.0, abs=1e-6)
+    rep = poincare_ratio(fresh, it.extremizer, Lq(2), 2)
+    assert rep.ratio == pytest.approx(it.gamma, rel=1e-7)
 
 
 def test_gamma_search_matches_eigen_oracle():
@@ -178,6 +199,17 @@ def test_embedding_gamma_lower_bound_inequality():
         float(np.linalg.norm(rep.field[u] - rep.field[v])) for u, v in edges
     )
     assert rep.ratio_report.ratio >= avg / stretch - 1e-9
+
+
+def test_embedding_refuses_n_above_dense_limit(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("distance table built before the size check")
+
+    monkeypatch.setattr(poincare, "bfs_distances", no_distances)
+    with pytest.raises(ValueError, match="DENSE_LIMIT = 8"):
+        bourgain_style_embedding(petersen_graph(), q=2, rng=0)
 
 
 def test_embedding_rejects_disconnected():

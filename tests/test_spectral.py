@@ -4,12 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg as spla
+
+import specgap.spectral as spectral
+from specgap.expansion import spectral_sufficient_check
 from specgap.graphs import (
+    bfs_distances,
+    circular_ladder,
     complete_bipartite,
     complete_graph,
     disjoint_union,
     petersen_graph,
 )
+from specgap.poincare import gamma_scalar_l2_exact
 from specgap.rand import make_rng
 from specgap.sampling import sample_simple_regular
 from specgap.spectral import (
@@ -161,3 +168,134 @@ def test_walk_sum_preconditions():
         y = np.zeros(6)
         y[0], y[3] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         walk_sum_bound_check(complete_bipartite(3, 3), y, 1)
+
+
+# -- cheeger_upper against the per-step sweep -------------------------------------
+
+
+def reference_cheeger_upper(g):
+    """The per-step sweep: one Fraction and one frozenset per prefix.
+
+    Dense graphs only: the eigh call is the one the library's spectrum makes,
+    so both sweeps start from the same vector.
+    """
+    _, vecs = np.linalg.eigh(adjacency_matrix(g))
+    order = np.argsort(vecs[:, -2])
+    best = None
+    in_s = set()
+    cut = 0
+    for idx in order[: g.n - 1]:
+        v = int(idx)
+        cut += sum(1 if w not in in_s else -1 for w in g.adj[v])
+        in_s.add(v)
+        if len(in_s) <= g.n // 2:
+            cand = (Fraction(cut, len(in_s)), frozenset(in_s))
+            if best is None or cand[0] < best[0]:
+                best = cand
+    for v in range(min(g.n, 32)):
+        dd = bfs_distances(g, [v])
+        order_b = sorted(range(g.n), key=lambda w: (dd[w], w))
+        in_s = set()
+        cut = 0
+        for w in order_b:
+            if dd[w] == float("inf"):
+                break
+            cut += sum(1 if x not in in_s else -1 for x in g.adj[w])
+            in_s.add(w)
+            if len(in_s) > g.n // 2:
+                break
+            cand = (Fraction(cut, len(in_s)), frozenset(in_s))
+            if cand[0] < best[0]:
+                best = cand
+    return best
+
+
+def _oracle_graphs():
+    k4 = complete_graph(4)
+    yield k4
+    yield complete_graph(7)
+    yield complete_bipartite(3, 3)
+    yield petersen_graph()
+    for m in (5, 9, 40):
+        yield circular_ladder(m)
+    # ties between prefix sizes and across sweeps
+    yield disjoint_union(k4, k4)
+    yield disjoint_union(disjoint_union(k4, k4), disjoint_union(k4, k4))
+    yield disjoint_union(petersen_graph(), circular_ladder(6))
+    for n, d in [(20, 3), (26, 3), (40, 3), (50, 4), (80, 3), (120, 3)]:
+        for seed in range(3):
+            yield sample_simple_regular(n, d, make_rng(900 + seed))[0]
+    for i, (n, d) in enumerate([(250, 5), (500, 3), (500, 4)]):
+        yield sample_simple_regular(n, d, make_rng(300 + i))[0]
+
+
+def test_cheeger_upper_matches_per_step_sweep():
+    for g in _oracle_graphs():
+        value, witness = reference_cheeger_upper(g)
+        res = cheeger_upper(g)
+        assert res.value == value and res.witness == witness, (g.n, g.d)
+        assert type(res.value) is Fraction and not res.exact
+        assert all(type(v) is int for v in res.witness)
+
+
+# -- one eigensolve per graph -----------------------------------------------------
+
+
+@pytest.mark.parametrize("dense_limit", [spectral.DENSE_LIMIT, 100])
+def test_certificates_share_one_eigensolve(monkeypatch, dense_limit):
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (spla, "eigsh")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    g, _ = sample_simple_regular(200, 4, make_rng(11))
+    summary = eigen_summary(g)
+    solves = list(calls)
+    assert solves == (["eigh"] if dense_limit >= g.n else ["eigsh", "eigsh"])
+    assert summary.mode == ("dense" if dense_limit >= g.n else "iterative")
+
+    y = make_rng(12).normal(size=g.n)
+    y -= y.mean()
+    y /= np.linalg.norm(y)
+    assert friedman_check(g).passed_21
+    assert spectral_sufficient_check(g).details["lam"] == summary.lam
+    assert walk_sum_bound_check(g, y, 4)["ok"]
+    assert cheeger_sandwich_check(g)["ok"]
+    ub = cheeger_upper(g)
+    l2 = gamma_scalar_l2_exact(g)
+    assert calls == solves
+    assert eigen_summary(g) is summary
+    assert l2.lambda2 == summary.lambda2
+    assert float(ub.value) >= summary.spectral_gap / 2 - 1e-9  # h_ub >= h
+
+
+def test_spectrum_cache_hands_out_copies():
+    g = petersen_graph()
+    first = gamma_scalar_l2_exact(g).extremizer
+    first[:] = 0.0
+    again = gamma_scalar_l2_exact(g).extremizer
+    assert np.linalg.norm(again) == pytest.approx(1.0)
+
+
+def test_spectrum_cache_not_part_of_equality():
+    g = petersen_graph()
+    eigen_summary(g)
+    fresh = petersen_graph()
+    assert g == fresh and hash(g) == hash(fresh)
+    assert "_spectra" not in repr(g)
+
+
+def test_failed_solve_is_not_cached(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
+    g, _ = sample_simple_regular(200, 3, make_rng(13))
+    with pytest.raises(RuntimeError, match="exceeds tol"):
+        eigen_summary(g, tol=1e-300)
+    assert ("iterative", 1e-300) not in (g._spectra or {})
+    assert eigen_summary(g).mode == "iterative"
