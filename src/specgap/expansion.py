@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import eval_constant
-from .graphs import RegularGraph, ball, bfs_distances
+from .graphs import RegularGraph, ball, bfs_distances, distance_rows
 from .logspace import LogScalar
 from .rand import as_rng
 from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary
@@ -120,19 +120,9 @@ def _subset_ball_sizes(g: RegularGraph, radius: int, single_balls) -> np.ndarray
 def _single_ball_masks(g: RegularGraph) -> list[list[int]]:
     """single_balls[l][v] = bitmask of B({v}, l) for l in 0..n."""
     n = g.n
-    out = []
-    dists = [bfs_distances(g, [v]) for v in range(n)]
-    for radius in range(n + 1):
-        row = []
-        for v in range(n):
-            mask = 0
-            dv = dists[v]
-            for w in range(n):
-                if dv[w] <= radius:
-                    mask |= 1 << w
-            row.append(mask)
-        out.append(row)
-    return out
+    dists = np.vstack(list(distance_rows(g)))
+    within = dists[None, :, :] <= np.arange(n + 1)[:, None, None]
+    return (within.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))).tolist()
 
 
 def _growth_requirement(alpha: LogScalar, d: int, l: int, size: int, n: int):

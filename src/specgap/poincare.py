@@ -13,6 +13,25 @@ factor 2 -- both are reported, only the oracle-backed one is certified.
 
 The pairwise sum runs over ordered pairs including v = w (those terms are
 zero); the convention is fixed here and used consistently on both sides.
+
+Cost of the all-pairs kernels, for an (n, k) field:
+
+- pair sum, norm Lq(q) or WeightedLq with finite q and p = q: the sum splits
+  by coordinate (a WeightedLq coordinate carries the factor w_j^q).  q = 2 is
+  2n sum_j sum_v (x_vj - mean_j)^2, O(nk); q = 1 is a sort plus gap weights,
+  O(nk log n); any other q sorts each column and sums max(gap, 0)^q over the
+  upper triangle in blocks of rows, O(n^2 k) elementwise but with no norm
+  evaluation.
+- pair sum, every other (norm, p), q = inf and BlockNorm included: the pairs
+  v < w in blocks of rows through ``norm.eval_pow``, doubled; n^2/2 norm
+  evaluations.
+- edge sum and the per-move updates of ``gamma_search``: ``norm.eval_pow``,
+  which for Lq at p = q skips the root-then-power round trip.
+- all-pairs distances (``average_pairwise_distance``, the embedding's table):
+  ``graphs.distance_rows``, one csgraph shortest-path call per block of rows.
+
+Each block holds about 2^22 entries (32 MiB of floats) or fewer; only the
+embedding keeps a whole n x n table, and only for n <= spectral.DENSE_LIMIT.
 """
 
 from __future__ import annotations
@@ -23,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import eval_constant
-from .graphs import RegularGraph, bfs_distances
+from .graphs import RegularGraph, bfs_distances, distance_rows, neighbour_array
 from .logspace import LogScalar
-from .norms import Lq, UncondNorm
+from .norms import Lq, UncondNorm, WeightedLq
 from .rand import as_rng
 from . import spectral
 
@@ -67,23 +86,77 @@ def _as_field(f, n: int) -> np.ndarray:
     return x
 
 
-def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
-    """sum over ordered pairs (v, w) of ||x_v - x_w||^p, in row chunks."""
+# Entries per block of the all-pairs kernels (about 32 MiB of floats), and a
+# cap on the rows of a block so the wasted half of each diagonal block of the
+# upper-triangle kernels stays small.
+_CHUNK_ENTRIES = 1 << 22
+_TRIANGLE_ROWS = 64
+
+
+def _triangle_rows(n: int, width: int) -> int:
+    return max(1, min(_TRIANGLE_ROWS, _CHUNK_ENTRIES // max(n * width, 1)))
+
+
+def _coordinate_factors(nm: UncondNorm, p: float, k: int) -> np.ndarray | None:
+    """c with ||y||^p = sum_j c_j |y_j|^p for all y in R^k, or None.
+
+    Only Lq(q) and WeightedLq with finite q = p split this way.
+    """
+    if not isinstance(nm, (Lq, WeightedLq)) or p != nm.q or math.isinf(p):
+        return None
+    if isinstance(nm, WeightedLq):
+        return np.asarray(nm.weights) ** p
+    return np.ones(k)
+
+
+def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
+    """Per column j, sum over v < w of |x_vj - x_wj|^q (finite q)."""
     n = x.shape[0]
-    total = 0.0
-    chunk = max(1, (1 << 22) // max(n * x.shape[1], 1))
-    for start in range(0, n, chunk):
-        block = x[start : start + chunk]
-        diffs = block[:, None, :] - x[None, :, :]
-        vals = nm.eval_many(diffs.reshape(-1, x.shape[1])) ** p
-        total += float(vals.sum())
+    if q == 2:
+        dev = x - x.mean(axis=0)
+        return n * np.einsum("ij,ij->j", dev, dev)
+    s = np.sort(x, axis=0)
+    if q == 1:
+        # the gap s[t+1] - s[t] lies between (t + 1)(n - t - 1) pairs
+        t = np.arange(n - 1)
+        return ((t + 1) * (n - 1 - t)) @ np.diff(s, axis=0)
+    s = np.ascontiguousarray(s.T)  # (k, n): one contiguous row per column
+    total = np.zeros(x.shape[1])
+    rows = _triangle_rows(n, x.shape[1])
+    for start in range(0, n, rows):
+        # sorted columns: the gaps are >= 0 above the diagonal, <= 0 below it
+        gaps = s[:, None, start:] - s[:, start : start + rows, None]
+        np.maximum(gaps, 0.0, out=gaps)
+        np.power(gaps, q, out=gaps)
+        total += gaps.sum(axis=(1, 2))
     return total
 
 
+def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
+    """sum over ordered pairs (v, w) of ||x_v - x_w||^p: twice the v < w sum.
+
+    Separable (norm, p), see ``_coordinate_factors``, go column by column;
+    every other norm evaluates the pairs v < w in blocks of rows.
+    """
+    n, k = x.shape
+    factors = _coordinate_factors(nm, p, k)
+    if factors is not None:
+        return 2.0 * float(factors @ _column_pair_sums(x, p))
+    total = 0.0
+    rows = _triangle_rows(n, k)
+    for start in range(0, n, rows):
+        block = x[start : start + rows]
+        diffs = block[:, None, :] - x[None, start:, :]
+        vals = nm.eval_pow(diffs.reshape(-1, k), p).reshape(len(block), -1)
+        total += float(np.triu(vals, 1).sum())  # column j is vertex start + j
+    return 2.0 * total
+
+
 def _edge_sum(x: np.ndarray, g: RegularGraph, nm: UncondNorm, p: float) -> float:
-    eu, ev = zip(*g.edges())
-    vals = nm.eval_many(x[list(eu)] - x[list(ev)]) ** p
-    return float(vals.sum())
+    """sum over edges u < v of ||x_u - x_v||^p, in ``g.edges()`` order."""
+    nbrs = neighbour_array(g)
+    u, j = np.nonzero(nbrs > np.arange(g.n)[:, None])
+    return float(nm.eval_pow(x[u] - x[nbrs[u, j]], p).sum())
 
 
 def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioReport:
@@ -147,8 +220,7 @@ def gamma_search(
         raise ValueError("budget must be positive")
     rng = as_rng(rng)
     n = g.n
-    edges = g.edges()
-    nbr = [np.array(g.adj[v]) for v in range(n)]
+    nbr = neighbour_array(g)
     probes = 4
     best_ratio, best_field = -math.inf, None
     evals = 0
@@ -173,13 +245,13 @@ def gamma_search(
             ts = step * np.array([1.0, 0.3, 3.0, 0.1])
             cands = F[v] + dirs * ts[:, None]
             diffs = cands[:, None, :] - F[None, :, :]
-            nn = norm.eval_many(diffs.reshape(-1, k)).reshape(probes, n) ** p
+            nn = norm.eval_pow(diffs.reshape(-1, k), p).reshape(probes, n)
             nn[:, v] = 0.0
-            old_pair = float(np.sum(norm.eval_many(F[v] - F) ** p))
+            old_pair = float(np.sum(norm.eval_pow(F[v] - F, p)))
             cnum = num - 2 * old_pair + 2 * nn.sum(axis=1)
-            edge_old = float(np.sum(norm.eval_many(F[v] - F[nbr[v]]) ** p))
+            edge_old = float(np.sum(norm.eval_pow(F[v] - F[nbr[v]], p)))
             ediffs = cands[:, None, :] - F[nbr[v]][None, :, :]
-            dd = norm.eval_many(ediffs.reshape(-1, k)).reshape(probes, -1) ** p
+            dd = norm.eval_pow(ediffs.reshape(-1, k), p).reshape(probes, -1)
             cden = den - edge_old + dd.sum(axis=1)
             evals += probes
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -267,7 +339,7 @@ def bourgain_style_embedding(
             f"limited to n <= DENSE_LIMIT = {spectral.DENSE_LIMIT} (got n={n})"
         )
     rng = as_rng(rng)
-    all_dist = np.array([bfs_distances(g, [v]) for v in range(n)], dtype=float)
+    all_dist = np.vstack(list(distance_rows(g)))
     if np.any(np.isinf(all_dist)):
         raise ValueError("embedding needs a connected graph")
     if scales is None:
@@ -292,7 +364,7 @@ def bourgain_style_embedding(
         """Extreme ratios ||f(v)-f(w)||_q / dist(v, w) over v < w, in row chunks."""
         k = fld.shape[1]
         lo, hi = math.inf, 0.0
-        chunk = max(1, (1 << 22) // max(n * k, 1))
+        chunk = max(1, _CHUNK_ENTRIES // max(n * k, 1))
         for start in range(0, n, chunk):
             block = fld[start : start + chunk]
             norms = nm.eval_many((block[:, None, :] - fld[None, :, :]).reshape(-1, k))
@@ -327,15 +399,16 @@ def bourgain_style_embedding(
 
 
 def average_pairwise_distance(g: RegularGraph) -> dict:
-    """Exact BFS distance averages; infinite for disconnected graphs."""
+    """Exact BFS distance averages; infinite for disconnected graphs.
+
+    Reads the distance rows in blocks (``graphs.distance_rows``), so memory
+    stays O(block * n).
+    """
     total = 0.0
-    for v in range(g.n):
-        dd = bfs_distances(g, [v])
-        if any(x == float("inf") for x in dd):
+    for block in distance_rows(g):
+        if np.isinf(block).any():
             return {"all_pairs": math.inf, "distinct_pairs": math.inf}
-    # second pass keeps memory flat for large n
-    for v in range(g.n):
-        total += sum(bfs_distances(g, [v]))
+        total += float(block.sum())
     return {
         "all_pairs": total / (g.n * g.n),
         "distinct_pairs": total / (g.n * (g.n - 1)),

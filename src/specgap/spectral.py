@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import RegularGraph, bfs_distances
+from .graphs import RegularGraph, adjacency_csr, distance_rows, neighbour_array
 
 __all__ = [
     "SpectralSummary",
@@ -45,20 +44,11 @@ DENSE_LIMIT = 4096
 CHEEGER_EXACT_LIMIT = 24
 
 
-def _neighbour_array(g: RegularGraph) -> np.ndarray:
-    """The (n, d) array of sorted neighbour lists."""
-    return np.array(g.adj, dtype=np.int64)
-
-
 def adjacency_matrix(g: RegularGraph, sparse: bool = False):
-    nbrs = _neighbour_array(g)
     if sparse:
-        indptr = np.arange(0, g.n * g.d + 1, g.d)
-        return sp.csr_matrix(
-            (np.ones(g.n * g.d), nbrs.ravel(), indptr), shape=(g.n, g.n)
-        )
+        return adjacency_csr(g)
     a = np.zeros((g.n, g.n))
-    a[np.repeat(np.arange(g.n), g.d), nbrs.ravel()] = 1.0
+    a[np.repeat(np.arange(g.n), g.d), neighbour_array(g).ravel()] = 1.0
     return a
 
 
@@ -215,7 +205,7 @@ def cheeger_upper(g: RegularGraph) -> CheegerResult:
     Each sweep takes the first prefix with the least cut/size over sizes
     1..n/2; a later sweep replaces the best only when strictly smaller.
     """
-    nbrs = _neighbour_array(g)
+    nbrs = neighbour_array(g)
     best = None  # (cut, size, prefix)
     for order in _sweep_orders(g):
         prefix = order[: g.n // 2]
@@ -230,10 +220,11 @@ def _sweep_orders(g: RegularGraph):
     """The lambda_2 eigenvector order, then BFS orders from the first 32
     vertices by (distance, vertex), each without its unreachable vertices."""
     yield np.argsort(_spectrum(g)[1])
-    for v in range(min(g.n, 32)):  # ball seeds; heuristic, upper bound only
-        dd = np.array(bfs_distances(g, [v]))
-        order = np.argsort(dd, kind="stable")  # stable: ties keep vertex order
-        yield order[: np.count_nonzero(np.isfinite(dd))]
+    seeds = range(min(g.n, 32))  # ball seeds; heuristic, upper bound only
+    for block in distance_rows(g, seeds):
+        for dd in block:
+            order = np.argsort(dd, kind="stable")  # stable: ties keep vertex order
+            yield order[: np.count_nonzero(np.isfinite(dd))]
 
 
 def _best_prefix(nbrs: np.ndarray, order: np.ndarray) -> tuple[int, int]:

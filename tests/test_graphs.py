@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
+import specgap.graphs as graphs
 from specgap.graphs import (
     INF,
     RegularGraph,
     ball,
+    bfs_distances,
     boundary,
     circular_ladder,
     complete_bipartite,
@@ -12,6 +15,7 @@ from specgap.graphs import (
     dist,
     dist_to_edge,
     dist_to_set,
+    distance_rows,
     load_edge_list,
     petersen_graph,
     save_edge_list,
@@ -131,3 +135,44 @@ def test_named_graphs():
     assert (cl.n, cl.d) == (12, 3)
     with pytest.raises(ValueError):
         complete_bipartite(2, 3)
+
+
+def _bfs_table(g, sources):
+    return np.array([bfs_distances(g, [v]) for v in sources], dtype=float)
+
+
+def test_distance_rows_match_bfs():
+    cases = [
+        petersen_graph(),
+        circular_ladder(7),
+        disjoint_union(complete_graph(4), complete_graph(4)),
+    ]
+    cases += [sample_simple_regular(n, d, make_rng(n + d))[0] for n, d in ((30, 3), (82, 4))]
+    for g in cases:
+        rows = np.vstack(list(distance_rows(g)))
+        assert np.array_equal(rows, _bfs_table(g, range(g.n)))
+        sources = [g.n - 1, 0, 3, 3]
+        assert np.array_equal(np.vstack(list(distance_rows(g, sources))), _bfs_table(g, sources))
+
+
+def test_distance_rows_blocks(monkeypatch):
+    g = circular_ladder(9)  # n = 18
+    monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", 5 * 18)
+    blocks = list(distance_rows(g))
+    assert [b.shape for b in blocks] == [(5, 18)] * 3 + [(3, 18)]
+    assert np.array_equal(np.vstack(blocks), _bfs_table(g, range(18)))
+
+
+def test_distance_rows_unreachable_is_inf():
+    g = disjoint_union(complete_graph(4), complete_graph(4))
+    (rows,) = distance_rows(g, [0, 5])
+    assert rows.dtype == float
+    assert rows[0].tolist() == [0, 1, 1, 1, INF, INF, INF, INF]
+    assert rows[1].tolist() == [INF, INF, INF, INF, 1, 0, 1, 1]
+
+
+def test_distance_rows_source_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        list(distance_rows(petersen_graph(), [0, 10]))
+    with pytest.raises(ValueError, match="out of range"):
+        list(distance_rows(petersen_graph(), [-1]))

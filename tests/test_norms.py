@@ -45,6 +45,61 @@ def test_eval_validation():
         Lq(0.5)
 
 
+def test_lq_large_entries_do_not_overflow():
+    # 1e10 ** 32 overflows a double; the norm itself is 1e10
+    assert Lq(32)([1e10, 1.0]) == pytest.approx(1e10, rel=1e-12)
+    assert WeightedLq(32, (1.0, 2.0))([1e10, 1.0]) == pytest.approx(1e10, rel=1e-12)
+    assert WeightedLq(32, (2.0, 1.0))([1e10, 1.0]) == pytest.approx(2e10, rel=1e-12)
+
+
+def test_lq_small_entries_do_not_underflow():
+    # 1e-6 ** 64 underflows to 0; the norm itself is 1e-6
+    assert Lq(64)([1e-6, 0.0]) == pytest.approx(1e-6, rel=1e-12)
+    assert Lq(64)([1e-6, 1e-6]) == pytest.approx(1e-6 * 2 ** (1 / 64), rel=1e-12)
+    assert WeightedLq(64, (3.0, 1.0))([1e-6, 0.0]) == pytest.approx(3e-6, rel=1e-12)
+
+
+def test_lq_rescale_leaves_other_rows_alone():
+    rows = np.array([[1e10, 1.0], [3.0, 4.0], [0.0, 0.0], [1e-6, 0.0], [-2.0, 1.0]])
+    direct = (np.abs(rows[[1, 4]]) ** 3).sum(axis=1) ** (1 / 3)
+    for q in (32, 64):
+        out = Lq(q).eval_many(rows)
+        assert out[0] == pytest.approx(1e10, rel=1e-12)
+        assert out[2] == 0.0
+        assert out[3] == pytest.approx(1e-6, rel=1e-12)
+    assert np.array_equal(Lq(3).eval_many(rows)[[1, 4]], direct)
+    stacked = Lq(32).eval_many(np.stack([rows, rows]))
+    assert stacked.shape == (2, 5)
+    assert stacked[1, 0] == pytest.approx(1e10, rel=1e-12)
+
+
+def test_eval_pow_on_extreme_rows():
+    big, small = np.array([[1e10, 1.0]]), np.array([[1e-6, 0.0]])
+    for nm in (Lq(32), WeightedLq(32, (1.0, 1.0)), lift_l1(Lq(32), 2, 1)):
+        assert nm.eval_pow(big, 1)[0] == pytest.approx(1e10, rel=1e-12)
+        assert nm.eval_pow(big, 2)[0] == pytest.approx(1e20, rel=1e-12)
+        assert nm.eval_pow(big / 10, 32)[0] == pytest.approx(1e288, rel=1e-12)
+        # ||y||^32 = 1e320 is above the largest double: inf is its rounding
+        assert nm.eval_pow(big, 32)[0] == math.inf
+    for nm in (Lq(64), WeightedLq(64, (1.0, 1.0)), lift_l1(Lq(64), 2, 1)):
+        assert nm.eval_pow(small, 1)[0] == pytest.approx(1e-6, rel=1e-12)
+        assert nm.eval_pow(small, 2)[0] == pytest.approx(1e-12, rel=1e-12)
+        assert nm.eval_pow(small * 1e2, 64)[0] == pytest.approx(1e-256, rel=1e-12)
+        # ||y||^64 = 1e-384 is below the smallest double: 0 is its rounding
+        assert nm.eval_pow(small, 64)[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "nm",
+    [Lq(1), Lq(2), Lq(3.5), Lq(math.inf), WeightedLq(3, (0.5, 2.0, 1.0, 4.0)),
+     lift_l1(Lq(4), 2, 2), BlockNorm(Lq(math.inf), ((Lq(2), 2), (Lq(1), 2)))],
+)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0])
+def test_eval_pow_matches_eval_many_power(nm, p):
+    ys = make_rng(4).normal(size=(50, 4)) * 3.0
+    assert nm.eval_pow(ys, p) == pytest.approx(nm.eval_many(ys) ** p, rel=1e-12)
+
+
 def test_json_roundtrip():
     norms = [
         Lq(2),

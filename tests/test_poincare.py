@@ -3,8 +3,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import specgap.graphs as graphs
 from specgap.graphs import (
+    bfs_distances,
+    circular_ladder,
     complete_bipartite,
     complete_graph,
     disjoint_union,
@@ -12,7 +16,7 @@ from specgap.graphs import (
 )
 import specgap.poincare as poincare
 import specgap.spectral as spectral
-from specgap.norms import Lq
+from specgap.norms import Lq, WeightedLq, lift_l1
 from specgap.poincare import (
     average_pairwise_distance,
     bourgain_style_embedding,
@@ -63,6 +67,106 @@ def test_ratio_translation_and_scaling_invariance():
     scaled = poincare_ratio(g, 3.5 * f, Lq(2), 2)
     assert shifted.ratio == pytest.approx(base.ratio, rel=1e-12)
     assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
+
+
+def _ordered_pair_sum(x, nm, p):
+    """Reference: ||x_v - x_w||^p over every ordered pair, in row chunks."""
+    n = x.shape[0]
+    total = 0.0
+    chunk = max(1, (1 << 22) // max(n * x.shape[1], 1))
+    for start in range(0, n, chunk):
+        block = x[start : start + chunk]
+        diffs = block[:, None, :] - x[None, :, :]
+        vals = nm.eval_many(diffs.reshape(-1, x.shape[1])) ** p
+        total += float(vals.sum())
+    return total
+
+
+WEIGHTS = (0.5, 2.0, 1.25, 1.0)
+PAIR_SUM_CASES = (
+    [(Lq(q), q) for q in (1, 1.5, 2, 3, 4, 32)]
+    + [(Lq(q), p) for q, p in ((1, 2), (1.5, 1), (2, 1), (3, 2), (4, 1.5), (32, 4))]
+    + [(Lq(math.inf), 1), (Lq(math.inf), 3)]
+    + [(WeightedLq(q, WEIGHTS), q) for q in (1, 2, 3)]
+    + [(WeightedLq(3, WEIGHTS), 2), (WeightedLq(math.inf, WEIGHTS), 2)]
+    + [(lift_l1(Lq(4), 2, 2), 4), (lift_l1(Lq(4), 2, 2), 2)]
+)
+
+
+def _pair_sum_fields():
+    rng = make_rng(17)
+    ties = rng.integers(-2, 3, size=(37, 4)).astype(float)  # many tied entries
+    ties[:, 2] = 1.5  # one column tied throughout
+    return {
+        "normal_n37": rng.normal(size=(37, 4)),
+        "ties_n37": ties,
+        "normal_n150": rng.normal(size=(150, 4)) * 2.0,
+        "ties_n150": rng.integers(-3, 4, size=(150, 4)).astype(float),
+    }
+
+
+@pytest.mark.parametrize("rows", [8, 64])
+@pytest.mark.parametrize("nm, p", PAIR_SUM_CASES)
+def test_pair_sum_matches_ordered_pair_reference(monkeypatch, nm, p, rows):
+    # rows = 8 puts several partial blocks on n = 37; 150 is no multiple of 64
+    monkeypatch.setattr(poincare, "_TRIANGLE_ROWS", rows)
+    for name, x in _pair_sum_fields().items():
+        want = _ordered_pair_sum(x, nm, p)
+        assert poincare._pair_sum(x, nm, p) == pytest.approx(want, rel=1e-9), name
+
+
+@pytest.mark.parametrize("nm", [Lq(1), Lq(2), Lq(3.5), Lq(32), WeightedLq(3, WEIGHTS)])
+def test_pair_sum_separable_case_never_evaluates_the_norm(monkeypatch, nm):
+    x = _pair_sum_fields()["ties_n37"]
+    want = _ordered_pair_sum(x, nm, nm.q)
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("separable pair sum evaluated the norm")
+
+    monkeypatch.setattr(type(nm), "eval_many", no_eval)
+    monkeypatch.setattr(type(nm), "eval_pow", no_eval)
+    assert poincare._pair_sum(x, nm, nm.q) == pytest.approx(want, rel=1e-9)
+
+
+def test_edge_sum_matches_edge_list():
+    g, _ = sample_simple_regular(40, 4, make_rng(6))
+    x = make_rng(7).normal(size=(40, 4))
+    for nm, p in PAIR_SUM_CASES:
+        want = sum(float(nm.eval_many(x[u] - x[v]) ** p) for u, v in g.edges())
+        assert poincare._edge_sum(x, g, nm, p) == pytest.approx(want, rel=1e-9)
+
+
+RATIO_GRAPHS = [
+    petersen_graph(),
+    circular_ladder(6),
+    sample_simple_regular(14, 4, make_rng(1))[0],
+]
+RATIO_CASES = [
+    (Lq(1), 1),
+    (Lq(2), 2),
+    (Lq(3), 3),
+    (Lq(32), 32),
+    (Lq(2), 1),
+    (Lq(math.inf), 2),
+    (WeightedLq(4, WEIGHTS), 4),
+    (lift_l1(Lq(4), 2, 2), 4),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ratio_invariant_under_translation_and_positive_scaling(data):
+    g = data.draw(st.sampled_from(RATIO_GRAPHS))
+    nm, p = data.draw(st.sampled_from(RATIO_CASES))
+    # integer entries and shifts keep every difference exact under translation
+    row = st.lists(st.integers(-20, 20), min_size=4, max_size=4)
+    f = np.array(data.draw(st.lists(row, min_size=g.n, max_size=g.n)), dtype=float)
+    assume(np.any(f != f[0]))
+    shift = np.array(data.draw(st.lists(st.integers(-1000, 1000), min_size=4, max_size=4)))
+    c = data.draw(st.floats(min_value=1e-3, max_value=1e3))
+    base = poincare_ratio(g, f, nm, p).ratio
+    assert poincare_ratio(g, f + shift, nm, p).ratio == pytest.approx(base, rel=1e-9)
+    assert poincare_ratio(g, c * f, nm, p).ratio == pytest.approx(base, rel=1e-9)
 
 
 def test_ratio_rejects_constant_field():
@@ -212,6 +316,17 @@ def test_embedding_refuses_n_above_dense_limit(monkeypatch):
         bourgain_style_embedding(petersen_graph(), q=2, rng=0)
 
 
+def test_embedding_size_check_precedes_distance_rows(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("distance table built before the size check")
+
+    monkeypatch.setattr(poincare, "distance_rows", no_distances)
+    with pytest.raises(ValueError, match="DENSE_LIMIT = 8"):
+        bourgain_style_embedding(petersen_graph(), q=2, rng=0)
+
+
 def test_embedding_rejects_disconnected():
     g = disjoint_union(complete_graph(4), complete_graph(4))
     with pytest.raises(ValueError, match="connected"):
@@ -224,6 +339,35 @@ def test_average_distance_named_graphs():
     pet = average_pairwise_distance(petersen_graph())
     assert pet["all_pairs"] == pytest.approx(1.5)
     assert pet["distinct_pairs"] == pytest.approx(15.0 / 9.0)
+
+
+def _bfs_double_loop_average(g):
+    rows = [bfs_distances(g, [v]) for v in range(g.n)]
+    if any(x == math.inf for row in rows for x in row):
+        return math.inf
+    return sum(sum(row) for row in rows) / (g.n * g.n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([(8, 3), (10, 3), (16, 3), (30, 3), (12, 4), (25 * 2, 4)]),
+)
+def test_average_distance_matches_bfs_double_loop(seed, size):
+    g, _ = sample_simple_regular(*size, make_rng(seed))
+    avg = average_pairwise_distance(g)
+    assert avg["all_pairs"] == _bfs_double_loop_average(g)
+    if avg["all_pairs"] < math.inf:
+        assert avg["distinct_pairs"] == pytest.approx(avg["all_pairs"] * g.n / (g.n - 1))
+
+
+@pytest.mark.parametrize("block_entries", [1 << 22, 3 * 14])
+def test_average_distance_disjoint_union_is_infinite(monkeypatch, block_entries):
+    # 3 * 14 entries: the 14 distance rows come in blocks of three
+    monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", block_entries)
+    g = disjoint_union(complete_graph(4), petersen_graph())
+    avg = average_pairwise_distance(g)
+    assert avg == {"all_pairs": math.inf, "distinct_pairs": math.inf}
 
 
 def test_uc_experiment_rows_and_monotone_trend():
