@@ -3,7 +3,7 @@ Poincare constants for unconditional norms.
 
 Submodules
 ----------
-graphs      graph types, BFS balls, edge-list I/O
+graphs      the (n, d) neighbour-array graph, BFS balls, edge-list I/O
 sampling    pairing-model sampling and exploration statistics
 spectral    eigenvalues, Cheeger constants, spectral certificates
 expansion   long-range expansion checking, fitting, sufficient conditions
@@ -16,4 +16,4 @@ logspace    sign + log-magnitude scalar arithmetic
 __version__ = "0.1.0"
 
 from .logspace import LogScalar  # noqa: F401
-from .graphs import RegularGraph, MultiGraph  # noqa: F401
+from .graphs import RegularGraph  # noqa: F401

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logspace import LogScalar
+from .logspace import LogScalar, as_logscalar
 
 __all__ = [
     "CONSTANT_IDS",
@@ -49,12 +49,6 @@ CONSTANT_IDS = (
 )
 
 
-def _ls(x) -> LogScalar:
-    if isinstance(x, LogScalar):
-        return x
-    return LogScalar.from_float(float(x))
-
-
 def _resolve_alpha_L(d, alpha, L):
     """Allow alpha/L to be numbers, LogScalars, or the string 'paper'."""
     if isinstance(alpha, str):
@@ -64,11 +58,9 @@ def _resolve_alpha_L(d, alpha, L):
     if isinstance(L, str):
         if L != "paper":
             raise ValueError(f"unknown L spec {L!r}")
-        L = LogScalar.from_float(24.0) / (
-            alpha if isinstance(alpha, LogScalar) else _ls(alpha)
-        )
-    return (_ls(alpha) if alpha is not None else None,
-            _ls(L) if L is not None else None)
+        L = LogScalar.from_float(24.0) / as_logscalar(alpha)
+    return (as_logscalar(alpha) if alpha is not None else None,
+            as_logscalar(L) if L is not None else None)
 
 
 def alpha_growth_rate(d: int) -> LogScalar:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import eval_constant
 from .graphs import RegularGraph, ball, bfs_distances, distance_rows
-from .logspace import LogScalar
+from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
 from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary
 
@@ -47,10 +47,6 @@ EXACT_LIMIT = 20
 _LN_GUARD = 1e-12  # treat log-threshold ties as satisfied
 
 
-def _ls(x) -> LogScalar:
-    return x if isinstance(x, LogScalar) else LogScalar.from_float(float(x))
-
-
 class ExpanPreconditionError(ValueError):
     """An instance query fell outside the property's precondition."""
 
@@ -64,8 +60,8 @@ class ExpanParams:
     L: LogScalar
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _ls(self.alpha))
-        object.__setattr__(self, "L", _ls(self.L))
+        object.__setattr__(self, "alpha", as_logscalar(self.alpha))
+        object.__setattr__(self, "L", as_logscalar(self.L))
         if not (self.alpha.sign == 1 and self.alpha.ln <= 0):
             raise ValueError("alpha must lie in (0, 1]")
         if not (0 < self.eps <= 1):
@@ -134,21 +130,22 @@ def _growth_requirement(alpha: LogScalar, d: int, l: int, size: int, n: int):
     return "value", t
 
 
-def growth_check_exact(g: RegularGraph, alpha) -> ExpanVerdict:
-    """Exhaustive part-A check over every nonempty S and every l in [1, n].
+def _growth_scan_exact(g: RegularGraph, alpha: LogScalar, min_size: int):
+    """First part-A violation over every l in [1, n] and every subset with
+    at least ``min_size`` vertices, or None.
 
-    Balls saturate by l = n, which is why the scan stops there.  A failure
-    carries the minimal witness (smallest l, then smallest subset bitmask).
+    Balls saturate by l = n, which is why the scan stops there.  Violations
+    are ordered by l, then |S|, then the subset bitmask; the first one is
+    returned as (l, mask, ball_size, required).
     """
-    alpha = _ls(alpha)
-    _require_exact_size(g, "growth_check_exact")
     n, d = g.n, g.d
     single = _single_ball_masks(g)
-    popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    by_size = [np.flatnonzero(popc == s) for s in range(n + 1)]
     for l in range(1, n + 1):
         sizes = _subset_ball_sizes(g, l, single)
-        for s in range(1, n + 1):
-            sel = np.nonzero(popc == s)[0]
+        for s in range(min_size, n + 1):
+            sel = by_size[s]
             kind, t = _growth_requirement(alpha, d, l, s, n)
             if kind == "cap":
                 bad = sel[4 * sizes[sel] < 3 * n]
@@ -156,19 +153,57 @@ def growth_check_exact(g: RegularGraph, alpha) -> ExpanVerdict:
                 bad = sel[np.log(sizes[sel]) < t - _LN_GUARD]
             if len(bad):
                 mask = int(bad.min())
-                subset = tuple(v for v in range(n) if (mask >> v) & 1)
-                return ExpanVerdict(
-                    part="A",
-                    mode="exact",
-                    status="fail",
-                    witness={
-                        "S": subset,
-                        "l": l,
-                        "ball_size": int(sizes[mask]),
-                        "required": "3n/4" if kind == "cap" else math.exp(t),
-                    },
-                )
-    return ExpanVerdict(part="A", mode="exact", status="pass")
+                return l, mask, int(sizes[mask]), "3n/4" if kind == "cap" else math.exp(t)
+    return None
+
+
+def _growth_scan(g: RegularGraph, subset, alpha: LogScalar):
+    """First radius at which the ball of ``subset`` misses the part-A
+    requirement, as (l, ball_size, required), or None.
+
+    The scan stops once the ball covers 3n/4: ball sizes never shrink, so
+    every later radius passes both the cap and the value requirement.
+    """
+    n = g.n
+    dd = bfs_distances(g, subset)
+    sizes = np.cumsum(np.bincount(dd[np.isfinite(dd)].astype(np.int64), minlength=n + 1))
+    for l in range(1, n + 1):
+        bsize = int(sizes[l])
+        if 4 * bsize >= 3 * n:
+            return None
+        kind, t = _growth_requirement(alpha, g.d, l, len(subset), n)
+        if kind == "cap" or math.log(bsize) < t - _LN_GUARD:
+            return l, bsize, "3n/4" if kind == "cap" else math.exp(t)
+    return None
+
+
+def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(v for v in range(n) if (mask >> v) & 1)
+
+
+def growth_check_exact(g: RegularGraph, alpha) -> ExpanVerdict:
+    """Exhaustive part-A check over every nonempty S and every l in [1, n].
+
+    A failure carries the minimal witness: smallest l, then smallest |S|,
+    then smallest subset bitmask.
+    """
+    alpha = as_logscalar(alpha)
+    _require_exact_size(g, "growth_check_exact")
+    found = _growth_scan_exact(g, alpha, 1)
+    if found is None:
+        return ExpanVerdict(part="A", mode="exact", status="pass")
+    l, mask, bsize, required = found
+    return ExpanVerdict(
+        part="A",
+        mode="exact",
+        status="fail",
+        witness={
+            "S": _mask_vertices(mask, g.n),
+            "l": l,
+            "ball_size": bsize,
+            "required": required,
+        },
+    )
 
 
 def fit_growth_alpha(g: RegularGraph) -> LogScalar:
@@ -217,35 +252,26 @@ def growth_check_sampled(g: RegularGraph, alpha, trials: int, rng) -> ExpanVerdi
 
     Any violation found is a definitive FAIL with a recheckable witness; no
     violation only means "not falsified", never "pass".  The radius scan for
-    a sample stops once its ball covers 3n/4: ball sizes never shrink, so
-    every later radius passes both the cap and the value requirement.
+    a sample stops once its ball covers 3n/4.
     """
-    alpha = _ls(alpha)
+    alpha = as_logscalar(alpha)
     rng = as_rng(rng)
-    n, d = g.n, g.d
     for _ in range(trials):
         subset = _sample_subset(g, rng)
-        dd = np.array(bfs_distances(g, subset))
-        # cumulative ball sizes per radius
-        counts = np.bincount(dd[np.isfinite(dd)].astype(np.int64), minlength=n + 1)
-        sizes = np.cumsum(counts)
-        for l in range(1, n + 1):
-            bsize = int(sizes[l])
-            if 4 * bsize >= 3 * n:
-                break
-            kind, t = _growth_requirement(alpha, d, l, len(subset), n)
-            if kind == "cap" or math.log(bsize) < t - _LN_GUARD:
-                return ExpanVerdict(
-                    part="A",
-                    mode="sampled",
-                    status="fail",
-                    witness={
-                        "S": tuple(sorted(subset)),
-                        "l": l,
-                        "ball_size": bsize,
-                        "required": "3n/4" if kind == "cap" else math.exp(t),
-                    },
-                )
+        found = _growth_scan(g, subset, alpha)
+        if found is not None:
+            l, bsize, required = found
+            return ExpanVerdict(
+                part="A",
+                mode="sampled",
+                status="fail",
+                witness={
+                    "S": tuple(sorted(subset)),
+                    "l": l,
+                    "ball_size": bsize,
+                    "required": required,
+                },
+            )
     return ExpanVerdict(
         part="A", mode="sampled", status="not_falsified", details={"trials": trials}
     )
@@ -254,17 +280,10 @@ def growth_check_sampled(g: RegularGraph, alpha, trials: int, rng) -> ExpanVerdi
 # -- part B: popular-edge congestion ----------------------------------------------
 
 
-def _edge_radius_masks(g: RegularGraph, l: int):
-    """Per edge: bitmask of vertices within distance l-1 of the edge."""
-    masks = []
-    for u, v in g.edges():
-        dd = bfs_distances(g, [u, v])
-        m = 0
-        for w in range(g.n):
-            if dd[w] <= l - 1:
-                m |= 1 << w
-        masks.append(m)
-    return masks
+def _precondition_holds(alpha: LogScalar, d: int, l: int, size: int, n: int) -> bool:
+    """Part B's precondition alpha (d-1)^(l-1) |S| <= 3n/4, compared on logs."""
+    pre_ln = alpha.ln + (l - 1) * math.log(d - 1) + math.log(size)
+    return pre_ln <= math.log(0.75 * n) + _LN_GUARD
 
 
 def _threshold_ints(params: ExpanParams, d: int, l: int, max_count: int):
@@ -296,8 +315,7 @@ def congestion_check_instance(
     if not (1 <= l):
         raise ValueError("l must be >= 1")
     n, d = g.n, g.d
-    pre_ln = params.alpha.ln + (l - 1) * math.log(d - 1) + math.log(len(subset))
-    if pre_ln > math.log(0.75 * n) + _LN_GUARD:
+    if not _precondition_holds(params.alpha, d, l, len(subset), n):
         raise ExpanPreconditionError(
             f"alpha (d-1)^(l-1) |S| exceeds 3n/4 at l={l}, |S|={len(subset)}"
         )
@@ -312,31 +330,30 @@ def congestion_check_instance(
             witness={"v": subset[0], "T_size": 0, "l": l},
             details={"T": ()},
         )
-    dists = {v: bfs_distances(g, [v]) for v in subset}
-    t_edges = []
-    for idx, (u, w) in enumerate(edges):
-        cnt = sum(1 for v in subset if min(dists[v][u], dists[v][w]) <= l - 1)
-        if cnt >= ceil_thr:
-            t_edges.append(idx)
-    for v in subset:
-        dv = dists[v]
-        deg = sum(
-            1 for idx in t_edges if min(dv[edges[idx][0]], dv[edges[idx][1]]) <= l - 1
+    # sees[i, e]: edge e has an endpoint within l - 1 of the i-th vertex of S
+    eu, ew = np.array(edges, dtype=np.int64).T
+    sees = np.vstack(
+        [np.minimum(rows[:, eu], rows[:, ew]) <= l - 1 for rows in distance_rows(g, subset)]
+    )
+    t_edges = np.flatnonzero(np.count_nonzero(sees, axis=0) >= ceil_thr)
+    details = {"T": tuple(edges[i] for i in t_edges)}
+    counts = np.count_nonzero(sees[:, t_edges], axis=1)
+    admissible = np.flatnonzero(counts <= floor_thr)
+    if admissible.size:
+        i = int(admissible[0])
+        return ExpanVerdict(
+            part="B",
+            mode="exact",
+            status="pass",
+            witness={"v": subset[i], "T_size": len(t_edges), "l": l, "count": int(counts[i])},
+            details=details,
         )
-        if deg <= floor_thr:
-            return ExpanVerdict(
-                part="B",
-                mode="exact",
-                status="pass",
-                witness={"v": v, "T_size": len(t_edges), "l": l, "count": deg},
-                details={"T": tuple(edges[i] for i in t_edges)},
-            )
     return ExpanVerdict(
         part="B",
         mode="exact",
         status="fail",
         witness={"S": tuple(subset), "l": l},
-        details={"T": tuple(edges[i] for i in t_edges)},
+        details=details,
     )
 
 
@@ -350,8 +367,8 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
     _require_exact_size(g, "congestion_check_exact")
     n, d = g.n, g.d
     edges = g.edges()
+    single = _single_ball_masks(g)
     popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
-    cap_ln = math.log(0.75 * n)
     scales = []
     for l in range(1, n + 1):
         ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, len(edges)))
@@ -359,14 +376,13 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
             scales.append({"l": l, "mode": "empty-T", "checked": "all S"})
             continue
         # sizes of S allowed by the precondition at this l
-        max_s = None
-        for s in range(1, n + 1):
-            if params.alpha.ln + (l - 1) * math.log(d - 1) + math.log(s) <= cap_ln + _LN_GUARD:
-                max_s = s
-        if max_s is None:
+        allowed = [s for s in range(1, n + 1) if _precondition_holds(params.alpha, d, l, s, n)]
+        if not allowed:
             scales.append({"l": l, "mode": "precondition-empty", "checked": "no S"})
             continue
-        edge_masks = _edge_radius_masks(g, l)
+        max_s = allowed[-1]
+        # vertices within l - 1 of either endpoint
+        edge_masks = [single[l - 1][u] | single[l - 1][w] for u, w in edges]
         vertex_edge_masks = []
         for v in range(n):
             m = 0
@@ -393,12 +409,11 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
                     ok = True
                     break
             if not ok:
-                subset = tuple(v for v in range(n) if (mask >> v) & 1)
                 return ExpanVerdict(
                     part="B",
                     mode="exact",
                     status="fail",
-                    witness={"S": subset, "l": l},
+                    witness={"S": _mask_vertices(mask, n), "l": l},
                     details={"scales": tuple(scales)},
                 )
         scales.append({"l": l, "mode": "scanned", "checked": int(len(candidates))})
@@ -484,7 +499,10 @@ def cheeger_growth_check(
     for every A with |A| >= delta n and every l >= 1,
     |B(A, l)| >= min(3n/4, gamma (d-1)^l |A|) where
     l* = ceil(log_1.0016(3/(4 delta))) and gamma = (1.0016/(d-1))^l*.
-    Exhaustive over A for n <= 20, sampled beyond.
+    Exhaustive over A for n <= 20, sampled beyond.  The exhaustive scan
+    reports the first failure by l, then |A|, then subset bitmask, as
+    ``growth_check_exact`` does; a failing report carries "witness" and no
+    "mode".
     """
     if not (0 < delta < 0.75):
         raise ValueError("delta must lie in (0, 3/4)")
@@ -509,63 +527,29 @@ def cheeger_growth_check(
     }
     if not hypothesis_ok:
         return report
-    min_size = math.ceil(delta * n - 1e-9)
-
-    def check_subset(subset_sizes, size):
-        for l in range(1, n + 1):
-            kind, t = (
-                ("cap", None)
-                if gamma.ln + l * math.log(d - 1) + math.log(size) >= math.log(0.75 * n)
-                else ("value", gamma.ln + l * math.log(d - 1) + math.log(size))
-            )
-            bsize = int(subset_sizes[l])
-            ok = (4 * bsize >= 3 * n) if kind == "cap" else (
-                math.log(bsize) >= t - _LN_GUARD
-            )
-            if not ok:
-                return l, bsize
-        return None
-
+    min_size = max(1, math.ceil(delta * n - 1e-9))
     report["conclusion_checked"] = True
+    witness = None
     if n <= EXACT_LIMIT:
-        single = _single_ball_masks(g)
-        popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
-        tables = {l: _subset_ball_sizes(g, l, single) for l in range(1, n + 1)}
-        sel = np.nonzero(popc >= min_size)[0]
-        for mask in sel:
-            mask = int(mask)
-            size = int(popc[mask])
-            sizes = [0] + [int(tables[l][mask]) for l in range(1, n + 1)]
-            bad = check_subset(sizes, size)
-            if bad is not None:
-                report["conclusion_ok"] = False
-                report["witness"] = {
-                    "A": tuple(v for v in range(n) if (mask >> v) & 1),
-                    "l": bad[0],
-                    "ball_size": bad[1],
-                }
-                return report
-        report["mode"] = "exhaustive"
+        mode = "exhaustive"
+        found = _growth_scan_exact(g, gamma, min_size)
+        if found is not None:
+            l, mask, bsize, _ = found
+            witness = {"A": _mask_vertices(mask, n), "l": l, "ball_size": bsize}
     else:
+        mode = f"sampled({trials})"
         rng = as_rng(rng if rng is not None else 0)
         for _ in range(trials):
             size = int(rng.integers(min_size, n + 1))
             subset = rng.choice(n, size=size, replace=False)
-            dd = bfs_distances(g, subset)
-            counts = np.zeros(n + 1, dtype=np.int64)
-            for x in dd:
-                if x != float("inf") and x <= n:
-                    counts[int(x)] += 1
-            sizes = np.cumsum(counts)
-            bad = check_subset(sizes, size)
-            if bad is not None:
-                report["conclusion_ok"] = False
-                report["witness"] = {
-                    "A": tuple(sorted(int(x) for x in subset)),
-                    "l": bad[0],
-                    "ball_size": bad[1],
-                }
-                return report
-        report["mode"] = f"sampled({trials})"
-    report["conclusion_ok"] = True
+            found = _growth_scan(g, subset, gamma)
+            if found is not None:
+                l, bsize, _ = found
+                witness = {"A": tuple(sorted(subset.tolist())), "l": l, "ball_size": bsize}
+                break
+    report["conclusion_ok"] = witness is None
+    if witness is None:
+        report["mode"] = mode
+    else:
+        report["witness"] = witness
     return report

@@ -1,30 +1,32 @@
-"""Regular graphs, multigraphs, shortest-path balls, and edge-list I/O.
+"""Regular graphs as (n, d) neighbour arrays, BFS distances and balls, and
+edge-list I/O.
 
-Vertices are 0-based ints.  ``RegularGraph`` is immutable after construction
-and every operation here is a pure function, so instances are safe to share
-across threads and worker processes.  Its one private slot, ``_spectra``, is
-a cache that only ``specgap.spectral`` fills; it is excluded from equality,
-hashing and repr.  Disconnected graphs are legal inputs;
-operations whose meaning requires connectivity say so explicitly.
+A graph is ``RegularGraph``: its ``adj`` is a read-only int64 (n, d) array
+whose row v lists the neighbours of v in increasing order; every operation
+of the package reads that array.  Vertices are 0-based ints.  Instances are
+immutable after construction and every operation here is a pure function,
+so they are safe to share across threads and worker processes.  The one
+private slot, ``_spectra``, is a cache that only ``specgap.spectral`` fills;
+it is excluded from equality, hashing and repr.  Disconnected graphs are
+legal inputs; operations whose meaning requires connectivity say so
+explicitly.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "RegularGraph",
-    "MultiGraph",
     "canonical_edge",
     "dist",
     "dist_to_set",
-    "dist_to_edge",
     "ball",
     "boundary",
     "bfs_distances",
     "distance_rows",
-    "neighbour_array",
     "adjacency_csr",
     "load_edge_list",
     "save_edge_list",
@@ -47,14 +49,18 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """Simple d-regular graph on {0, ..., n-1} with sorted adjacency lists."""
+    """Simple d-regular graph on {0, ..., n-1}.
+
+    ``adj`` is the read-only int64 (n, d) array of sorted neighbour rows.
+    Two graphs are equal, and hash alike, when n, d and ``adj`` agree.
+    """
 
     n: int
     d: int
-    adj: tuple[tuple[int, ...], ...]
-    _spectra: dict = field(default=None, compare=False, repr=False)
+    adj: np.ndarray
+    _spectra: dict = field(default=None, repr=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "RegularGraph":
@@ -77,170 +83,105 @@ class RegularGraph:
             raise ValueError(f"degree must be at least 3, got {d}")
         if n < d:
             raise ValueError(f"need n >= d, got n={n}, d={d}")
-        return RegularGraph(n, d, tuple(tuple(sorted(s)) for s in nbrs))
+        adj = np.array([sorted(s) for s in nbrs], dtype=np.int64)
+        adj.flags.writeable = False
+        return RegularGraph(n, d, adj)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+    def __eq__(self, other):
+        if not isinstance(other, RegularGraph):
+            return NotImplemented
+        return (self.n, self.d) == (other.n, other.d) and np.array_equal(self.adj, other.adj)
+
+    def __hash__(self):
+        return hash((self.n, self.d, self.adj.tobytes()))
 
     def edges(self) -> list[tuple[int, int]]:
         """Canonical (u < v) edge list, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        u, j = np.nonzero(self.adj > np.arange(self.n)[:, None])
+        return list(zip(u.tolist(), self.adj[u, j].tolist()))
 
     def num_edges(self) -> int:
         return self.n * self.d // 2
-
-    def _check_vertex(self, v: int):
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-
-
-@dataclass(frozen=True)
-class MultiGraph:
-    """Multigraph on {0, ..., n-1}: an edge multiset allowing loops.
-
-    Edges are stored canonically ordered; a loop is (v, v) and contributes 2
-    to the degree of v.
-    """
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    _adj: tuple = field(default=None, compare=False, repr=False)
-
-    @staticmethod
-    def from_edges(n: int, edges) -> "MultiGraph":
-        es = tuple(sorted(canonical_edge(u, v) for u, v in edges))
-        for u, v in es:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex out of range in edge ({u}, {v})")
-        return MultiGraph(n, es)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1  # loops count twice
-        return deg
-
-    def is_simple(self) -> bool:
-        """No loops and no parallel edges."""
-        seen = set()
-        for u, v in self.edges:
-            if u == v or (u, v) in seen:
-                return False
-            seen.add((u, v))
-        return True
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        # with multiplicity; loops contribute the vertex twice
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for u, w in self.edges:
-                adj[u].append(w)
-                if u != w:
-                    adj[w].append(u)
-                else:
-                    adj[u].append(u)
-            object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
-        return self._adj[v]
-
-    def to_regular(self) -> RegularGraph:
-        if not self.is_simple():
-            raise ValueError("multigraph is not simple")
-        return RegularGraph.from_edges(self.n, self.edges)
-
-    def _check_vertex(self, v: int):
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
 
 # -- shortest-path primitives ------------------------------------------------
 
 
-def bfs_distances(g, sources) -> list:
+def _vertices(g: RegularGraph, vertices) -> np.ndarray:
+    """``vertices`` as an int64 array, each checked to be an int in [0, n)."""
+    vs = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
+    if vs.size and vs.dtype.kind not in "iu":
+        raise TypeError(f"vertices must be integers, got {vs.dtype} values")
+    vs = vs.astype(np.int64, copy=False)
+    bad = vs[(vs < 0) | (vs >= g.n)]
+    if bad.size:
+        raise ValueError(f"vertex {int(bad[0])} out of range [0, {g.n})")
+    return vs
+
+
+def bfs_distances(g: RegularGraph, sources) -> np.ndarray:
     """Hop distance from the vertex set ``sources`` to every vertex.
 
-    Unreachable vertices get ``inf``.  Works for RegularGraph and MultiGraph.
+    A float (n,) array with ``inf`` at unreachable vertices.  One vectorized
+    sweep over ``g.adj`` per level: the unvisited neighbours of the frontier
+    get the next level, and the vertices at that level form the next frontier.
     """
-    src = sorted(set(sources))
-    for v in src:
-        g._check_vertex(v)
-    dist = [INF] * g.n
-    q = deque()
-    for v in src:
-        dist[v] = 0
-        q.append(v)
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for w in g.neighbors(u):
-            if dist[w] == INF:
-                dist[w] = du + 1
-                q.append(w)
+    dist = np.full(g.n, INF)
+    dist[_vertices(g, sources)] = 0
+    frontier = np.flatnonzero(dist == 0)
+    level = 0
+    while frontier.size:
+        level += 1
+        reached = g.adj[frontier].ravel()
+        dist[reached[dist[reached] == INF]] = level
+        frontier = np.flatnonzero(dist == level)
     return dist
 
 
-def dist(g, v: int, w: int):
+def dist(g: RegularGraph, v: int, w: int) -> float:
     """Shortest-path distance; inf when v, w lie in different components."""
-    g._check_vertex(v)
-    g._check_vertex(w)
-    return bfs_distances(g, [v])[w]
+    v, w = _vertices(g, (v, w))
+    return float(bfs_distances(g, [v])[w])
 
 
-def dist_to_set(g, v: int, s):
+def dist_to_set(g: RegularGraph, v: int, s) -> float:
     """min over w in s of dist(v, w); s must be nonempty."""
     s = set(s)
     if not s:
         raise ValueError("distance to the empty set is undefined")
-    g._check_vertex(v)
-    return bfs_distances(g, s)[v]
+    (v,) = _vertices(g, (v,))
+    return float(bfs_distances(g, s)[v])
 
 
-def dist_to_edge(g, v: int, e):
-    """Distance from v to the closer endpoint of edge e = (w, w')."""
-    return dist_to_set(g, v, e)
-
-
-def ball(g, s, radius) -> frozenset:
+def ball(g: RegularGraph, s, radius) -> frozenset:
     """{v : dist(v, s) <= radius}; empty for empty s or negative radius."""
     s = set(s)
     if not s or radius < 0:
         return frozenset()
-    dd = bfs_distances(g, s)
-    return frozenset(v for v in range(g.n) if dd[v] <= radius)
+    return frozenset(np.flatnonzero(bfs_distances(g, s) <= radius).tolist())
 
 
-def boundary(g, s, radius) -> frozenset:
+def boundary(g: RegularGraph, s, radius) -> frozenset:
     """ball(s, radius) minus ball(s, radius - 1)."""
     s = set(s)
     if not s or radius < 0:
         return frozenset()
-    dd = bfs_distances(g, s)
-    return frozenset(v for v in range(g.n) if dd[v] == radius)
+    return frozenset(np.flatnonzero(bfs_distances(g, s) == radius).tolist())
 
 
-# -- array views ---------------------------------------------------------------
+# -- sparse views ----------------------------------------------------------------
 #
-# numpy and scipy are imported inside these helpers, not at the top of the
-# module.  Importing numpy from here, before the rest of the package, made
-# `import specgap` about 20 ms (6%) slower on a 2-vCPU Xeon, and csgraph alone
-# loads nine extension modules.
-
-
-def neighbour_array(g: RegularGraph):
-    """The (n, d) int64 numpy array of sorted neighbour lists."""
-    import numpy as np
-
-    return np.array(g.adj, dtype=np.int64)
+# scipy is imported inside these helpers, not at the top of the module:
+# csgraph alone loads nine extension modules.
 
 
 def adjacency_csr(g: RegularGraph):
     """The 0/1 adjacency matrix as a scipy CSR matrix, one row per neighbour list."""
-    import numpy as np
     import scipy.sparse as sp
 
     indptr = np.arange(0, g.n * g.d + 1, g.d)
     data = np.ones(g.n * g.d)
-    return sp.csr_matrix((data, neighbour_array(g).ravel(), indptr), shape=(g.n, g.n))
+    return sp.csr_matrix((data, g.adj.ravel(), indptr), shape=(g.n, g.n))
 
 
 def distance_rows(g: RegularGraph, sources=None):
@@ -253,13 +194,9 @@ def distance_rows(g: RegularGraph, sources=None):
     on the CSR adjacency with c * n <= DISTANCE_CHUNK_ENTRIES, so memory stays
     O(c n) however many sources are asked for.
     """
-    import numpy as np
     from scipy.sparse.csgraph import shortest_path
 
-    src = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.int64)
-    bad = src[(src < 0) | (src >= g.n)]
-    if bad.size:
-        raise ValueError(f"vertex {int(bad[0])} out of range [0, {g.n})")
+    src = np.arange(g.n) if sources is None else _vertices(g, sources)
     adj = adjacency_csr(g)
     rows = max(1, DISTANCE_CHUNK_ENTRIES // g.n)
     for start in range(0, len(src), rows):

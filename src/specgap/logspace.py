@@ -12,17 +12,23 @@ stable signed log-sum-exp.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-__all__ = ["LogScalar", "log_sum"]
+__all__ = ["LogScalar", "as_logscalar", "log_sum"]
 
 _NEG_INF = float("-inf")
 
 
-def _coerce(x) -> "LogScalar":
+def as_logscalar(x) -> "LogScalar":
+    """``x`` itself if it is a LogScalar; any real number (numpy scalars and
+    ``Fraction`` included) through ``LogScalar.from_float``.
+
+    Raises TypeError for anything else, strings included.
+    """
     if isinstance(x, LogScalar):
         return x
-    if isinstance(x, (int, float)):
+    if isinstance(x, numbers.Real):
         return LogScalar.from_float(float(x))
     raise TypeError(f"cannot interpret {type(x).__name__} as LogScalar")
 
@@ -96,7 +102,7 @@ class LogScalar:
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other) -> "LogScalar":
-        o = _coerce(other)
+        o = as_logscalar(other)
         if self.sign == 0 or o.sign == 0:
             return LogScalar.zero()
         return LogScalar(self.sign * o.sign, self.ln + o.ln)
@@ -104,7 +110,7 @@ class LogScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "LogScalar":
-        o = _coerce(other)
+        o = as_logscalar(other)
         if o.sign == 0:
             raise ZeroDivisionError("LogScalar division by zero")
         if self.sign == 0:
@@ -112,7 +118,7 @@ class LogScalar:
         return LogScalar(self.sign * o.sign, self.ln - o.ln)
 
     def __rtruediv__(self, other) -> "LogScalar":
-        return _coerce(other) / self
+        return as_logscalar(other) / self
 
     def __pow__(self, p) -> "LogScalar":
         if isinstance(p, LogScalar):
@@ -140,7 +146,7 @@ class LogScalar:
         return self if self.sign >= 0 else -self
 
     def __add__(self, other) -> "LogScalar":
-        o = _coerce(other)
+        o = as_logscalar(other)
         if self.sign == 0:
             return o
         if o.sign == 0:
@@ -159,15 +165,15 @@ class LogScalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "LogScalar":
-        return self + (-_coerce(other))
+        return self + (-as_logscalar(other))
 
     def __rsub__(self, other) -> "LogScalar":
-        return _coerce(other) + (-self)
+        return as_logscalar(other) + (-self)
 
     # -- comparisons -------------------------------------------------------
 
     def _cmp(self, other) -> int:
-        o = _coerce(other)
+        o = as_logscalar(other)
         if self.sign != o.sign:
             return -1 if self.sign < o.sign else 1
         if self.sign == 0:
@@ -193,7 +199,7 @@ class LogScalar:
 
     def __eq__(self, other):
         try:
-            o = _coerce(other)
+            o = as_logscalar(other)
         except TypeError:
             return NotImplemented
         return self.sign == o.sign and self.ln == o.ln
@@ -203,7 +209,7 @@ class LogScalar:
 
     def close_to(self, other, rel: float = 1e-9) -> bool:
         """Same sign and log-magnitudes within ``rel`` relative tolerance."""
-        o = _coerce(other)
+        o = as_logscalar(other)
         if self.sign != o.sign:
             return False
         if self.sign == 0:
@@ -235,5 +241,5 @@ def log_sum(values) -> LogScalar:
     """Sum an iterable of LogScalars via repeated signed log-sum-exp."""
     acc = LogScalar.zero()
     for v in values:
-        acc = acc + _coerce(v)
+        acc = acc + as_logscalar(v)
     return acc

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import eval_constant
-from .graphs import RegularGraph, bfs_distances, distance_rows, neighbour_array
+from .graphs import RegularGraph, bfs_distances, distance_rows
 from .logspace import LogScalar
 from .norms import Lq, UncondNorm, WeightedLq
 from .rand import as_rng
@@ -154,9 +154,8 @@ def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
 
 def _edge_sum(x: np.ndarray, g: RegularGraph, nm: UncondNorm, p: float) -> float:
     """sum over edges u < v of ||x_u - x_v||^p, in ``g.edges()`` order."""
-    nbrs = neighbour_array(g)
-    u, j = np.nonzero(nbrs > np.arange(g.n)[:, None])
-    return float(nm.eval_pow(x[u] - x[nbrs[u, j]], p).sum())
+    u, j = np.nonzero(g.adj > np.arange(g.n)[:, None])
+    return float(nm.eval_pow(x[u] - x[g.adj[u, j]], p).sum())
 
 
 def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioReport:
@@ -190,8 +189,7 @@ def gamma_scalar_l2_exact(g: RegularGraph) -> ScalarGapResult:
     the graph's shared spectrum (dense up to spectral.DENSE_LIMIT, ARPACK
     above); the extremizer is a copy.
     """
-    dd = bfs_distances(g, [0])
-    if any(x == float("inf") for x in dd):
+    if np.isinf(bfs_distances(g, [0])).any():
         return ScalarGapResult(math.inf, math.inf, float("nan"), None)
     summary, vec = spectral._spectrum(g)
     lam2 = summary.lambda2
@@ -220,7 +218,7 @@ def gamma_search(
         raise ValueError("budget must be positive")
     rng = as_rng(rng)
     n = g.n
-    nbr = neighbour_array(g)
+    nbr = g.adj
     probes = 4
     best_ratio, best_field = -math.inf, None
     evals = 0

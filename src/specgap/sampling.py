@@ -1,15 +1,18 @@
 """Uniform random regular graphs via the pairing model, and BFS exploration.
 
 A d-regular multigraph is sampled by drawing a uniform perfect matching on
-the n*d half-edge points {(v, slot)} and collapsing the d points below each
-vertex.  Conditioning on the collapsed multigraph being simple gives the
-uniform distribution on simple d-regular graphs, so ``sample_simple_regular``
-rejects until simple; the asymptotic acceptance rate is exp(-(d^2-1)/4).
+the n*d half-edge points {(v, slot)}, encoded as v * d + slot, and
+collapsing the d points below each vertex.  Conditioning on the collapsed
+multigraph being simple gives the uniform distribution on simple d-regular
+graphs, so ``sample_simple_regular`` rejects until simple; the asymptotic
+acceptance rate is exp(-(d^2-1)/4).  A matching is a shuffled point array
+whose consecutive points are paired; ``_collapsed_pairs`` turns it into
+vertex pairs, for the sampler and for ``frontier_unique_montecarlo`` alike.
 
 The exploration half of the module records, level by level, the ball sizes
 |B(S, l)|, frontier sizes |dB(S, l)| and the number of frontier vertices
-joined to the previous ball by exactly one edge (counting multiplicity) --
-the quantity whose lower tail ``frontier_unique_bound`` controls.
+joined to the previous ball by exactly one edge -- the quantity whose lower
+tail ``frontier_unique_bound`` controls.
 """
 
 from __future__ import annotations
@@ -19,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MultiGraph, RegularGraph, bfs_distances
+from .graphs import RegularGraph, bfs_distances
 from .rand import as_rng
 
 __all__ = [
-    "Pairing",
-    "sample_pairing",
-    "collapse",
-    "is_simple",
     "sample_simple_regular",
     "ExplorationTrace",
     "explore",
@@ -35,66 +34,11 @@ __all__ = [
     "default_max_rejects",
 ]
 
-# point (v, slot) is encoded as the int v * d + slot
 
-
-@dataclass(frozen=True)
-class Pairing:
-    """Perfect (or partial) matching on the point set [n] x [d]."""
-
-    n: int
-    d: int
-    pairs: tuple[tuple[int, int], ...]  # (p, q) with p < q, points encoded
-
-    def __post_init__(self):
-        seen = set()
-        for p, q in self.pairs:
-            if not (0 <= p < q < self.n * self.d):
-                raise ValueError(f"bad point pair ({p}, {q})")
-            if p in seen or q in seen:
-                raise ValueError("a point is matched twice")
-            seen.add(p)
-            seen.add(q)
-
-    def is_perfect(self) -> bool:
-        return 2 * len(self.pairs) == self.n * self.d
-
-    def matched_points(self) -> frozenset:
-        return frozenset(p for pair in self.pairs for p in pair)
-
-    def touched_vertices(self) -> frozenset:
-        return frozenset(p // self.d for pair in self.pairs for p in pair)
-
-
-def sample_pairing(n: int, d: int, rng) -> Pairing:
-    """Uniform perfect matching on [n] x [d]; deterministic given the seed.
-
-    Any n >= 1 with n*d even is allowed here (n < d simply never collapses
-    to a simple graph); the n >= d requirement lives on the graph sampler.
-    """
-    if n < 1 or d < 3:
-        raise ValueError(f"need n >= 1 and d >= 3, got n={n}, d={d}")
-    if (n * d) % 2:
-        raise ValueError(f"n*d must be even, got n={n}, d={d}")
-    rng = as_rng(rng)
-    perm = rng.permutation(n * d)
-    pairs = [
-        (int(a), int(b)) if a < b else (int(b), int(a))
-        for a, b in zip(perm[0::2], perm[1::2])
-    ]
-    return Pairing(n, d, tuple(sorted(pairs)))
-
-
-def collapse(pairing: Pairing) -> MultiGraph:
-    """Multigraph on [n] obtained by collapsing the d points below a vertex."""
-    d = pairing.d
-    return MultiGraph.from_edges(
-        pairing.n, [(p // d, q // d) for p, q in pairing.pairs]
-    )
-
-
-def is_simple(m: MultiGraph) -> bool:
-    return m.is_simple()
+def _collapsed_pairs(points: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pairs (u, v) of a shuffled point array whose points 2i and
+    2i + 1 are matched; point p lies below vertex p // d."""
+    return points[0::2] // d, points[1::2] // d
 
 
 def default_max_rejects(d: int) -> int:
@@ -132,9 +76,7 @@ def sample_simple_regular(n: int, d: int, rng, max_rejects: int | None = None):
 
 def _fast_simple_attempt(n: int, d: int, rng):
     """One pairing draw; the collapsed edge list if simple, else None."""
-    perm = rng.permutation(n * d)
-    u = perm[0::2] // d
-    v = perm[1::2] // d
+    u, v = _collapsed_pairs(rng.permutation(n * d), d)
     if np.any(u == v):  # self-loop; cheap reject before sorting
         return None
     lo = np.minimum(u, v)
@@ -153,8 +95,8 @@ class ExplorationTrace:
     """Per-level record of a BFS exploration from a seed set.
 
     rows[l] = (level, ball_size, frontier_size, unique_size) where
-    unique_size counts frontier vertices with exactly one edge, counting
-    multiplicity, into the previous ball.
+    unique_size counts frontier vertices with exactly one edge into the
+    previous ball.
     """
 
     seed: tuple[int, ...]
@@ -170,25 +112,23 @@ class ExplorationTrace:
         return [r[3] for r in self.rows]
 
 
-def explore(g, s, l_max: int) -> ExplorationTrace:
-    """Exact exploration statistics of graph or multigraph ``g`` up to l_max."""
+def explore(g: RegularGraph, s, l_max: int) -> ExplorationTrace:
+    """Exact exploration statistics of ``g`` from the seed set s up to l_max.
+
+    A vertex at level l has all its neighbours at levels l - 1, l and l + 1,
+    so its edges into the previous ball are those to lower levels.
+    """
     s = sorted(set(s))
     if not s:
         raise ValueError("seed set must be nonempty")
     dd = bfs_distances(g, s)
-    rows = []
-    for level in range(l_max + 1):
-        in_ball = [v for v in range(g.n) if dd[v] <= level]
-        frontier = [v for v in range(g.n) if dd[v] == level]
-        if level == 0:
-            unique = 0
-        else:
-            unique = 0
-            for v in frontier:
-                back = sum(1 for w in g.neighbors(v) if dd[w] <= level - 1)
-                if back == 1:
-                    unique += 1
-        rows.append((level, len(in_ball), len(frontier), unique))
+    reached = np.isfinite(dd)
+    levels = dd[reached].astype(np.int64)
+    back = np.count_nonzero(dd[g.adj[reached]] < dd[reached, None], axis=1)
+    width = max(l_max + 1, 0)
+    frontier = np.bincount(levels, minlength=width)[:width]
+    unique = np.bincount(levels[back == 1], minlength=width)[:width]
+    rows = zip(range(width), np.cumsum(frontier).tolist(), frontier.tolist(), unique.tolist())
     return ExplorationTrace(tuple(s), tuple(rows))
 
 
@@ -220,63 +160,64 @@ def frontier_unique_montecarlo(
     n: int,
     d: int,
     r_set,
-    prefix: Pairing,
+    prefix,
     theta: float,
     trials: int,
     rng,
 ) -> dict:
     """Empirical frequency of |unique frontier| >= theta*|A| given the prefix.
 
-    ``prefix`` is a partial matching whose touched vertices all lie in r_set;
-    completions to a perfect matching are sampled uniformly.  Returns the
-    frequency, the analytic bound, and the Monte Carlo standard error.
+    ``prefix`` is a partial matching on the points of [n] x [d], a sequence
+    of (p, q) point pairs, whose points all lie below vertices of r_set;
+    completions to a perfect matching are sampled uniformly.  The unique
+    frontier is the set of vertices outside R with exactly one edge into R,
+    doubled edges counting twice.  Returns the frequency, the analytic bound,
+    and the Monte Carlo standard error.
     """
     rng = as_rng(rng)
+    if d < 3 or (n * d) % 2:
+        raise ValueError(f"need d >= 3 and n*d even, got n={n}, d={d}")
     r = sorted(set(r_set))
     if not r:
         raise ValueError("R must be nonempty")
+    if not (0 <= r[0] and r[-1] < n):
+        raise ValueError(f"R must lie in [0, {n})")
     if 2 * len(r) >= n:
         raise ValueError("need |R| < n/2")
-    if not prefix.touched_vertices() <= set(r):
-        raise ValueError("prefix matching must only touch vertices of R")
     if not (0 < theta < 1):
         raise ValueError("theta must lie in (0, 1)")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pairs = [tuple(pair) for pair in prefix]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("prefix must hold (p, q) point pairs")
+    points = [p for pair in pairs for p in pair]
+    stray = [p for p in points if not 0 <= p < n * d]
+    if stray:
+        raise ValueError(f"prefix point {stray[0]} out of range [0, {n * d})")
+    if len(set(points)) != len(points):
+        raise ValueError("prefix matches a point twice")
+    in_r = np.zeros(n, dtype=bool)
+    in_r[r] = True
+    if not all(in_r[p // d] for p in points):
+        raise ValueError("prefix matching must only touch vertices of R")
 
-    r_points = {v * d + k for v in r for k in range(d)}
-    free_a = sorted(r_points - prefix.matched_points())
-    a_size = len(free_a)
-    all_free = sorted(set(range(n * d)) - prefix.matched_points())
-    free_arr = np.array(all_free)
+    # prefix pairs lie inside R, so only the completion crosses into R
+    free = np.array(sorted(set(range(n * d)) - set(points)))
+    a_size = int(np.count_nonzero(in_r[free // d]))
     threshold = theta * a_size
 
     hits = 0
     for _ in range(trials):
-        perm = rng.permutation(len(free_arr))
-        pts = free_arr[perm]
-        pairs = list(prefix.pairs) + [
-            (int(a), int(b)) if a < b else (int(b), int(a))
-            for a, b in zip(pts[0::2], pts[1::2])
-        ]
-        mg = collapse(Pairing(n, d, tuple(sorted(pairs))))
-        unique = _unique_frontier_size(mg, set(r))
-        if unique >= threshold:
-            hits += 1
-    freq = hits / trials if trials else 0.0
-    se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials) if trials else 0.0
+        u, v = _collapsed_pairs(rng.permutation(free), d)
+        cross = in_r[u] != in_r[v]
+        outside = np.where(in_r[u[cross]], v[cross], u[cross])
+        hits += int(np.count_nonzero(np.bincount(outside, minlength=n) == 1) >= threshold)
+    freq = hits / trials
     return {
         "frequency": freq,
         "bound": frontier_unique_bound(theta, a_size, n, len(r)),
-        "stderr": se,
+        "stderr": math.sqrt(max(freq * (1 - freq), 1e-12) / trials),
         "trials": trials,
         "a_size": a_size,
     }
-
-
-def _unique_frontier_size(mg: MultiGraph, r: set) -> int:
-    """|{v outside r adjacent to r by exactly one edge, with multiplicity}|."""
-    count = {}
-    for u, v in mg.edges:
-        if (u in r) != (v in r):
-            out = v if u in r else u
-            count[out] = count.get(out, 0) + 1
-    return sum(1 for c in count.values() if c == 1)

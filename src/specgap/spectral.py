@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .graphs import RegularGraph, adjacency_csr, distance_rows, neighbour_array
+from .graphs import RegularGraph, adjacency_csr, distance_rows
 
 __all__ = [
     "SpectralSummary",
@@ -48,7 +48,7 @@ def adjacency_matrix(g: RegularGraph, sparse: bool = False):
     if sparse:
         return adjacency_csr(g)
     a = np.zeros((g.n, g.n))
-    a[np.repeat(np.arange(g.n), g.d), neighbour_array(g).ravel()] = 1.0
+    a[np.repeat(np.arange(g.n), g.d), g.adj.ravel()] = 1.0
     return a
 
 
@@ -205,11 +205,10 @@ def cheeger_upper(g: RegularGraph) -> CheegerResult:
     Each sweep takes the first prefix with the least cut/size over sizes
     1..n/2; a later sweep replaces the best only when strictly smaller.
     """
-    nbrs = neighbour_array(g)
     best = None  # (cut, size, prefix)
     for order in _sweep_orders(g):
         prefix = order[: g.n // 2]
-        cut, size = _best_prefix(nbrs, prefix)
+        cut, size = _best_prefix(g.adj, prefix)
         if best is None or cut * best[1] < best[0] * size:
             best = (cut, size, prefix[:size])
     cut, size, witness = best

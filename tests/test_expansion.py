@@ -7,7 +7,9 @@ from specgap.constants import eval_constant
 from specgap.expansion import (
     _LN_GUARD,
     _growth_requirement,
+    _growth_scan_exact,
     _sample_subset,
+    _threshold_ints,
     ExpanParams,
     ExpanPreconditionError,
     cheeger_growth_check,
@@ -147,6 +149,46 @@ def test_growth_sampled_matches_full_radius_scan():
     assert statuses == {"fail", "not_falsified"}
 
 
+def test_exact_scan_order_and_min_size():
+    """The shared exhaustive scan against a loop over (l, |S|, bitmask)."""
+    failures = set()
+    for g in (
+        petersen_graph(),
+        circular_ladder(6),
+        complete_bipartite(3, 3),
+        disjoint_union(complete_graph(4), complete_graph(4)),
+    ):
+        n, d = g.n, g.d
+        ball_sizes = {}  # mask -> [|B(S, l)| for l in 0..n]
+        for mask in range(1, 1 << n):
+            dd = bfs_distances(g, [v for v in range(n) if (mask >> v) & 1])
+            ball_sizes[mask] = [int(np.count_nonzero(dd <= l)) for l in range(n + 1)]
+        order = sorted(ball_sizes, key=lambda m: (m.bit_count(), m))
+        for alpha in (1.0, 0.5, 0.2):
+            alpha = LogScalar.from_float(alpha)
+            for min_size in (1, 2, 4, 7):
+                expected = None
+                for l in range(1, n + 1):
+                    for mask in order:
+                        size = mask.bit_count()
+                        if size < min_size:
+                            continue
+                        b = ball_sizes[mask][l]
+                        kind, t = _growth_requirement(alpha, d, l, size, n)
+                        if kind == "cap" and 4 * b < 3 * n:
+                            expected = (l, mask, b, "3n/4")
+                        elif kind == "value" and math.log(b) < t - _LN_GUARD:
+                            expected = (l, mask, b, math.exp(t))
+                        if expected:
+                            break
+                    if expected:
+                        break
+                assert _growth_scan_exact(g, alpha, min_size) == expected
+                failures.add(expected and (expected[0], expected[1].bit_count()))
+    # passes, and failures at several radii and subset sizes
+    assert None in failures and len(failures) > 4
+
+
 def test_fit_alpha_maximality():
     for g in (complete_graph(4), petersen_graph(), complete_bipartite(3, 3)):
         astar = fit_growth_alpha(g)
@@ -207,6 +249,55 @@ def test_congestion_instance_precondition():
     params = ExpanParams(alpha=1.0, eps=0.2, L=1.0)
     with pytest.raises(ExpanPreconditionError):
         congestion_check_instance(g, set(range(10)), 3, params)
+
+
+def reference_congestion_instance(g, s, l, params):
+    """Part B for one (S, l) by loops over edges and vertices of S."""
+    subset = sorted(set(s))
+    edges = g.edges()
+    ceil_thr, floor_thr = _threshold_ints(params, g.d, l, max(g.n, len(edges)))
+    if ceil_thr is None or ceil_thr > len(subset):
+        return "pass", {"v": subset[0], "T_size": 0, "l": l}, ()
+    dists = {v: bfs_distances(g, [v]) for v in subset}
+
+    def sees(v, e):
+        return min(dists[v][e[0]], dists[v][e[1]]) <= l - 1
+
+    t_edges = [e for e in edges if sum(sees(v, e) for v in subset) >= ceil_thr]
+    for v in subset:
+        count = sum(sees(v, e) for e in t_edges)
+        if count <= floor_thr:
+            return "pass", {"v": v, "T_size": len(t_edges), "l": l, "count": count}, tuple(t_edges)
+    return "fail", {"S": tuple(subset), "l": l}, tuple(t_edges)
+
+
+def test_congestion_instance_matches_loop_reference():
+    rng = make_rng(12)
+    graphs = [
+        petersen_graph(),
+        circular_ladder(6),
+        complete_bipartite(3, 3),
+        disjoint_union(complete_graph(4), complete_graph(4)),
+        sample_simple_regular(30, 3, make_rng(30))[0],
+    ]
+    params = [
+        ExpanParams(alpha=a, eps=e, L=L)
+        for a, e, L in ((1.0, 0.2, 1.0), (0.25, 0.2, 1.0), (0.05, 1.0, 1.0), (0.05, 0.2, 2.0))
+    ]
+    statuses = set()
+    for g in graphs:
+        for p in params:
+            for l in (1, 2, 3):
+                for size in (1, 2, 3, 5, g.n // 3):
+                    s = rng.choice(g.n, size=size, replace=False).tolist()
+                    try:
+                        v = congestion_check_instance(g, s, l, p)
+                    except ExpanPreconditionError:
+                        continue
+                    status, witness, t_edges = reference_congestion_instance(g, s, l, p)
+                    assert (v.status, v.witness, v.details["T"]) == (status, witness, t_edges)
+                    statuses.add((status, len(t_edges) > 0))
+    assert statuses == {("pass", False), ("pass", True), ("fail", True)}
 
 
 def test_congestion_exact_k4_huge_L():

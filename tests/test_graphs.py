@@ -1,5 +1,9 @@
+import hashlib
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specgap.graphs as graphs
 from specgap.graphs import (
@@ -13,7 +17,6 @@ from specgap.graphs import (
     complete_graph,
     disjoint_union,
     dist,
-    dist_to_edge,
     dist_to_set,
     distance_rows,
     load_edge_list,
@@ -22,6 +25,22 @@ from specgap.graphs import (
 )
 from specgap.rand import make_rng
 from specgap.sampling import sample_simple_regular
+
+
+def deque_bfs(g, sources):
+    """Reference BFS: one deque, one vertex at a time; inf where unreachable."""
+    dist = [INF] * g.n
+    q = deque()
+    for v in set(sources):
+        dist[v] = 0
+        q.append(v)
+    while q:
+        u = q.popleft()
+        for w in g.adj[u].tolist():
+            if dist[w] == INF:
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return dist
 
 
 def test_k4_construction():
@@ -58,13 +77,31 @@ def test_dist_vertex_out_of_range():
     g = complete_graph(4)
     with pytest.raises(ValueError, match="out of range"):
         dist(g, 0, 7)
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        dist_to_set(g, -1, [0])
+    with pytest.raises(ValueError, match="vertex 4 out of range"):
+        dist_to_set(g, 0, [1, 4])
+    with pytest.raises(ValueError, match="vertex 9 out of range"):
+        bfs_distances(g, np.array([0, 9]))
+
+
+def test_vertices_must_be_integers():
+    g = petersen_graph()
+    with pytest.raises(TypeError, match="integers"):
+        bfs_distances(g, [1.5])
+    with pytest.raises(TypeError, match="integers"):
+        list(distance_rows(g, np.array([0.0, 2.0])))
+    with pytest.raises(TypeError, match="integers"):
+        ball(g, {True}, 1)
+    assert bfs_distances(g, np.array([3], dtype=np.uint8)).tolist() == deque_bfs(g, [3])
 
 
 def test_dist_to_set_and_edge():
     g = petersen_graph()
     # vertex 0 is adjacent to 1; edge (1, 2) has endpoint 1
-    assert dist_to_edge(g, 0, (1, 2)) == 1
-    assert dist_to_edge(g, 1, (1, 2)) == 0
+    assert dist_to_set(g, 0, (1, 2)) == 1
+    assert dist_to_set(g, 1, (1, 2)) == 0
+    assert dist_to_set(g, 8, (1, 2)) == 2  # 8-6-1 and 8-3-2
     assert dist_to_set(g, 3, range(10)) == 0
     with pytest.raises(ValueError, match="empty"):
         dist_to_set(g, 0, [])
@@ -138,7 +175,102 @@ def test_named_graphs():
 
 
 def _bfs_table(g, sources):
-    return np.array([bfs_distances(g, [v]) for v in sources], dtype=float)
+    return np.array([deque_bfs(g, [v]) for v in sources], dtype=float)
+
+
+def _bfs_cases():
+    cases = [
+        complete_graph(4),
+        complete_bipartite(3, 3),
+        petersen_graph(),
+        circular_ladder(7),
+        disjoint_union(complete_graph(4), complete_graph(4)),
+        disjoint_union(petersen_graph(), circular_ladder(5)),
+    ]
+    return cases + [
+        sample_simple_regular(n, d, make_rng(n + d))[0]
+        for n, d in ((30, 3), (82, 4), (200, 3), (500, 6))
+    ]
+
+
+def test_bfs_distances_match_deque_oracle():
+    rng = make_rng(31)
+    for g in _bfs_cases():
+        source_sets = [[v] for v in range(0, g.n, max(1, g.n // 7))]
+        source_sets += [
+            rng.choice(g.n, size=k, replace=False).tolist() for k in (2, 3, max(2, g.n // 4))
+        ]
+        source_sets += [[0, 0, g.n - 1], list(range(g.n)), []]
+        for sources in source_sets:
+            dd = bfs_distances(g, sources)
+            assert dd.dtype == float and dd.shape == (g.n,)
+            assert dd.tolist() == deque_bfs(g, sources)
+        sources = source_sets[-4]  # a random multi-source set, as an array and as a set
+        assert bfs_distances(g, np.array(sources)).tolist() == deque_bfs(g, sources)
+        assert bfs_distances(g, set(sources)).tolist() == deque_bfs(g, sources)
+
+
+def test_adj_is_read_only_sorted_array():
+    g = petersen_graph()
+    assert g.adj.dtype == np.int64 and g.adj.shape == (10, 3)
+    assert np.array_equal(g.adj, np.sort(g.adj, axis=1))
+    with pytest.raises(ValueError, match="read-only"):
+        g.adj[0, 0] = 9
+    with pytest.raises(ValueError, match="read-only"):
+        g.adj.ravel()[0] = 9
+    assert g == petersen_graph() and hash(g) == hash(petersen_graph())
+    assert g != circular_ladder(5)
+    assert g != disjoint_union(complete_graph(4), complete_graph(4))
+
+
+def test_sampler_pinned_graphs():
+    """Edge digests and rejection counts of sample_simple_regular, pinned."""
+    pinned = {
+        (100, 3): [
+            ("2bc217922a7a31aa", 0),
+            ("66f29b2a37d84715", 52),
+            ("c20a825ac32c7a6b", 26),
+            ("c69bc7b8230f6bf0", 8),
+            ("a13d628b7712c789", 1),
+        ],
+        (200, 4): [
+            ("c074d7ddccc16b05", 28),
+            ("544815a7c098bf41", 31),
+            ("2d81b7e7d7773b1a", 29),
+            ("4234e2d80d6491c7", 34),
+            ("414fe8dab1fa3702", 44),
+        ],
+    }
+    for (n, d), expected in pinned.items():
+        got = []
+        for seed in range(5):
+            g, rejections = sample_simple_regular(n, d, make_rng(seed))
+            digest = hashlib.sha256(save_edge_list(g).encode()).hexdigest()[:16]
+            got.append((digest, rejections))
+        assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(8, 3), (10, 4), (12, 5), (20, 3), (40, 4), (30, 5)]),
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_edge_list_roundtrip_relabelled(nd, seed, random):
+    n, d = nd
+    g, _ = sample_simple_regular(n, d, make_rng(seed))
+    perm = list(range(n))
+    random.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    random.shuffle(edges)
+    h = RegularGraph.from_edges(n, edges)
+    for graph in (g, h):
+        back = load_edge_list(save_edge_list(graph))
+        assert back == graph and hash(back) == hash(graph)
+        assert back.edges() == graph.edges()
+    # the same edge set, listed in another order and orientation
+    flipped = RegularGraph.from_edges(n, [(v, u) for u, v in reversed(edges)])
+    assert flipped == h and hash(flipped) == hash(h)
 
 
 def test_distance_rows_match_bfs():

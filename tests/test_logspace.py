@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from specgap.logspace import LogScalar, log_sum
+from specgap.constants import eval_constant
+from specgap.expansion import ExpanParams
+from specgap.logspace import LogScalar, as_logscalar, log_sum
 
 
 def test_basic_roundtrip():
@@ -11,6 +15,27 @@ def test_basic_roundtrip():
     for x in (1.0, -2.5, 0.0, 1e300, -1e-300, 3.14159):
         ls = LogScalar.from_float(x)
         assert ls.to_float() == pytest.approx(x, rel=1e-12)
+
+
+def test_as_logscalar_accepts_real_numbers_only():
+    ls = LogScalar.from_ln(-1e9)
+    assert as_logscalar(ls) is ls
+    for x in (np.int64(6), np.int32(6), np.float64(6.0), np.float32(6.0), Fraction(12, 2), 6, 6.0):
+        assert as_logscalar(x) == LogScalar.from_float(6.0)
+    assert as_logscalar(np.float64(-0.25)) == LogScalar.from_float(-0.25)
+    assert as_logscalar(np.int64(0)).is_zero()
+    for bad in ("0.5", None, [1.0], 1j):
+        with pytest.raises(TypeError, match="LogScalar"):
+            as_logscalar(bad)
+    # the three former coercion sites share it
+    assert LogScalar.one() * np.int64(3) == LogScalar.from_float(3.0)
+    assert ExpanParams(alpha=np.float64(0.5), eps=0.2, L=np.int64(2)).L == LogScalar.from_float(2.0)
+    with pytest.raises(TypeError, match="LogScalar"):
+        ExpanParams(alpha="0.5", eps=0.2, L=1.0)
+    kw = dict(d=6, eps=0.2)
+    assert eval_constant("Ltilde", alpha=np.float64(0.5), L=np.int64(24), **kw) == eval_constant(
+        "Ltilde", alpha=0.5, L=24, **kw
+    )
 
 
 def test_zero_pairing_enforced():

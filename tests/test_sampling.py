@@ -3,65 +3,105 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from specgap.graphs import MultiGraph, complete_graph, disjoint_union
+from specgap.graphs import RegularGraph, complete_graph, disjoint_union
 from specgap.rand import make_rng
 from specgap.sampling import (
     ExplorationTrace,
-    Pairing,
-    collapse,
+    _collapsed_pairs,
+    _fast_simple_attempt,
     explore,
     frontier_unique_bound,
     frontier_unique_montecarlo,
-    is_simple,
-    sample_pairing,
     sample_simple_regular,
 )
 
 
+class FixedPermutation(np.random.Generator):
+    """A Generator whose ``permutation`` always returns the same array."""
+
+    def __init__(self, points):
+        super().__init__(np.random.PCG64(0))
+        self.points = np.asarray(points, dtype=np.int64)
+
+    def permutation(self, x):
+        return self.points.copy()
+
+
 def test_pairing_validation():
-    with pytest.raises(ValueError, match="even"):
-        sample_pairing(1, 3, make_rng(0))
-    with pytest.raises(ValueError):
-        Pairing(2, 3, ((0, 0),))
+    # prefix: (p, q) point pairs, points in [0, n*d), each point at most once
+    bad_prefixes = {
+        "out of range": [(0, 180)],  # n*d = 180
+        "pairs": [(0, 1, 2)],
+        "twice": [(0, 1), (1, 2)],
+    }
+    for message, prefix in bad_prefixes.items():
+        with pytest.raises(ValueError, match=message):
+            frontier_unique_montecarlo(60, 3, range(10), prefix, 0.5, 10, make_rng(0))
     with pytest.raises(ValueError, match="twice"):
-        Pairing(2, 3, ((0, 1), (1, 2)))
+        frontier_unique_montecarlo(60, 3, range(10), [(4, 4)], 0.5, 10, make_rng(0))
+    with pytest.raises(ValueError, match="out of range"):
+        frontier_unique_montecarlo(60, 3, range(10), [(-1, 2)], 0.5, 10, make_rng(0))
+    # a perfect matching needs an even number of points
+    with pytest.raises(ValueError, match="even"):
+        sample_simple_regular(5, 3, make_rng(0))
 
 
-def test_pairing_deterministic_given_seed():
-    p1 = sample_pairing(10, 3, make_rng(42))
-    p2 = sample_pairing(10, 3, make_rng(42))
-    assert p1 == p2
-    assert p1 != sample_pairing(10, 3, make_rng(43))
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(10, 3), (30, 3), (16, 4), (40, 4), (20, 5)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pairing_deterministic_given_seed(nd, seed):
+    n, d = nd
+    g1, rej1 = sample_simple_regular(n, d, make_rng(seed))
+    g2, rej2 = sample_simple_regular(n, d, make_rng(seed))
+    assert g1 == g2 and rej1 == rej2
+    u1, v1 = _collapsed_pairs(make_rng(seed).permutation(n * d), d)
+    u2, v2 = _collapsed_pairs(make_rng(seed).permutation(n * d), d)
+    assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+    other = make_rng(seed + 1).permutation(n * d)
+    assert not np.array_equal(make_rng(seed).permutation(n * d), other)
+    mc1 = frontier_unique_montecarlo(n, d, [0, 1], [], 0.5, 5, make_rng(seed))
+    mc2 = frontier_unique_montecarlo(n, d, [0, 1], [], 0.5, 5, make_rng(seed))
+    assert mc1 == mc2
 
 
 def test_pairing_uniform_n2_d3():
-    # 6 points have 15 perfect matchings; chi-square over 1e5 draws
+    # 6 points have 15 perfect matchings; chi-square over 1e5 draws.  With
+    # d = 1 the helper's vertex pairs are the point pairs themselves.
     rng = make_rng(7)
-    all_matchings = {}
     counts = {}
     draws = 100_000
     for _ in range(draws):
-        p = sample_pairing(2, 3, rng)
-        counts[p.pairs] = counts.get(p.pairs, 0) + 1
+        u, v = _collapsed_pairs(rng.permutation(6), 1)
+        key = tuple(sorted(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())))
+        counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 15
     stat = chisquare(list(counts.values()))
+    assert stat.pvalue > 0.001
+    # collapsed at d = 3: a triple edge in 6 of the 15, a loop at each vertex in 9
+    triples = sum(c for key, c in counts.items() if all((p < 3) != (q < 3) for p, q in key))
+    stat = chisquare([triples, draws - triples], [draws * 6 / 15, draws * 9 / 15])
     assert stat.pvalue > 0.001
 
 
 def test_collapse_preserves_degree_and_edge_count():
     rng = make_rng(3)
     for _ in range(20):
-        p = sample_pairing(8, 3, rng)
-        mg = collapse(p)
-        assert len(mg.edges) == 8 * 3 // 2
-        assert mg.degrees() == [3] * 8
+        u, v = _collapsed_pairs(rng.permutation(8 * 3), 3)
+        assert len(u) == len(v) == 8 * 3 // 2
+        # a loop (u == v) counts twice at its vertex
+        assert np.bincount(np.concatenate([u, v]), minlength=8).tolist() == [3] * 8
 
 
 def test_is_simple_detects_loops_and_multiedges():
-    loop = MultiGraph.from_edges(2, [(0, 0), (0, 1), (0, 1), (1, 1)])
-    assert not is_simple(loop)
+    points = np.arange(12)  # (0, 1): a loop at vertex 0
+    assert _fast_simple_attempt(4, 3, FixedPermutation(points)) is None
+    doubled = [0, 3, 1, 4, 2, 6, 5, 9, 7, 10, 8, 11]  # (0, 3), (1, 4): 0-1 twice
+    assert _fast_simple_attempt(4, 3, FixedPermutation(doubled)) is None
     # explicit pairing realizing K4: vertex v's points matched to the
     # other three vertices
     pairs = []
@@ -70,10 +110,9 @@ def test_is_simple_detects_loops_and_multiedges():
         pairs.append((u * 3 + slot[u], v * 3 + slot[v]))
         slot[u] += 1
         slot[v] += 1
-    p = Pairing(4, 3, tuple(sorted(pairs)))
-    mg = collapse(p)
-    assert is_simple(mg)
-    assert mg.to_regular() == complete_graph(4)
+    edges = _fast_simple_attempt(4, 3, FixedPermutation(np.ravel(pairs)))
+    assert edges == complete_graph(4).edges()
+    assert RegularGraph.from_edges(4, edges) == complete_graph(4)
 
 
 def test_sample_simple_regular_valid_and_deterministic():
@@ -107,15 +146,6 @@ def test_explore_saturated_seed():
     assert tr.frontier_sizes()[1:] == [0, 0, 0]
 
 
-def test_explore_multigraph_double_edge_excluded():
-    # vertex 1 is joined to the seed 0 by a doubled edge -> not unique
-    mg = MultiGraph.from_edges(3, [(0, 1), (0, 1), (0, 2), (1, 2)])
-    tr = explore(mg, {0}, 1)
-    level1 = tr.rows[1]
-    assert level1[2] == 2  # frontier {1, 2}
-    assert level1[3] == 1  # only vertex 2 is edge-uniquely connected
-
-
 def test_explore_trace_invariants():
     rng = make_rng(21)
     g, _ = sample_simple_regular(60, 3, rng)
@@ -143,13 +173,45 @@ def test_frontier_unique_bound_formula():
 def test_frontier_unique_montecarlo_respects_bound():
     n, d = 60, 3
     r = list(range(10))
-    prefix = Pairing(n, d, ((0, 4),))  # one internal pair below R
+    prefix = [(0, 4)]  # one internal pair below R
     res = frontier_unique_montecarlo(n, d, r, prefix, 0.5, 1000, make_rng(17))
     assert res["frequency"] >= res["bound"] - 3 * res["stderr"]
     assert res["a_size"] == 10 * d - 2
 
 
 def test_frontier_unique_montecarlo_validates_prefix():
-    prefix = Pairing(60, 3, ((0, 100),))  # touches vertex 33, outside R
+    prefix = [(0, 100)]  # touches vertex 33, outside R
     with pytest.raises(ValueError, match="prefix"):
         frontier_unique_montecarlo(60, 3, range(10), prefix, 0.5, 10, make_rng(0))
+
+
+def test_frontier_unique_count_excludes_double_edges():
+    # n = 6, d = 3, R = {0}.  Vertex 0's points 0, 1, 2 go to points 3 and 4
+    # (both below vertex 1: a doubled edge) and 6 (vertex 2); vertex 3 gets
+    # a loop (9, 10).  Only vertex 2 is joined to R by exactly one edge.
+    points = [0, 3, 1, 4, 2, 6, 9, 10, 5, 7, 8, 11, 12, 15, 13, 16, 14, 17]
+    for theta, freq in ((0.3, 1.0), (0.5, 0.0)):  # thresholds 0.9 and 1.5
+        res = frontier_unique_montecarlo(6, 3, [0], [], theta, 4, FixedPermutation(points))
+        assert (res["frequency"], res["a_size"]) == (freq, 3)
+
+
+def test_frontier_unique_montecarlo_rejects_odd_point_count():
+    with pytest.raises(ValueError, match="even"):
+        frontier_unique_montecarlo(61, 3, range(10), [], 0.5, 10, make_rng(0))
+
+
+def test_frontier_unique_montecarlo_rejects_degree_two():
+    with pytest.raises(ValueError, match="d >= 3"):
+        frontier_unique_montecarlo(60, 2, range(10), [], 0.5, 10, make_rng(0))
+
+
+def test_frontier_unique_montecarlo_rejects_prefix_of_other_degree():
+    # pairs drawn on [60] x [4] name points past 60 * 3 = 180
+    prefix = [(0, 1), (200, 201)]
+    with pytest.raises(ValueError, match="out of range"):
+        frontier_unique_montecarlo(60, 3, range(10), prefix, 0.5, 10, make_rng(0))
+
+
+def test_frontier_unique_montecarlo_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials"):
+        frontier_unique_montecarlo(60, 3, range(10), [], 0.5, 0, make_rng(0))
