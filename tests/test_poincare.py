@@ -305,6 +305,15 @@ def test_embedding_gamma_lower_bound_inequality():
     assert rep.ratio_report.ratio >= avg / stretch - 1e-9
 
 
+def test_embedding_refuses_n_above_dense_limit(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 9)
+    with pytest.raises(ValueError, match=r"DENSE_LIMIT = 9 \(got n=10\)"):
+        bourgain_style_embedding(petersen_graph(), q=2, rng=0)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 10)
+    rep = bourgain_style_embedding(petersen_graph(), q=2, rng=0)
+    assert rep.field.shape[0] == 10
+
+
 def test_embedding_size_check_precedes_distance_rows(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
 
@@ -312,7 +321,6 @@ def test_embedding_size_check_precedes_distance_rows(monkeypatch):
         raise AssertionError("distance table built before the size check")
 
     monkeypatch.setattr(poincare, "distance_rows", no_distances)
-    monkeypatch.setattr(poincare, "bfs_distances", no_distances)
     with pytest.raises(ValueError, match="DENSE_LIMIT = 8"):
         bourgain_style_embedding(petersen_graph(), q=2, rng=0)
 
