@@ -11,7 +11,10 @@ The property Expan(alpha, eps, L) of a d-regular graph has two halves:
 alpha and L are LogScalar because the typical parameterization at degree d
 (alpha = d^(-1e11 ln d), L = 24/alpha) is far outside float range; every
 threshold comparison is done on logs.  Exact checks are exhaustive subset
-scans and are limited to n <= 20; the sampled checker can only falsify.
+scans and are limited to n <= 24, the exact Cheeger limit.  Part A's scans
+read one table of ball sizes over all 2^n subsets per radius and stop at the
+first radius where every single-vertex ball covers 3n/4, past which no ball
+fails.  The sampled checker can only falsify.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ __all__ = [
     "cheeger_growth_check",
 ]
 
-EXACT_LIMIT = 20
+EXACT_LIMIT = CHEEGER_EXACT_LIMIT  # one limit for every exhaustive subset scan
+_MASK_CHUNK = 1 << 13  # subsets per part-B numpy block; keeps its temporaries to a few MiB
 _LN_GUARD = 1e-12  # treat log-threshold ties as satisfied
 
 
@@ -95,30 +99,47 @@ class ExpanVerdict:
 # -- part A: ball growth ---------------------------------------------------------
 
 
-def _require_exact_size(g: RegularGraph, op: str):
+def _require_exact_size(g: RegularGraph, op: str, instead: str):
     if g.n > EXACT_LIMIT:
         raise ValueError(
             f"{op} scans all 2^n subsets and is limited to n <= {EXACT_LIMIT} "
-            f"(got n={g.n}); use the sampled mode"
+            f"(got n={g.n}); {instead}"
         )
 
 
-def _subset_ball_sizes(g: RegularGraph, radius: int, single_balls) -> np.ndarray:
-    """|B(S, radius)| for every subset bitmask S (index = mask)."""
-    n = g.n
-    arr = np.zeros(1 << n, dtype=np.uint32)
-    for v in range(n):
-        lo = 1 << v
-        arr[lo : 2 * lo] = arr[:lo] | np.uint32(single_balls[radius][v])
-    return np.bitwise_count(arr).astype(np.int64)
-
-
-def _single_ball_masks(g: RegularGraph) -> list[list[int]]:
-    """single_balls[l][v] = bitmask of B({v}, l) for l in 0..n."""
+def _single_ball_masks(g: RegularGraph) -> np.ndarray:
+    """single[l, v] = uint32 bitmask of B({v}, l) for l in 0..n (n <= 32)."""
     n = g.n
     dists = np.vstack(list(distance_rows(g)))
     within = dists[None, :, :] <= np.arange(n + 1)[:, None, None]
-    return (within.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))).tolist()
+    return (within.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))).astype(np.uint32)
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """|S| as uint8 for every subset bitmask S of n vertices."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+
+
+def _ball_tables(g: RegularGraph):
+    """Yield (l, sizes) for l = 1, 2, ..., where sizes[S] = |B(S, l)| as
+    uint8 for every subset bitmask S.
+
+    The tables stop before the first radius at which every single-vertex
+    ball covers 3n/4: every nonempty ball then covers 3n/4 at that radius
+    and all later ones, so it passes both part-A requirements and
+    constrains no alpha.  Otherwise they run to l = n, by which balls
+    saturate.
+    """
+    n = g.n
+    single = _single_ball_masks(g)
+    union = np.zeros(1 << n, dtype=np.uint32)
+    for l in range(1, n + 1):
+        if np.all(4 * np.bitwise_count(single[l]) >= 3 * n):
+            return
+        for v in range(n):  # doubling: the masks with top bit v extend those below it
+            lo = 1 << v
+            np.bitwise_or(union[:lo], single[l, v], out=union[lo : 2 * lo])
+        yield l, np.bitwise_count(union)
 
 
 def _growth_requirement(alpha: LogScalar, d: int, l: int, size: int, n: int):
@@ -130,30 +151,38 @@ def _growth_requirement(alpha: LogScalar, d: int, l: int, size: int, n: int):
     return "value", t
 
 
+def _passing_sizes(alpha: LogScalar, d: int, l: int, n: int, min_size: int) -> np.ndarray:
+    """need[s]: the smallest ball size that meets part A at radius l for a
+    subset of s vertices; 0 below ``min_size``, n + 1 when no size does.
+
+    The requirement is evaluated on every ball size 1..n, so comparing a
+    ball size against need[s] decides exactly as the requirement does.
+    """
+    b = np.arange(1, n + 1)
+    need = np.zeros(n + 1, dtype=np.uint8)
+    for s in range(max(min_size, 1), n + 1):
+        kind, t = _growth_requirement(alpha, d, l, s, n)
+        ok = 4 * b >= 3 * n if kind == "cap" else np.log(b) >= t - _LN_GUARD
+        need[s] = b[ok][0] if ok.any() else n + 1
+    return need
+
+
 def _growth_scan_exact(g: RegularGraph, alpha: LogScalar, min_size: int):
     """First part-A violation over every l in [1, n] and every subset with
     at least ``min_size`` vertices, or None.
 
-    Balls saturate by l = n, which is why the scan stops there.  Violations
-    are ordered by l, then |S|, then the subset bitmask; the first one is
-    returned as (l, mask, ball_size, required).
+    Violations are ordered by l, then |S|, then the subset bitmask; the
+    first one is returned as (l, mask, ball_size, required).
     """
     n, d = g.n, g.d
-    single = _single_ball_masks(g)
-    popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    by_size = [np.flatnonzero(popc == s) for s in range(n + 1)]
-    for l in range(1, n + 1):
-        sizes = _subset_ball_sizes(g, l, single)
-        for s in range(min_size, n + 1):
-            sel = by_size[s]
-            kind, t = _growth_requirement(alpha, d, l, s, n)
-            if kind == "cap":
-                bad = sel[4 * sizes[sel] < 3 * n]
-            else:
-                bad = sel[np.log(sizes[sel]) < t - _LN_GUARD]
-            if len(bad):
-                mask = int(bad.min())
-                return l, mask, int(sizes[mask]), "3n/4" if kind == "cap" else math.exp(t)
+    popc = _popcounts(n)
+    for l, sizes in _ball_tables(g):
+        bad = sizes < _passing_sizes(alpha, d, l, n, min_size)[popc]
+        if bad.any():
+            size = popc[bad].min()
+            mask = int(np.argmax(bad & (popc == size)))
+            kind, t = _growth_requirement(alpha, d, l, int(size), n)
+            return l, mask, int(sizes[mask]), "3n/4" if kind == "cap" else math.exp(t)
     return None
 
 
@@ -188,7 +217,7 @@ def growth_check_exact(g: RegularGraph, alpha) -> ExpanVerdict:
     then smallest subset bitmask.
     """
     alpha = as_logscalar(alpha)
-    _require_exact_size(g, "growth_check_exact")
+    _require_exact_size(g, "growth_check_exact", "use growth_check_sampled")
     found = _growth_scan_exact(g, alpha, 1)
     if found is None:
         return ExpanVerdict(part="A", mode="exact", status="pass")
@@ -210,26 +239,24 @@ def fit_growth_alpha(g: RegularGraph) -> LogScalar:
     """Largest alpha for which growth_check_exact passes, capped at 1.
 
     Only pairs (S, l) whose ball stays below 3n/4 constrain alpha; the fit is
-    the minimum of |B(S, l)| / ((d-1)^l |S|) over those pairs.
+    the minimum of |B(S, l)| / ((d-1)^l |S|) over those pairs, so over each
+    (l, |S|) only the smallest such ball counts.
     """
-    _require_exact_size(g, "fit_growth_alpha")
+    _require_exact_size(g, "fit_growth_alpha", "use growth_check_sampled to test a guess")
     n, d = g.n, g.d
-    single = _single_ball_masks(g)
-    popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.float64)
-    popc[0] = 1.0  # avoid log(0) for the empty mask; it is filtered below
+    popc = _popcounts(n)
     best = 0.0  # ln alpha bound; alpha <= 1 cap
-    for l in range(1, n + 1):
-        sizes = _subset_ball_sizes(g, l, single)
-        sel = (4 * sizes < 3 * n) & (popc >= 1)
-        sel[0] = False
-        if not np.any(sel):
-            continue
-        bound = (
-            np.log(sizes[sel].astype(np.float64))
-            - l * math.log(d - 1)
-            - np.log(popc[sel])
-        )
-        best = min(best, float(bound.min()))
+    for l, sizes in _ball_tables(g):
+        smallest = np.full(n + 1, n + 1, dtype=np.uint8)  # per |S|; n + 1 = none
+        np.minimum.at(smallest, popc, np.where(4 * sizes < 3 * n, sizes, n + 1))
+        s = np.flatnonzero(smallest[1:] <= n) + 1  # skip the empty mask
+        if s.size:
+            bound = (
+                np.log(smallest[s].astype(np.float64))
+                - l * math.log(d - 1)
+                - np.log(s.astype(np.float64))
+            )
+            best = min(best, float(bound.min()))
     return LogScalar.from_ln(best)
 
 
@@ -357,21 +384,34 @@ def congestion_check_instance(
     )
 
 
+def _edge_sets(member: np.ndarray) -> np.ndarray:
+    """Pack rows of a (k, m) bool edge-membership array into (k, ceil(m/64))
+    uint64 words; edge e is bit e % 64 of word e // 64."""
+    k, m = member.shape
+    packed = np.zeros((k, 8 * -(-m // 64)), dtype=np.uint8)
+    packed[:, : -(-m // 8)] = np.packbits(member, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict:
     """Part-B check over every (S, l) meeting the precondition, l <= n.
 
     Two prunings keep the scan honest but feasible: a scale whose threshold
     exceeds n cannot put any edge into T (pass for every S), and subsets
-    smaller than the threshold cannot either.
+    smaller than the threshold cannot either.  A failure carries the
+    smallest failing subset bitmask at the smallest failing l.
     """
-    _require_exact_size(g, "congestion_check_exact")
+    _require_exact_size(
+        g, "congestion_check_exact", "check single (S, l) with congestion_check_instance"
+    )
     n, d = g.n, g.d
-    edges = g.edges()
+    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+    m = len(edges)
     single = _single_ball_masks(g)
-    popc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    vertices = np.arange(n, dtype=np.uint32)
     scales = []
     for l in range(1, n + 1):
-        ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, len(edges)))
+        ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, m))
         if ceil_thr is None or ceil_thr > n:
             scales.append({"l": l, "mode": "empty-T", "checked": "all S"})
             continue
@@ -382,41 +422,32 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
             continue
         max_s = allowed[-1]
         # vertices within l - 1 of either endpoint
-        edge_masks = [single[l - 1][u] | single[l - 1][w] for u, w in edges]
-        vertex_edge_masks = []
-        for v in range(n):
-            m = 0
-            for idx, em in enumerate(edge_masks):
-                if (em >> v) & 1:
-                    m |= 1 << idx
-            vertex_edge_masks.append(m)
-        lo_size = max(1, ceil_thr)
-        candidates = np.nonzero((popc >= lo_size) & (popc <= max_s))[0]
-        for mask in candidates:
-            mask = int(mask)
-            t_mask = 0
-            for idx, em in enumerate(edge_masks):
-                if (em & mask).bit_count() >= ceil_thr:
-                    t_mask |= 1 << idx
-            if t_mask == 0:
-                continue
-            ok = False
-            rest = mask
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if (vertex_edge_masks[v] & t_mask).bit_count() <= floor_thr:
-                    ok = True
-                    break
-            if not ok:
+        edge_masks = single[l - 1][edges[:, 0]] | single[l - 1][edges[:, 1]]
+        # row v: the edges that v sees
+        vertex_edges = _edge_sets(((edge_masks >> vertices[:, None]) & 1).astype(bool))
+        checked = 0
+        for lo in range(0, 1 << n, _MASK_CHUNK):
+            masks = np.arange(lo, min(lo + _MASK_CHUNK, 1 << n), dtype=np.uint32)
+            popc = np.bitwise_count(masks)
+            masks = masks[(popc >= ceil_thr) & (popc <= max_s)]
+            checked += len(masks)
+            popular = np.bitwise_count(masks[:, None] & edge_masks) >= ceil_thr
+            t_sets = _edge_sets(popular)
+            nonempty = t_sets.any(axis=1)
+            masks, t_sets = masks[nonempty], t_sets[nonempty]
+            seen = np.bitwise_count(t_sets[:, None, :] & vertex_edges)  # (mask, v, word)
+            counts = seen.sum(axis=2, dtype=np.uint16)
+            in_s = ((masks[:, None] >> vertices) & 1).astype(bool)
+            failing = np.flatnonzero(~np.any(in_s & (counts <= floor_thr), axis=1))
+            if failing.size:
                 return ExpanVerdict(
                     part="B",
                     mode="exact",
                     status="fail",
-                    witness={"S": _mask_vertices(mask, n), "l": l},
+                    witness={"S": _mask_vertices(int(masks[failing[0]]), n), "l": l},
                     details={"scales": tuple(scales)},
                 )
-        scales.append({"l": l, "mode": "scanned", "checked": int(len(candidates))})
+        scales.append({"l": l, "mode": "scanned", "checked": checked})
     return ExpanVerdict(
         part="B", mode="exact", status="pass", details={"scales": tuple(scales)}
     )
@@ -490,17 +521,15 @@ def popular_edge_bound_check(
     }
 
 
-def cheeger_growth_check(
-    g: RegularGraph, delta: float, rng=None, trials: int = 2000
-) -> dict:
+def cheeger_growth_check(g: RegularGraph, delta: float) -> dict:
     """Ball growth from the Cheeger constant.
 
     Hypothesis: h(G) >= 0.0048 d (verified exactly, so n <= 24).  Conclusion:
     for every A with |A| >= delta n and every l >= 1,
     |B(A, l)| >= min(3n/4, gamma (d-1)^l |A|) where
     l* = ceil(log_1.0016(3/(4 delta))) and gamma = (1.0016/(d-1))^l*.
-    Exhaustive over A for n <= 20, sampled beyond.  The exhaustive scan
-    reports the first failure by l, then |A|, then subset bitmask, as
+    The conclusion is checked exhaustively over A.  The scan reports the
+    first failure by l, then |A|, then subset bitmask, as
     ``growth_check_exact`` does; a failing report carries "witness" and no
     "mode".
     """
@@ -528,28 +557,12 @@ def cheeger_growth_check(
     if not hypothesis_ok:
         return report
     min_size = max(1, math.ceil(delta * n - 1e-9))
+    found = _growth_scan_exact(g, gamma, min_size)
     report["conclusion_checked"] = True
-    witness = None
-    if n <= EXACT_LIMIT:
-        mode = "exhaustive"
-        found = _growth_scan_exact(g, gamma, min_size)
-        if found is not None:
-            l, mask, bsize, _ = found
-            witness = {"A": _mask_vertices(mask, n), "l": l, "ball_size": bsize}
+    report["conclusion_ok"] = found is None
+    if found is None:
+        report["mode"] = "exhaustive"
     else:
-        mode = f"sampled({trials})"
-        rng = as_rng(rng if rng is not None else 0)
-        for _ in range(trials):
-            size = int(rng.integers(min_size, n + 1))
-            subset = rng.choice(n, size=size, replace=False)
-            found = _growth_scan(g, subset, gamma)
-            if found is not None:
-                l, bsize, _ = found
-                witness = {"A": tuple(sorted(subset.tolist())), "l": l, "ball_size": bsize}
-                break
-    report["conclusion_ok"] = witness is None
-    if witness is None:
-        report["mode"] = mode
-    else:
-        report["witness"] = witness
+        l, mask, bsize, _ = found
+        report["witness"] = {"A": _mask_vertices(mask, n), "l": l, "ball_size": bsize}
     return report

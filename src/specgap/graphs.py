@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "RegularGraph",
-    "canonical_edge",
     "dist",
     "dist_to_set",
     "ball",
@@ -42,11 +41,6 @@ INF = float("inf")
 # distance_rows solves about this many (source, vertex) entries per call,
 # a 32 MiB float block.
 DISTANCE_CHUNK_ENTRIES = 1 << 22
-
-
-def canonical_edge(u: int, v: int) -> tuple[int, int]:
-    """Unordered edge as a (min, max) tuple."""
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True, eq=False)

@@ -299,61 +299,34 @@ def cotype_constant_mc(nm: UncondNorm, vectors, q: float, trials: int, rng) -> d
     return {"estimate": est, "exact": False, "trials": trials}
 
 
-def restricted_cotype_check(
-    nm: UncondNorm,
-    vectors,
-    q: float,
-    C: float,
-    rng=None,
-    sample_budget: int = 2000,
-) -> dict:
+def restricted_cotype_check(nm: UncondNorm, vectors, q: float, C: float) -> dict:
     """Cotype inequality across every nonempty subfamily at the given C.
 
-    Exact (all subsets x all signs) for |A| <= RESTRICTED_EXACT_LIMIT,
-    sampled beyond; a FAIL carries the witness subset.
+    Exact (all subsets x all signs); refuses more than
+    RESTRICTED_EXACT_LIMIT vectors.  A FAIL carries the first failing
+    subset in bitmask order.
     """
     x = _as_matrix(vectors)
     m = x.shape[0]
+    if m > RESTRICTED_EXACT_LIMIT:
+        raise ValueError(f"exact restricted cotype check needs m <= {RESTRICTED_EXACT_LIMIT}")
     if q < 2:
         raise ValueError("q must be >= 2")
     if C < 1:
         raise ValueError("C must be >= 1")
     norms_q = nm.eval_many(x) ** q
     inv_cq = C ** (-q)
-
-    def subset_ok(idx) -> tuple[bool, float]:
-        sub = x[list(idx)]
-        sums = sign_patterns(len(idx)) @ sub
-        expectation = float(np.mean(nm.eval_many(sums) ** q))
-        rhs = inv_cq * float(np.sum(norms_q[list(idx)]))
-        return expectation >= rhs * (1 - 1e-12), expectation - rhs
-
-    if m <= RESTRICTED_EXACT_LIMIT:
-        worst = math.inf
-        for mask in range(1, 1 << m):
-            idx = [i for i in range(m) if (mask >> i) & 1]
-            ok, slack = subset_ok(idx)
-            worst = min(worst, slack)
-            if not ok:
-                return {
-                    "ok": False,
-                    "exact": True,
-                    "witness": tuple(idx),
-                    "slack": slack,
-                }
-        return {"ok": True, "exact": True, "witness": None, "slack": worst}
-    rng = as_rng(rng if rng is not None else 0)
     worst = math.inf
-    for _ in range(sample_budget):
-        size = int(rng.integers(1, m + 1))
-        idx = sorted(int(i) for i in rng.choice(m, size=size, replace=False))
-        if size > RESTRICTED_EXACT_LIMIT:
-            continue  # keep each expectation exact; subsets above the limit skipped
-        ok, slack = subset_ok(idx)
+    for mask in range(1, 1 << m):
+        idx = [i for i in range(m) if (mask >> i) & 1]
+        sums = sign_patterns(len(idx)) @ x[idx]
+        expectation = float(np.mean(nm.eval_many(sums) ** q))
+        rhs = inv_cq * float(np.sum(norms_q[idx]))
+        slack = expectation - rhs
         worst = min(worst, slack)
-        if not ok:
-            return {"ok": False, "exact": False, "witness": tuple(idx), "slack": slack}
-    return {"ok": True, "exact": False, "witness": None, "slack": worst}
+        if not expectation >= rhs * (1 - 1e-12):
+            return {"ok": False, "exact": True, "witness": tuple(idx), "slack": slack}
+    return {"ok": True, "exact": True, "witness": None, "slack": worst}
 
 
 def restricted_cotype_constant(nm: UncondNorm, vectors, q: float) -> float:

@@ -2,15 +2,15 @@
 
 Every sampling routine in the package takes an explicit ``rng`` argument: an
 int seed or a ``numpy.random.Generator``.  Seeds are expanded through the
-counter-based Philox generator, so parallel workers can derive independent
-streams from (seed, worker_index) without coordination.
+counter-based Philox generator; ``make_rng(seed, stream)`` gives
+independent streams of one seed without coordination.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "as_rng", "worker_rng"]
+__all__ = ["make_rng", "as_rng"]
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -26,8 +26,3 @@ def as_rng(rng) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return make_rng(int(rng))
     raise TypeError(f"rng must be an int seed or numpy Generator, got {type(rng)!r}")
-
-
-def worker_rng(seed: int, worker_index: int) -> np.random.Generator:
-    """Independent stream for one worker of a parallel experiment."""
-    return make_rng(seed, stream=worker_index + 1)

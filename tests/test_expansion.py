@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import specgap
 from specgap.constants import eval_constant
 from specgap.expansion import (
     _LN_GUARD,
     _growth_requirement,
     _growth_scan_exact,
+    _precondition_holds,
     _sample_subset,
     _threshold_ints,
     ExpanParams,
@@ -199,6 +205,36 @@ def test_fit_alpha_maximality():
             assert growth_check_exact(g, bumped).status == "fail"
 
 
+def brute_fit_alpha(g):
+    """Independent oracle: min of |B(S, l)| / ((d-1)^l |S|) over every
+    nonempty S and every l whose ball stays below 3n/4, capped at 1."""
+    n, d = g.n, g.d
+    best = 0.0
+    for mask in range(1, 1 << n):
+        s = {v for v in range(n) if (mask >> v) & 1}
+        for l in range(1, n + 1):
+            b = len(ball(g, s, l))
+            if 4 * b >= 3 * n:
+                break  # balls only grow, so no later l constrains alpha
+            best = min(best, math.log(b) - l * math.log(d - 1) - math.log(len(s)))
+    return best
+
+
+def test_fit_alpha_matches_brute_force():
+    graphs = [
+        complete_graph(4),
+        petersen_graph(),
+        complete_bipartite(3, 3),
+        circular_ladder(5),
+        circular_ladder(6),  # n = 12 reaches balls of exactly 3n/4
+        disjoint_union(complete_graph(4), complete_graph(4)),
+        sample_simple_regular(10, 3, make_rng(50))[0],
+        sample_simple_regular(10, 4, make_rng(51))[0],
+    ]
+    for g in graphs:
+        assert fit_growth_alpha(g).ln == pytest.approx(brute_fit_alpha(g), rel=1e-12, abs=1e-15)
+
+
 def test_fit_alpha_k4_value():
     # K4 balls: |B(S, l)| = 4 >= 3n/4 = 3 always, so nothing constrains alpha
     assert fit_growth_alpha(complete_graph(4)) == LogScalar.one()
@@ -300,6 +336,93 @@ def test_congestion_instance_matches_loop_reference():
     assert statuses == {("pass", False), ("pass", True), ("fail", True)}
 
 
+def reference_congestion_exact(g, params):
+    """Part B over every (S, l) by a loop over subset bitmasks, with edge and
+    vertex visibility sets as Python int bitmasks."""
+    n, d = g.n, g.d
+    edges = g.edges()
+    scales = []
+    for l in range(1, n + 1):
+        ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, len(edges)))
+        if ceil_thr is None or ceil_thr > n:
+            scales.append({"l": l, "mode": "empty-T", "checked": "all S"})
+            continue
+        allowed = [s for s in range(1, n + 1) if _precondition_holds(params.alpha, d, l, s, n)]
+        if not allowed:
+            scales.append({"l": l, "mode": "precondition-empty", "checked": "no S"})
+            continue
+        edge_masks = [sum(1 << v for v in ball(g, {u, w}, l - 1)) for u, w in edges]
+        vertex_edge_masks = [
+            sum(1 << i for i, em in enumerate(edge_masks) if (em >> v) & 1) for v in range(n)
+        ]
+        checked = 0
+        for mask in range(1, 1 << n):
+            if not (max(1, ceil_thr) <= mask.bit_count() <= allowed[-1]):
+                continue
+            checked += 1
+            t_mask = 0
+            for i, em in enumerate(edge_masks):
+                if (em & mask).bit_count() >= ceil_thr:
+                    t_mask |= 1 << i
+            if t_mask and not any(
+                (mask >> v) & 1 and (vertex_edge_masks[v] & t_mask).bit_count() <= floor_thr
+                for v in range(n)
+            ):
+                witness = {"S": tuple(v for v in range(n) if (mask >> v) & 1), "l": l}
+                return "fail", witness, tuple(scales)
+        scales.append({"l": l, "mode": "scanned", "checked": checked})
+    return "pass", None, tuple(scales)
+
+
+def test_congestion_exact_matches_loop_reference():
+    graphs = [
+        complete_graph(4),
+        complete_graph(6),
+        petersen_graph(),
+        circular_ladder(5),
+        circular_ladder(6),
+        complete_bipartite(3, 3),
+        disjoint_union(complete_graph(4), complete_graph(4)),
+        sample_simple_regular(12, 3, make_rng(60))[0],
+        sample_simple_regular(12, 4, make_rng(61))[0],
+    ]
+    params = [
+        ExpanParams(alpha=a, eps=e, L=L)
+        for a, e, L in (
+            (1.0, 0.2, 1.0),
+            (0.5, 0.2, 1.0),
+            (0.25, 0.2, 2.0),
+            (0.05, 1.0, 1.0),
+            (0.1, 0.5, 1.5),
+        )
+    ]
+    statuses = set()
+    for g in graphs:
+        for p in params:
+            verdict = congestion_check_exact(g, p)
+            status, witness, scales = reference_congestion_exact(g, p)
+            assert (verdict.status, verdict.witness, verdict.details["scales"]) == (
+                status,
+                witness,
+                scales,
+            )
+            statuses.add(status)
+    assert statuses == {"pass", "fail"}
+
+
+def test_congestion_exact_beyond_64_edges():
+    # K_12 has 66 edges, so popular-edge sets span two 64-bit words
+    g = complete_graph(12)
+    for p in (ExpanParams(alpha=0.05, eps=1.0, L=1.0), ExpanParams(alpha=0.01, eps=0.2, L=1.0)):
+        verdict = congestion_check_exact(g, p)
+        status, witness, scales = reference_congestion_exact(g, p)
+        assert (verdict.status, verdict.witness, verdict.details["scales"]) == (
+            status,
+            witness,
+            scales,
+        )
+
+
 def test_congestion_exact_k4_huge_L():
     g = complete_graph(4)
     params = ExpanParams(alpha=1.0, eps=0.2, L=1000.0)
@@ -382,6 +505,44 @@ def test_cheeger_growth_validation():
     g, _ = sample_simple_regular(30, 3, make_rng(4))
     with pytest.raises(ValueError, match="exact Cheeger"):
         cheeger_growth_check(g, 0.5)
+
+
+def test_exact_limit_is_24():
+    g, _ = sample_simple_regular(25, 4, make_rng(25))
+    params = ExpanParams(alpha=0.5, eps=0.2, L=2.0)
+    with pytest.raises(ValueError, match="n <= 24"):
+        growth_check_exact(g, 0.5)
+    with pytest.raises(ValueError, match="n <= 24"):
+        fit_growth_alpha(g)
+    with pytest.raises(ValueError, match="n <= 24.*congestion_check_instance"):
+        congestion_check_exact(g, params)
+
+
+def test_exhaustive_checks_at_n24_bounded_memory():
+    """At the exact limit, the Cheeger growth conclusion is exhaustive and
+    growth_check_exact passes at the fitted alpha, in under 512 MiB."""
+    pytest.importorskip("resource")
+    code = textwrap.dedent(
+        """
+        import resource
+        from specgap.expansion import cheeger_growth_check, fit_growth_alpha, growth_check_exact
+        from specgap.rand import make_rng
+        from specgap.sampling import sample_simple_regular
+
+        g, _ = sample_simple_regular(24, 3, make_rng(24))
+        report = cheeger_growth_check(g, 0.3)
+        assert report["conclusion_ok"] and report["mode"] == "exhaustive", report
+        assert growth_check_exact(g, fit_growth_alpha(g)).status == "pass"
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert peak_mib < 512, peak_mib
+        """
+    )
+    src = os.path.dirname(os.path.dirname(specgap.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_params_validation():

@@ -194,6 +194,12 @@ def test_restricted_cotype_singletons_hold():
     assert res["ok"] and res["exact"]
 
 
+def test_restricted_cotype_refuses_above_limit():
+    # 2^17 subfamilies is past the exact limit; there is no sampled fallback
+    with pytest.raises(ValueError, match="m <= 16"):
+        restricted_cotype_check(Lq(2), np.eye(17), 2, C=1.0)
+
+
 def test_restricted_cotype_orthonormal_family():
     res = restricted_cotype_check(Lq(2), np.eye(4), 2, C=1.0)
     assert res["ok"]
