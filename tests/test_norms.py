@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import specgap.norms as norms
 from specgap.norms import (
     BlockNorm,
     Lq,
@@ -237,6 +238,104 @@ def test_restricted_constant_dominates_full_family_constant():
     assert restricted >= full - 1e-12
 
 
+def loop_restricted_cotype_check(nm, x, q, C):
+    """The per-subset loop, kept as the oracle: one sign enumeration per
+    subfamily, stopping at the first failure in bitmask order."""
+    m = x.shape[0]
+    norms_q = nm.eval_many(x) ** q
+    inv_cq = C ** (-q)
+    worst = math.inf
+    for mask in range(1, 1 << m):
+        idx = [i for i in range(m) if (mask >> i) & 1]
+        sums = sign_patterns(len(idx)) @ x[idx]
+        expectation = float(np.mean(nm.eval_many(sums) ** q))
+        rhs = inv_cq * float(np.sum(norms_q[idx]))
+        slack = expectation - rhs
+        worst = min(worst, slack)
+        if not expectation >= rhs * (1 - 1e-12):
+            return {"ok": False, "exact": True, "witness": tuple(idx), "slack": slack}
+    return {"ok": True, "exact": True, "witness": None, "slack": worst}
+
+
+def loop_restricted_cotype_constant(nm, x, q):
+    m = x.shape[0]
+    return max(
+        cotype_constant_exact(nm, x[[i for i in range(m) if (mask >> i) & 1]], q)
+        for mask in range(1, 1 << m)
+    )
+
+
+def _oracle_families():
+    """(norm, family) over m = 1..9 and k = 1..5, with duplicate rows and
+    row scales from 1e-3 to 1e3."""
+    rng = make_rng(77)
+    for case in range(45):
+        m, k = 1 + case % 9, 1 + case % 5
+        x = rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+        if m > 2 and case % 3 == 0:
+            x[m - 1] = x[0]  # a duplicate vector
+        cut = k // 2 or 1
+        inner = ((Lq(2), cut), (Lq(1), k - cut)) if k > 1 else ((Lq(2), 1),)
+        yield [
+            Lq(1), Lq(2), Lq(3.5), Lq(math.inf),
+            WeightedLq(3, tuple(float(w) for w in rng.uniform(0.5, 3.0, size=k))),
+            BlockNorm(Lq(math.inf) if k > 1 else Lq(3), inner),
+        ][case % 6], x
+
+
+def test_restricted_cotype_matches_per_subset_loop(monkeypatch):
+    for nm, x in _oracle_families():
+        for q in (2.0, 3.0):
+            max_r = float(np.sum(nm.eval_many(x) ** q))
+            checks = {C: loop_restricted_cotype_check(nm, x, q, C) for C in (1.0, 1.1, 1.5, 3.0)}
+            constant = loop_restricted_cotype_constant(nm, x, q)
+            for block in (norms._MOMENT_BLOCK, 256):  # 256: several blocks per size
+                with monkeypatch.context() as mp:
+                    mp.setattr(norms, "_MOMENT_BLOCK", block)
+                    for C, want in checks.items():
+                        got = restricted_cotype_check(nm, x, q, C)
+                        assert (got["ok"], got["witness"]) == (want["ok"], want["witness"])
+                        assert got["exact"] and type(got["slack"]) is float
+                        assert got["slack"] == pytest.approx(
+                            want["slack"], rel=0, abs=1e-12 * max_r
+                        ), (nm, x, q, C)
+                    assert restricted_cotype_constant(nm, x, q) == pytest.approx(
+                        constant, rel=1e-9
+                    )
+
+
+def test_restricted_constant_skips_zero_subfamilies():
+    # the subfamily {(0, 0)} constrains nothing; {e1} and {e1, 0} give C = 1
+    fam = [[1.0, 0.0], [0.0, 0.0]]
+    assert restricted_cotype_constant(Lq(2), fam, 2) == pytest.approx(1.0)
+    assert restricted_cotype_check(Lq(2), fam, 2, C=1.0)["ok"]
+    with pytest.raises(ValueError, match="zero vectors"):
+        restricted_cotype_constant(Lq(2), np.zeros((3, 2)), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: restricted_cotype_check(Lq(2), x, 2, C=1.0),
+        lambda x: restricted_cotype_constant(Lq(2), x, 2),
+        lambda x: cotype_constant_exact(Lq(2), x, 2),
+        lambda x: q_concavity_constant(Lq(2), x, 2),
+    ],
+    ids=["restricted_check", "restricted_constant", "cotype_exact", "concavity"],
+)
+def test_families_must_be_nonempty_and_finite(call):
+    with pytest.raises(ValueError, match="empty"):
+        call(np.zeros((0, 2)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            call([[1.0, 0.0], [bad, 1.0]])
+
+
+def test_cotype_mc_needs_a_trial():
+    with pytest.raises(ValueError, match="trials"):
+        cotype_constant_mc(Lq(2), np.eye(2), 2, trials=0, rng=make_rng(1))
+
+
 def test_overlap_family_validation():
     with pytest.raises(ValueError, match="above delta"):
         OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({0})), delta=0.25)
@@ -280,6 +379,15 @@ def test_almost_disjoint_randomized_suite():
         fam = OverlapFamily(tuple(x), sets, delta=1.0 / 8.0)
         rep = almost_disjoint_lower_bound_check(Lq(2), fam, 2, C=1.0)
         assert rep["ok"]
+
+
+def test_almost_disjoint_refuses_unverifiable_cotype():
+    # 17 singleton sets: the exact restricted check stops at 16 vectors
+    fam = OverlapFamily((1.0,) * 17, tuple(frozenset({i}) for i in range(17)), delta=1 / 17)
+    with pytest.raises(ValueError, match="verify_cotype=False"):
+        almost_disjoint_lower_bound_check(Lq(2), fam, 2, C=1.0)
+    rep = almost_disjoint_lower_bound_check(Lq(2), fam, 2, C=1.0, verify_cotype=False)
+    assert rep["ok"] and "restricted_cotype_ok" not in rep["preconditions"]
 
 
 def test_q_concavity():

@@ -170,6 +170,53 @@ def test_walk_sum_preconditions():
         walk_sum_bound_check(complete_bipartite(3, 3), y, 1)
 
 
+# -- cheeger_exact against the per-edge block scan --------------------------------
+
+
+def reference_cheeger_exact(g):
+    """The per-edge scan in blocks of 2^20 masks, kept as the oracle: exact
+    integer cross-comparison, the smallest mask among the minimal ratios."""
+    n = g.n
+    best_cut, best_size, best_mask = None, None, None
+    chunk = 1 << 20
+    for start in range(1, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
+        sizes = np.bitwise_count(masks).astype(np.int64)
+        ok = (sizes >= 1) & (sizes <= n // 2)
+        if not np.any(ok):
+            continue
+        masks, sizes = masks[ok], sizes[ok]
+        cut = np.zeros(len(masks), dtype=np.int64)
+        for u, v in g.edges():
+            cut += ((masks >> np.uint32(u)) ^ (masks >> np.uint32(v))) & np.uint32(1)
+        i = int(np.argmin(cut / sizes))
+        if best_cut is None or int(cut[i]) * best_size < best_cut * int(sizes[i]):
+            best_cut, best_size, best_mask = int(cut[i]), int(sizes[i]), int(masks[i])
+    witness = frozenset(v for v in range(n) if (best_mask >> v) & 1)
+    return Fraction(best_cut, best_size), witness
+
+
+def _exact_oracle_graphs():
+    k4, petersen = complete_graph(4), petersen_graph()
+    yield from (k4, complete_graph(7), complete_bipartite(3, 3), petersen)
+    yield from (circular_ladder(5), circular_ladder(9), complete_graph(12))
+    yield from (disjoint_union(k4, k4), disjoint_union(petersen, k4))
+    yield disjoint_union(disjoint_union(k4, k4), disjoint_union(k4, k4))
+    yield disjoint_union(petersen, circular_ladder(5))
+    for n, d in [(12, 3), (12, 5), (14, 4), (16, 3), (16, 6), (18, 3), (20, 3), (20, 4)]:
+        for seed in range(2):
+            yield sample_simple_regular(n, d, make_rng(700 + seed))[0]
+
+
+def test_cheeger_exact_matches_per_edge_scan():
+    for g in _exact_oracle_graphs():
+        value, witness = reference_cheeger_exact(g)
+        res = cheeger_exact(g)
+        assert res.value == value and res.witness == witness, (g.n, g.d)
+        assert type(res.value) is Fraction and res.exact
+        assert all(type(v) is int for v in res.witness)
+
+
 # -- cheeger_upper against the per-step sweep -------------------------------------
 
 
