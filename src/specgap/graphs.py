@@ -26,6 +26,7 @@ __all__ = [
     "boundary",
     "bfs_distances",
     "distance_rows",
+    "distance_sum",
     "adjacency_csr",
     "load_edge_list",
     "save_edge_list",
@@ -38,8 +39,8 @@ __all__ = [
 
 INF = float("inf")
 
-# distance_rows solves about this many (source, vertex) entries per call,
-# a 32 MiB float block.
+# distance_rows and distance_sum sweep about this many (source, vertex) pairs
+# per block of sources: a 32 MiB float block of rows.
 DISTANCE_CHUNK_ENTRIES = 1 << 22
 
 
@@ -163,10 +164,118 @@ def boundary(g: RegularGraph, s, radius) -> frozenset:
     return frozenset(np.flatnonzero(bfs_distances(g, s) == radius).tolist())
 
 
-# -- sparse views ----------------------------------------------------------------
+# -- per-source distances -----------------------------------------------------
 #
-# scipy is imported inside these helpers, not at the top of the module:
-# csgraph alone loads nine extension modules.
+# One level-synchronous sweep over ``g.adj`` serves a block of single sources
+# at once: vertex v holds a bitset, one bit per source of the block (a row of
+# uint64 words), of the sources that have reached it.  A level ORs the
+# bitsets of each vertex's neighbours and keeps the bits it did not hold,
+# visiting only the vertices adjacent to the last level's, so a few sources
+# on a long cycle cost O(n d) word operations in all, not O(n d diameter).
+# Each level also pays a fixed cost in numpy calls, about 0.1 ms, which a
+# graph of large diameter pays once per level.
+
+
+def _source_blocks(g: RegularGraph, sources):
+    """``sources`` (default: every vertex) in blocks of at most
+    DISTANCE_CHUNK_ENTRIES // n, in order."""
+    src = np.arange(g.n) if sources is None else _vertices(g, sources)
+    rows = max(1, DISTANCE_CHUNK_ENTRIES // g.n)
+    for start in range(0, len(src), rows):
+        yield src[start : start + rows]
+
+
+def _level_sets(g: RegularGraph, src: np.ndarray):
+    """Yield (level, vertices, bits) for the sources ``src``, level 0 first.
+
+    ``bits`` is a uint64 (len(vertices), ceil(len(src) / 64)) array: bit i of
+    row k (word i // 64, bit i % 64) is set when ``src[i]`` first reaches
+    ``vertices[k]`` at this level.  Each (source, reachable vertex) pair is
+    set at exactly one level; the vertices at a level are sorted.  After a
+    level of at most n / (2 d) vertices the next visits only their
+    neighbours; after a larger one it sweeps every row, which is cheaper than
+    gathering most of them.
+    """
+    i = np.arange(len(src))
+    reached = np.zeros((g.n, -(-len(src) // 64)), dtype=np.uint64)
+    np.bitwise_or.at(reached, (src, i >> 6), np.left_shift(np.uint64(1), (i & 63).astype(np.uint64)))
+    rows = np.unique(src)
+    bits = reached[rows]
+    level = 0
+    while rows.size:
+        yield level, rows, bits
+        level += 1
+        # a bit that a neighbour held before the last level already reached
+        # v, so ORing whole ``reached`` rows finds the same new bits as ORing
+        # the frontier's
+        if 2 * g.d * len(rows) > g.n:
+            new = reached[g.adj[:, 0]]
+            for j in range(1, g.d):
+                new |= reached[g.adj[:, j]]
+            new &= ~reached
+            rows = np.flatnonzero(new.any(axis=1))
+            bits = new[rows]
+        else:
+            near = np.unique(g.adj[rows])  # only these can gain a bit
+            nbrs = g.adj[near]
+            new = reached[nbrs[:, 0]]
+            for j in range(1, g.d):
+                new |= reached[nbrs[:, j]]
+            new &= ~reached[near]
+            keep = new.any(axis=1)
+            rows, bits = near[keep], new[keep]
+        reached[rows] |= bits
+
+
+def distance_rows(g: RegularGraph, sources=None):
+    """Yield the hop-distance rows of single sources, a block at a time.
+
+    ``sources`` defaults to every vertex; repeats are allowed.  Each block is
+    a float (c, n) array whose i-th row holds the distances from the block's
+    i-th source, with ``inf`` at unreachable vertices; blocks follow the order
+    of ``sources``, with c * n <= DISTANCE_CHUNK_ENTRIES (c >= 1), so memory
+    stays O(c n) however many sources are asked for.  Each block is one
+    bit-parallel sweep (``_level_sets``); a vertex reached at a level costs
+    about d c / 64 word operations and c entries of its distance column.
+    """
+    for src in _source_blocks(g, sources):
+        c = len(src)
+        # one row per vertex, in the smallest unsigned type that holds n: every
+        # level is below n, so n marks the vertices a source never reaches
+        levels = np.full((g.n, c), g.n, dtype=np.min_scalar_type(g.n))
+        for level, rows, bits in _level_sets(g, src):
+            octets = bits.astype("<u8", copy=False).view(np.uint8)
+            hit = np.unpackbits(octets, axis=1, count=c, bitorder="little").view(bool)
+            at_level = levels[rows]
+            at_level[hit] = level
+            levels[rows] = at_level
+        block = np.asarray(levels.T, dtype=float, order="C")
+        block[block == g.n] = INF
+        yield block
+
+
+def distance_sum(g: RegularGraph) -> float:
+    """sum_{v, w} dist(v, w) over ordered pairs; ``inf`` when disconnected.
+
+    Counts the set bits of each level of the per-source sweep, in the same
+    source blocks as ``distance_rows`` but without building distance rows.
+    """
+    total = 0
+    for src in _source_blocks(g, None):
+        found = 0
+        for level, _, bits in _level_sets(g, src):
+            count = int(np.bitwise_count(bits).sum())
+            found += count
+            total += level * count
+        if found < len(src) * g.n:
+            return INF
+    return float(total)
+
+
+# -- sparse view ---------------------------------------------------------------
+#
+# scipy is imported inside this helper, not at the top of the module: nothing
+# else in the package needs it below the ARPACK path of specgap.spectral.
 
 
 def adjacency_csr(g: RegularGraph):
@@ -176,25 +285,6 @@ def adjacency_csr(g: RegularGraph):
     indptr = np.arange(0, g.n * g.d + 1, g.d)
     data = np.ones(g.n * g.d)
     return sp.csr_matrix((data, g.adj.ravel(), indptr), shape=(g.n, g.n))
-
-
-def distance_rows(g: RegularGraph, sources=None):
-    """Yield the hop-distance rows of single sources, a block at a time.
-
-    ``sources`` defaults to every vertex.  Each block is a float (c, n) array
-    whose i-th row holds the distances from the block's i-th source, with
-    ``inf`` at unreachable vertices; blocks follow the order of ``sources``.
-    Each block is one unweighted ``scipy.sparse.csgraph.shortest_path`` call
-    on the CSR adjacency with c * n <= DISTANCE_CHUNK_ENTRIES, so memory stays
-    O(c n) however many sources are asked for.
-    """
-    from scipy.sparse.csgraph import shortest_path
-
-    src = np.arange(g.n) if sources is None else _vertices(g, sources)
-    adj = adjacency_csr(g)
-    rows = max(1, DISTANCE_CHUNK_ENTRIES // g.n)
-    for start in range(0, len(src), rows):
-        yield shortest_path(adj, method="D", unweighted=True, indices=src[start : start + rows])
 
 
 # -- edge-list text format -----------------------------------------------------

@@ -12,7 +12,11 @@ by the acceptance suite.  The restricted-cotype check and constant read one
 table over every subfamily bitmask A of m <= RESTRICTED_EXACT_LIMIT vectors:
 E[A] = E_r ||sum_{i in A} r_i x_i||^q and R[A] = sum_{i in A} ||x_i||^q,
 built one subset size at a time, (3^m - 1) / 2 norm evaluations in all.
-Families must be nonempty with finite entries.
+Families must be nonempty with finite entries.  Every constant is
+q-homogeneous, so each is evaluated where no q-th power leaves the double
+range: the whole-family constants as power means of norm values divided by
+the largest, and the table with each subfamily divided by a power of two
+near its largest entry.
 """
 
 from __future__ import annotations
@@ -289,12 +293,7 @@ def cotype_constant_exact(nm: UncondNorm, vectors, q: float) -> float:
         )
     if q < 2:
         raise ValueError("cotype exponent q must be >= 2")
-    sums = sign_patterns(m) @ x
-    expectation = float(np.mean(nm.eval_many(sums) ** q))
-    rhs = float(np.sum(nm.eval_many(x) ** q))
-    if rhs == 0:
-        raise ValueError("family of zero vectors has no cotype constant")
-    return (rhs / expectation) ** (1.0 / q)
+    return _moment_ratio(nm, x, sign_patterns(m) @ x, q)
 
 
 def cotype_constant_mc(nm: UncondNorm, vectors, q: float, trials: int, rng) -> dict:
@@ -304,32 +303,85 @@ def cotype_constant_mc(nm: UncondNorm, vectors, q: float, trials: int, rng) -> d
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = as_rng(rng)
     signs = rng.choice((-1.0, 1.0), size=(trials, x.shape[0]))
-    vals = nm.eval_many(signs @ x) ** q
-    rhs = float(np.sum(nm.eval_many(x) ** q))
-    est = (rhs / float(np.mean(vals))) ** (1.0 / q)
-    return {"estimate": est, "exact": False, "trials": trials}
+    return {"estimate": _moment_ratio(nm, x, signs @ x, q), "exact": False, "trials": trials}
+
+
+def _moment_ratio(nm: UncondNorm, x: np.ndarray, sums: np.ndarray, q: float) -> float:
+    """(sum_i ||x_i||^q / mean_j ||sums_j||^q)^(1/q), a ratio of power means."""
+    rhs = _power_mean(nm.eval_many(x), q)
+    if rhs == 0:
+        raise ValueError("family of zero vectors has no cotype constant")
+    lhs = _power_mean(nm.eval_many(sums), q)
+    if lhs == 0:  # only sampled signs can all cancel
+        raise ValueError("every sampled sign sum is zero; draw more trials")
+    return len(x) ** (1.0 / q) * rhs / lhs
+
+
+def _power_mean(v: np.ndarray, q: float) -> float:
+    """(mean_j v_j^q)^(1/q) for v >= 0.  The powers are taken after dividing
+    by max v, so none leaves the double range at any magnitude or q: a plain
+    v^q overflows at v = 1e200, q = 2."""
+    top = float(v.max())
+    if top == 0:
+        return 0.0
+    with np.errstate(under="ignore"):
+        return top * float(np.mean((v / top) ** q)) ** (1.0 / q)
 
 
 def _subfamily_moments(nm: UncondNorm, x: np.ndarray, q: float):
-    """The (E, R) table of the module docstring, by subfamily bitmask A.  Norms
-    are even, so the last member of A keeps sign +1 and half the signs suffice."""
+    """The (E, R) table of the module docstring by subfamily bitmask A, each
+    subfamily divided by 2^e[A], the power of two just above its largest
+    |entry|: returns (E[A] / 2^(q e[A]), R[A] / 2^(q e[A]), e).  That division
+    is exact short of subnormal entries, and it keeps the q-th powers in the
+    double range whatever the magnitude of the family, and of each subfamily
+    within it; a q so large that they still leave it raises OverflowError.
+    Norms are even, so the last member of A keeps sign +1 and half the signs
+    suffice.
+    """
     m, k = x.shape
     if m > RESTRICTED_EXACT_LIMIT:
         raise ValueError(f"exact restricted cotype scan needs m <= {RESTRICTED_EXACT_LIMIT}")
     if q < 2:
         raise ValueError("cotype exponent q must be >= 2")
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # bits[A, i] = [i in A]
+    top = np.abs(x).max(axis=1)
+    own_e = np.frexp(top)[1]  # 2^(e-1) <= top < 2^e
+    own_e[top == 0] = own_e[top > 0].min(initial=0)  # a zero vector sets no scale
+    e = np.where(bits, own_e, own_e.min()).max(axis=1)
     E, sizes = np.zeros(1 << m), bits.sum(axis=1)
-    for s in range(1, m + 1):
-        of_size = np.flatnonzero(sizes == s)
-        members = np.nonzero(bits[of_size])[1].reshape(-1, s)
-        signs = sign_patterns(s - 1)
-        step = max(1, _MOMENT_BLOCK // (len(signs) * k))
-        for lo in range(0, len(of_size), step):
-            blk = members[lo : lo + step]
-            sums = (signs @ x[blk[:, :-1]] + x[blk[:, -1:]]).reshape(-1, k)
-            E[of_size[lo : lo + step]] = nm.eval_pow(sums, q).reshape(len(blk), -1).mean(axis=1)
-    return E, np.where(bits, nm.eval_pow(x, q), 0.0).sum(axis=1)
+    with np.errstate(under="ignore"):
+        for s in range(1, m + 1):
+            of_size = np.flatnonzero(sizes == s)
+            members = np.nonzero(bits[of_size])[1].reshape(-1, s)
+            signs = sign_patterns(s - 1)
+            step = max(1, _MOMENT_BLOCK // (len(signs) * k))
+            for lo in range(0, len(of_size), step):
+                masks = of_size[lo : lo + step]
+                xb = np.ldexp(x[members[lo : lo + step]], -e[masks, None, None])
+                sums = (signs @ xb[:, :-1] + xb[:, -1:]).reshape(-1, k)
+                E[masks] = nm.eval_pow(sums, q).reshape(len(masks), -1).mean(axis=1)
+        own = nm.eval_pow(np.ldexp(x, -own_e[:, None]), q)  # ||x_i / 2^own_e[i]||^q
+        R = np.where(bits, own * np.exp2(q * np.minimum(own_e - e[:, None], 0)), 0.0).sum(axis=1)
+    live = bits @ (top > 0) > 0
+    if not (np.isfinite(E).all() and (E[live] > 0).all() and (R[live] > 0).all()):
+        raise OverflowError(
+            f"at q = {q} some subfamily's q-th moments leave the double range even "
+            "after scaling it by a power of two"
+        )
+    return E, R, e
+
+
+def _times_power_of_two(value: float, t: float) -> float:
+    """value * 2^t for a possibly fractional t; OverflowError when a nonzero
+    result overflows or underflows to zero."""
+    whole = math.floor(t)
+    try:
+        out = math.ldexp(value * 2.0 ** (t - whole), whole)
+    except OverflowError:
+        out = math.inf
+    if value != 0 and out in (0.0, math.inf):
+        raise OverflowError(f"the slack {value!r} * 2^{t:g} lies outside the double range")
+    return out
 
 
 def restricted_cotype_check(nm: UncondNorm, vectors, q: float, C: float) -> dict:
@@ -338,18 +390,32 @@ def restricted_cotype_check(nm: UncondNorm, vectors, q: float, C: float) -> dict
     Exact (all subsets x all signs); refuses more than
     RESTRICTED_EXACT_LIMIT vectors.  A FAIL carries the first failing
     subset in bitmask order and its slack; a pass carries the least slack.
+    A slack outside the double range raises OverflowError.
     """
     x = _as_matrix(vectors)
     if C < 1:
         raise ValueError("C must be >= 1")
-    E, R = _subfamily_moments(nm, x, q)
-    rhs = C ** (-q) * R[1:]
-    slack = E[1:] - rhs
-    bad = np.flatnonzero(~(E[1:] >= rhs * (1 - 1e-12)))  # nonempty masks in order
+    E, R, e = (a[1:] for a in _subfamily_moments(nm, x, q))  # nonempty masks in order
+    rhs = C ** (-q) * R
+    slack = E - rhs  # slack of subfamily A, divided by 2^(q e[A])
+    bad = np.flatnonzero(~(E >= rhs * (1 - 1e-12)))
     if bad.size:
-        witness = tuple(i for i in range(x.shape[0]) if (int(bad[0]) + 1) >> i & 1)
-        return {"ok": False, "exact": True, "witness": witness, "slack": float(slack[bad[0]])}
-    return {"ok": True, "exact": True, "witness": None, "slack": float(slack.min())}
+        i = int(bad[0])
+        witness = tuple(j for j in range(x.shape[0]) if (i + 1) >> j & 1)
+        return {
+            "ok": False, "exact": True, "witness": witness,
+            "slack": _times_power_of_two(float(slack[i]), q * e[i]),
+        }
+    # the least true slack: negative ones first, then zero, then positive,
+    # each ordered by the base-2 logarithm of its size
+    sign = np.sign(slack)
+    with np.errstate(divide="ignore"):
+        size = np.log2(np.abs(slack)) + q * e
+    i = int(np.lexsort((sign * np.where(sign == 0, 0.0, size), sign))[0])
+    return {
+        "ok": True, "exact": True, "witness": None,
+        "slack": _times_power_of_two(float(slack[i]), q * e[i]),
+    }
 
 
 def restricted_cotype_constant(nm: UncondNorm, vectors, q: float) -> float:
@@ -358,7 +424,7 @@ def restricted_cotype_constant(nm: UncondNorm, vectors, q: float) -> float:
     Subfamilies of zero vectors constrain nothing and are skipped; a family
     of zero vectors only is refused.
     """
-    E, R = _subfamily_moments(nm, _as_matrix(vectors), q)
+    E, R, _ = _subfamily_moments(nm, _as_matrix(vectors), q)  # R / E is scale-free
     live = R > 0
     if not live.any():
         raise ValueError("family of zero vectors has no cotype constant")
@@ -464,9 +530,8 @@ def q_concavity_constant(nm: UncondNorm, vectors, q: float) -> float:
     if q < 1:
         raise ValueError("q must be >= 1")
     x = _as_matrix(vectors)
-    mean_vec = (np.abs(x) ** q).sum(axis=0) ** (1.0 / q)
-    lhs = nm(mean_vec)
-    rhs = float(np.sum(nm.eval_many(x) ** q)) ** (1.0 / q)
+    lhs = nm(_lq_norms(np.abs(x).T, q))  # range-safe coordinatewise q-norms
+    rhs = len(x) ** (1.0 / q) * _power_mean(nm.eval_many(x), q)
     if lhs == 0:
         raise ValueError("family of zero vectors has no concavity constant")
     return max(rhs / lhs, 1.0)

@@ -27,11 +27,15 @@ Cost of the all-pairs kernels, for an (n, k) field:
   evaluations.
 - edge sum and the per-move updates of ``gamma_search``: ``norm.eval_pow``,
   which for Lq at p = q skips the root-then-power round trip.
-- all-pairs distances (``average_pairwise_distance``, the embedding's table):
-  ``graphs.distance_rows``, one csgraph shortest-path call per block of rows.
+- all-pairs distances: one bit-parallel BFS sweep over ``g.adj`` per block
+  of sources, each vertex holding a bitset of the sources that reached it.
+  ``average_pairwise_distance`` counts the bits per level
+  (``graphs.distance_sum``) and builds no rows; the embedding's table reads
+  the float rows of ``graphs.distance_rows``.
 
-Each block holds about 2^22 entries (32 MiB of floats) or fewer; only the
-embedding keeps a whole n x n table, and only for n <= spectral.DENSE_LIMIT.
+Each block holds about 2^22 (source, vertex) entries (32 MiB of floats) or
+fewer; only the embedding keeps a whole n x n table, and only for
+n <= spectral.DENSE_LIMIT.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import eval_constant
-from .graphs import RegularGraph, bfs_distances, distance_rows
+from .graphs import RegularGraph, bfs_distances, distance_rows, distance_sum
 from .logspace import LogScalar
 from .norms import Lq, UncondNorm, WeightedLq
 from .rand import as_rng
@@ -399,14 +403,10 @@ def bourgain_style_embedding(
 def average_pairwise_distance(g: RegularGraph) -> dict:
     """Exact BFS distance averages; infinite for disconnected graphs.
 
-    Reads the distance rows in blocks (``graphs.distance_rows``), so memory
-    stays O(block * n).
+    The sum comes from ``graphs.distance_sum``, so memory stays
+    O(block * n / 64) words and no distance row is built.
     """
-    total = 0.0
-    for block in distance_rows(g):
-        if np.isinf(block).any():
-            return {"all_pairs": math.inf, "distinct_pairs": math.inf}
-        total += float(block.sum())
+    total = distance_sum(g)
     return {
         "all_pairs": total / (g.n * g.n),
         "distinct_pairs": total / (g.n * (g.n - 1)),

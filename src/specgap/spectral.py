@@ -2,7 +2,9 @@
 
 The eigensolver contract: dense symmetric decomposition (LAPACK through
 numpy) up to n = DENSE_LIMIT = 4096, iterative extremal pairs (ARPACK through
-scipy) above, with residual certification against ``tol``.  Cheeger constants
+scipy) above, with residual certification against ``tol``.  ARPACK is the
+only use of scipy here, and scipy is imported on that path alone (or when a
+caller asks ``adjacency_matrix`` for the sparse form).  Cheeger constants
 are exact rationals up to n = 24, read from one int16 table of the cut size
 of every subset (2^n entries, 32 MiB at n = 24) built by doubling; beyond
 that only heuristic upper bounds are produced, never the lower inequality.
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .graphs import RegularGraph, adjacency_csr, distance_rows
 
@@ -118,6 +119,8 @@ def _dense_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.nd
 
 
 def _iterative_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.ndarray]:
+    import scipy.sparse.linalg as spla  # here, not at the top: only this path needs scipy
+
     a = adjacency_matrix(g, sparse=True)
     try:
         top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=tol / 10)

@@ -4,6 +4,8 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
 import specgap.graphs as graphs
 from specgap.graphs import (
@@ -19,10 +21,12 @@ from specgap.graphs import (
     dist,
     dist_to_set,
     distance_rows,
+    distance_sum,
     load_edge_list,
     petersen_graph,
     save_edge_list,
 )
+from specgap.poincare import average_pairwise_distance
 from specgap.rand import make_rng
 from specgap.sampling import sample_simple_regular
 
@@ -301,6 +305,58 @@ def test_distance_rows_unreachable_is_inf():
     assert rows.dtype == float
     assert rows[0].tolist() == [0, 1, 1, 1, INF, INF, INF, INF]
     assert rows[1].tolist() == [INF, INF, INF, INF, 1, 0, 1, 1]
+
+
+def csgraph_rows(g, sources):
+    """Reference rows: scipy's unweighted shortest paths on the edge list."""
+    u, v = np.array(g.edges()).T
+    adj = coo_matrix((np.ones(len(u)), (u, v)), shape=(g.n, g.n)).tocsr()
+    return shortest_path(adj, unweighted=True, directed=False, indices=np.asarray(sources))
+
+
+@st.composite
+def bfs_graphs(draw):
+    """A sampled graph, a circular ladder, or the disjoint union of two such
+    3-regular graphs (so that some distances are infinite)."""
+
+    def one(d):
+        if d == 3 and draw(st.booleans()):
+            return circular_ladder(draw(st.integers(3, 40)))
+        n = draw(st.integers(d + 1, 80).filter(lambda n: n * d % 2 == 0))
+        return sample_simple_regular(n, d, make_rng(draw(st.integers(0, 2**16))))[0]
+
+    kind = draw(st.sampled_from(["one", "union"]))
+    if kind == "union":
+        return disjoint_union(one(3), one(3))
+    return one(draw(st.sampled_from([3, 4, 6])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bfs_graphs(),
+    st.sampled_from([1, 63, 64, 65, 129]),
+    st.sampled_from([None, 1, 5, 63, 64, 70, 100]),
+    st.data(),
+)
+def test_distance_rows_match_csgraph(g, length, block_rows, data):
+    # duplicates and arbitrary order; block_rows splits the blocks inside a
+    # 64-bit word of the sweep's bitsets (None keeps the default blocks)
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=length, max_size=length))
+    want = csgraph_rows(g, sources)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", block_rows * g.n)
+        blocks = list(distance_rows(g, sources))
+        every = csgraph_rows(g, range(g.n))
+        assert np.array_equal(np.vstack(list(distance_rows(g))), every)
+        total = float(every.sum())
+        assert distance_sum(g) == total
+        avg = average_pairwise_distance(g)
+    rows = block_rows or max(1, graphs.DISTANCE_CHUNK_ENTRIES // g.n)
+    assert [len(b) for b in blocks] == [min(rows, length - i) for i in range(0, length, rows)]
+    assert all(b.dtype == float and b.shape[1] == g.n for b in blocks)
+    assert np.array_equal(np.vstack(blocks), want)
+    assert avg == {"all_pairs": total / g.n**2, "distinct_pairs": total / (g.n * (g.n - 1))}
 
 
 def test_distance_rows_source_out_of_range():

@@ -1,0 +1,49 @@
+"""scipy stays out of the process unless the ARPACK path or a sparse
+adjacency asks for it: importing it costs more than the rest of the package."""
+
+import json
+import os
+import subprocess
+import sys
+
+import specgap
+
+SCRIPT = r"""
+import json, pkgutil, sys
+import specgap
+
+for mod in pkgutil.iter_modules(specgap.__path__):
+    __import__(f"specgap.{mod.name}")
+after_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from specgap import constants, norms, poincare, spectral
+from specgap.rand import make_rng
+from specgap.sampling import sample_simple_regular
+
+g, _ = sample_simple_regular(200, 6, make_rng(0))
+summary = spectral.eigen_summary(g)
+assert summary.mode == "dense"
+spectral.cheeger_sandwich_check(g)
+poincare.uc_experiment([g])
+poincare.gamma_scalar_l2_exact(g)
+field = make_rng(1).normal(size=(g.n, 2))
+poincare.poincare_ratio(g, field, norms.Lq(2), 2.0)
+poincare.gamma_search(g, norms.Lq(4), 4.0, 2, 60, make_rng(2))
+constants.baseline_comparison([2, 4, 8], g.d, summary.lambda2)
+after_pipeline = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"modules": sorted(m.name for m in pkgutil.iter_modules(specgap.__path__)),
+                  "after_import": after_import, "after_pipeline": after_pipeline}))
+"""
+
+
+def test_scipy_stays_unimported_on_the_dense_path():
+    src = os.path.dirname(os.path.dirname(specgap.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert {"graphs", "spectral", "poincare", "norms", "expansion"} <= set(got["modules"])
+    assert got["after_import"] == []
+    assert got["after_pipeline"] == []

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import specgap.norms as norms
 from specgap.norms import (
@@ -411,3 +411,122 @@ def test_sign_patterns_shape():
     sp = sign_patterns(3)
     assert sp.shape == (8, 3)
     assert set(np.unique(sp)) == {-1.0, 1.0}
+
+
+# -- extreme magnitudes ----------------------------------------------------------
+
+
+def test_constants_at_extreme_magnitudes():
+    big, small = [[1e200, 0.0], [0.0, 1.0]], [[1e-200, 0.0], [0.0, 1e-200]]
+    assert q_concavity_constant(Lq(2), big, 64) == 1.0
+    assert q_concavity_constant(Lq(2), small, 64) == 1.0
+    # Lq(2) at q = 2: every E_r ||sum r_i x_i||^2 equals sum ||x_i||^2
+    assert cotype_constant_exact(Lq(2), big, 2) == pytest.approx(1.0, rel=1e-15)
+    assert restricted_cotype_constant(Lq(2), big, 2) == pytest.approx(1.0, rel=1e-15)
+    assert restricted_cotype_check(Lq(2), big, 2, 1.0) == {
+        "ok": True, "exact": True, "witness": None, "slack": 0.0
+    }
+    # the least slack is the subfamily {(0, 1)}'s 1 - 2^-2, 1e400 below the others
+    assert restricted_cotype_check(Lq(2), big, 2, 2.0)["slack"] == 0.75
+    assert cotype_constant_mc(Lq(2), small, 64, 8, make_rng(0))["estimate"] > 0
+
+
+def test_cotype_mc_refuses_draws_whose_sums_all_cancel():
+    # x_1 = x_2: a draw of opposite signs sums to zero
+    seed = next(s for s in range(100) if make_rng(s).choice((-1.0, 1.0), size=2).sum() == 0)
+    with pytest.raises(ValueError, match="sign sum is zero"):
+        cotype_constant_mc(Lq(2), [[1.0], [1.0]], 2, 1, make_rng(seed))
+
+
+def test_restricted_check_reads_each_subfamily_at_its_own_scale():
+    # sup norm, q = 2, C = 1: {e2, e3} fails (E = 1 < R = 2) although its
+    # moments are 1e-400 of those of the subfamilies holding 1e200 e1
+    fam = [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]
+    got = restricted_cotype_check(Lq(math.inf), fam, 2, 1.0)
+    assert (got["ok"], got["witness"], got["slack"]) == (False, (1, 2), -1.0)
+
+
+def test_restricted_check_slack_outside_double_range_raises():
+    # the least slack is (1 - 2^-2) * 1e400
+    with pytest.raises(OverflowError, match="outside the double range"):
+        restricted_cotype_check(Lq(2), [[1e200, 0.0], [0.0, 1e200]], 2, 2.0)
+    # here it is 1e-400 (1 - 2^-2)
+    with pytest.raises(OverflowError, match="outside the double range"):
+        restricted_cotype_check(Lq(2), [[1e-200, 0.0], [0.0, 1e-200]], 2, 2.0)
+
+
+def test_subfamily_moments_out_of_range_raise():
+    # 2^-2000 (the unit vectors scaled to 1/2, to the power 2000) underflows
+    with pytest.raises(OverflowError, match="leave the double range"):
+        restricted_cotype_constant(Lq(2), np.eye(2), 2000)
+
+
+def _families():
+    entry = st.one_of(
+        st.just(0.0),
+        st.floats(1e-6, 1e6).flatmap(lambda v: st.sampled_from([v, -v])),
+    )
+    return st.integers(1, 6).flatmap(
+        lambda m: st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m
+            )
+        )
+    )
+
+
+def _norm_for(k, data):
+    cut = k // 2 or 1
+    return data.draw(
+        st.sampled_from(
+            [
+                Lq(2),
+                Lq(3.5),
+                Lq(math.inf),
+                WeightedLq(3, tuple(0.5 + j for j in range(k))),
+                BlockNorm(Lq(4), ((Lq(2), cut), (Lq(1), k - cut)) if k > 1 else ((Lq(1), 1),)),
+            ]
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_families(), st.sampled_from([2, 3, 4, 64]), st.integers(-900, 900), st.data())
+def test_constants_unchanged_by_power_of_two_scaling(family, q, k, data):
+    x = np.array(family)
+    assume(np.any(x))  # a family of zero vectors has no constant
+    nm = _norm_for(x.shape[1], data)
+    y = np.ldexp(x, k)  # exact: no entry leaves the normal range
+
+    def same(a, b):
+        assert b == pytest.approx(a, rel=1e-12)
+
+    same(cotype_constant_exact(nm, x, q), cotype_constant_exact(nm, y, q))
+    same(restricted_cotype_constant(nm, x, q), restricted_cotype_constant(nm, y, q))
+    same(q_concavity_constant(nm, x, q), q_concavity_constant(nm, y, q))
+    same(
+        cotype_constant_mc(nm, x, q, 16, make_rng(0))["estimate"],
+        cotype_constant_mc(nm, y, q, 16, make_rng(0))["estimate"],
+    )
+    # the slack is q-homogeneous: read it off the family scaled to a largest
+    # entry in [1/2, 1), where it lies inside the double range
+    top = int(np.frexp(np.abs(x).max())[1])
+    for C in (1.0, 1.5):
+        try:
+            base = restricted_cotype_check(nm, np.ldexp(x, -top), q, C)
+        except OverflowError:  # a subfamily far below the largest entry, at large q
+            continue
+        if 0 < abs(base["slack"]) < np.finfo(float).tiny:
+            continue  # a subnormal slack carries too few bits to predict from
+        for fam, shift in ((x, top), (y, top + k)):
+            try:
+                want = math.ldexp(base["slack"], q * shift)
+            except OverflowError:
+                want = math.inf
+            if base["slack"] != 0 and want in (0.0, math.inf):
+                with pytest.raises(OverflowError, match="outside the double range"):
+                    restricted_cotype_check(nm, fam, q, C)
+                continue
+            got = restricted_cotype_check(nm, fam, q, C)
+            assert (got["ok"], got["witness"]) == (base["ok"], base["witness"])
+            assert got["slack"] == pytest.approx(want, rel=1e-12, abs=0)
