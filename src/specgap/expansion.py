@@ -11,10 +11,15 @@ The property Expan(alpha, eps, L) of a d-regular graph has two halves:
 alpha and L are LogScalar because the typical parameterization at degree d
 (alpha = d^(-1e11 ln d), L = 24/alpha) is far outside float range; every
 threshold comparison is done on logs.  Exact checks are exhaustive subset
-scans and are limited to n <= 24, the exact Cheeger limit.  Part A's scans
-read one table of ball sizes over all 2^n subsets per radius and stop at the
-first radius where every single-vertex ball covers 3n/4, past which no ball
-fails.  The sampled checker can only falsify.
+scans and are limited to n <= 24, the exact Cheeger limit.
+
+Part A is decided in one place, ``_misses``: with t = ln(alpha (d-1)^l |S|),
+a ball must cover 3n/4 (4 |B| >= 3n) where t >= ln(3n/4) and reach
+ln |B| >= t elsewhere, ties passing.  The exhaustive scan applies it to the
+(|S|, |B|) grid per radius of one 2^n ball-size table, stopping once every
+single-vertex ball covers 3n/4; the sampled scan, which can only falsify,
+applies it at the radii before its ball covers 3n/4.  Part B's precondition
+reads the same t at l - 1.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .constants import eval_constant
 from .graphs import RegularGraph, ball, bfs_distances, distance_rows
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
-from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary
+from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary, friedman_check
 
 __all__ = [
     "EXACT_LIMIT",
@@ -88,10 +93,6 @@ class ExpanVerdict:
     witness: dict | None = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def falsified(self) -> bool:
-        return self.status == "fail"
-
     def __bool__(self):
         return self.status == "pass"
 
@@ -134,7 +135,7 @@ def _ball_tables(g: RegularGraph):
     single = _single_ball_masks(g)
     union = np.zeros(1 << n, dtype=np.uint32)
     for l in range(1, n + 1):
-        if np.all(4 * np.bitwise_count(single[l]) >= 3 * n):
+        if np.all(_covers(np.bitwise_count(single[l]), n)):
             return
         for v in range(n):  # doubling: the masks with top bit v extend those below it
             lo = 1 << v
@@ -142,29 +143,36 @@ def _ball_tables(g: RegularGraph):
         yield l, np.bitwise_count(union)
 
 
-def _growth_requirement(alpha: LogScalar, d: int, l: int, size: int, n: int):
-    """Return ('cap', None) or ('value', required_ln)."""
-    t = alpha.ln + l * math.log(d - 1) + math.log(size)
-    cap_ln = math.log(0.75 * n)
-    if t >= cap_ln:
-        return "cap", None
-    return "value", t
+def _covers(ball, n: int):
+    """4 |B| >= 3n, on integers (uint8 ball tables keep 4 |B| <= 96 at n <= 24)."""
+    return 4 * ball >= 3 * n
 
 
-def _passing_sizes(alpha: LogScalar, d: int, l: int, n: int, min_size: int) -> np.ndarray:
-    """need[s]: the smallest ball size that meets part A at radius l for a
-    subset of s vertices; 0 below ``min_size``, n + 1 when no size does.
+def _cap_ln(n: int) -> float:
+    return math.log(0.75 * n)
 
-    The requirement is evaluated on every ball size 1..n, so comparing a
-    ball size against need[s] decides exactly as the requirement does.
-    """
-    b = np.arange(1, n + 1)
-    need = np.zeros(n + 1, dtype=np.uint8)
-    for s in range(max(min_size, 1), n + 1):
-        kind, t = _growth_requirement(alpha, d, l, s, n)
-        ok = 4 * b >= 3 * n if kind == "cap" else np.log(b) >= t - _LN_GUARD
-        need[s] = b[ok][0] if ok.any() else n + 1
-    return need
+
+def _growth_ln(alpha: LogScalar, d: int, l, size):
+    """t = ln(alpha (d-1)^l |S|), broadcasting over l and |S|.  A scalar |S|
+    takes ``math.log``, the form witnesses report; arrays take ``np.log``,
+    which can differ from it by one ulp, far inside _LN_GUARD."""
+    ln_size = math.log(size) if np.isscalar(size) else np.log(size)
+    return alpha.ln + l * math.log(d - 1) + ln_size
+
+
+def _misses(alpha: LogScalar, d: int, l, size, ball, n: int):
+    """Whether |B(S, l)| = ``ball`` >= 1 misses min(3n/4, alpha (d-1)^l |S|)
+    at |S| = ``size``; broadcasts over l, size and ball."""
+    t = _growth_ln(alpha, d, l, size)
+    return ~np.where(
+        t >= _cap_ln(n), _covers(ball, n), np.log(ball, dtype=np.float64) >= t - _LN_GUARD
+    )
+
+
+def _required(alpha: LogScalar, d: int, l: int, size: int, n: int):
+    """A witness's requirement: "3n/4" at the cap, else alpha (d-1)^l |S|."""
+    t = _growth_ln(alpha, d, l, size)
+    return "3n/4" if t >= _cap_ln(n) else math.exp(t)
 
 
 def _growth_scan_exact(g: RegularGraph, alpha: LogScalar, min_size: int):
@@ -176,13 +184,19 @@ def _growth_scan_exact(g: RegularGraph, alpha: LogScalar, min_size: int):
     """
     n, d = g.n, g.d
     popc = _popcounts(n)
+    grid = np.arange(n + 1)
     for l, sizes in _ball_tables(g):
-        bad = sizes < _passing_sizes(alpha, d, l, n, min_size)[popc]
+        # need[s]: the least ball size meeting part A around s >= min_size
+        # vertices (misses are a prefix of 1..n), 0 below min_size
+        need = np.zeros(n + 1, dtype=np.uint8)
+        need[min_size:] = 1 + np.count_nonzero(
+            _misses(alpha, d, l, grid[min_size:, None], grid[1:], n), axis=1
+        )
+        bad = sizes < need[popc]
         if bad.any():
-            size = popc[bad].min()
+            size = int(popc[bad].min())
             mask = int(np.argmax(bad & (popc == size)))
-            kind, t = _growth_requirement(alpha, d, l, int(size), n)
-            return l, mask, int(sizes[mask]), "3n/4" if kind == "cap" else math.exp(t)
+            return l, mask, int(sizes[mask]), _required(alpha, d, l, size, n)
     return None
 
 
@@ -190,20 +204,19 @@ def _growth_scan(g: RegularGraph, subset, alpha: LogScalar):
     """First radius at which the ball of ``subset`` misses the part-A
     requirement, as (l, ball_size, required), or None.
 
-    The scan stops once the ball covers 3n/4: ball sizes never shrink, so
-    every later radius passes both the cap and the value requirement.
+    Only the radii before the ball covers 3n/4 are tested: ball sizes never
+    shrink, so every later radius passes both the cap and the value
+    requirement.
     """
-    n = g.n
+    n, d = g.n, g.d
     dd = bfs_distances(g, subset)
     sizes = np.cumsum(np.bincount(dd[np.isfinite(dd)].astype(np.int64), minlength=n + 1))
-    for l in range(1, n + 1):
-        bsize = int(sizes[l])
-        if 4 * bsize >= 3 * n:
-            return None
-        kind, t = _growth_requirement(alpha, g.d, l, len(subset), n)
-        if kind == "cap" or math.log(bsize) < t - _LN_GUARD:
-            return l, bsize, "3n/4" if kind == "cap" else math.exp(t)
-    return None
+    radii = np.arange(1, 1 + np.count_nonzero(~_covers(sizes[1:], n)))
+    bad = np.flatnonzero(_misses(alpha, d, radii, len(subset), sizes[radii], n))
+    if not bad.size:
+        return None
+    l = int(radii[bad[0]])
+    return l, int(sizes[l]), _required(alpha, d, l, len(subset), n)
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
@@ -248,7 +261,7 @@ def fit_growth_alpha(g: RegularGraph) -> LogScalar:
     best = 0.0  # ln alpha bound; alpha <= 1 cap
     for l, sizes in _ball_tables(g):
         smallest = np.full(n + 1, n + 1, dtype=np.uint8)  # per |S|; n + 1 = none
-        np.minimum.at(smallest, popc, np.where(4 * sizes < 3 * n, sizes, n + 1))
+        np.minimum.at(smallest, popc, np.where(_covers(sizes, n), n + 1, sizes))
         s = np.flatnonzero(smallest[1:] <= n) + 1  # skip the empty mask
         if s.size:
             bound = (
@@ -307,10 +320,10 @@ def growth_check_sampled(g: RegularGraph, alpha, trials: int, rng) -> ExpanVerdi
 # -- part B: popular-edge congestion ----------------------------------------------
 
 
-def _precondition_holds(alpha: LogScalar, d: int, l: int, size: int, n: int) -> bool:
-    """Part B's precondition alpha (d-1)^(l-1) |S| <= 3n/4, compared on logs."""
-    pre_ln = alpha.ln + (l - 1) * math.log(d - 1) + math.log(size)
-    return pre_ln <= math.log(0.75 * n) + _LN_GUARD
+def _precondition_holds(alpha: LogScalar, d: int, l: int, size, n: int):
+    """Part B's precondition alpha (d-1)^(l-1) |S| <= 3n/4, compared on logs;
+    broadcasts over |S|."""
+    return _growth_ln(alpha, d, l - 1, size) <= _cap_ln(n) + _LN_GUARD
 
 
 def _threshold_ints(params: ExpanParams, d: int, l: int, max_count: int):
@@ -415,12 +428,11 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
         if ceil_thr is None or ceil_thr > n:
             scales.append({"l": l, "mode": "empty-T", "checked": "all S"})
             continue
-        # sizes of S allowed by the precondition at this l
-        allowed = [s for s in range(1, n + 1) if _precondition_holds(params.alpha, d, l, s, n)]
-        if not allowed:
+        # the precondition holds for |S| = 1..max_s at this l
+        max_s = np.count_nonzero(_precondition_holds(params.alpha, d, l, np.arange(1, n + 1), n))
+        if not max_s:
             scales.append({"l": l, "mode": "precondition-empty", "checked": "no S"})
             continue
-        max_s = allowed[-1]
         # vertices within l - 1 of either endpoint
         edge_masks = single[l - 1][edges[:, 0]] | single[l - 1][edges[:, 1]]
         # row v: the edges that v sees
@@ -459,14 +471,15 @@ def spectral_sufficient_check(g: RegularGraph) -> ExpanVerdict:
 
     Returns pass (mode "sufficient") or inconclusive with the reason; the
     condition gates on lam(G) while some growth statements gate on lambda2,
-    so both numbers are reported.
+    so both numbers are reported.  The gate is ``friedman_check``'s
+    ``passed_21``, reported with its ``bound_21`` as the threshold.
     """
     summary = eigen_summary(g)
-    threshold = 2.1 * math.sqrt(g.d - 1)
+    gate = friedman_check(g)
     details = {
         "lam": summary.lam,
         "lambda2": summary.lambda2,
-        "threshold": threshold,
+        "threshold": gate.bound_21,
     }
     if g.d < 6:
         return ExpanVerdict(
@@ -475,7 +488,7 @@ def spectral_sufficient_check(g: RegularGraph) -> ExpanVerdict:
             status="inconclusive",
             details={**details, "reason": "degree below 6"},
         )
-    if summary.lam <= threshold:
+    if gate.passed_21:
         params = ExpanParams.paper(g.d)
         return ExpanVerdict(
             part="B",

@@ -27,7 +27,6 @@ __all__ = [
     "bfs_distances",
     "distance_rows",
     "distance_sum",
-    "adjacency_csr",
     "load_edge_list",
     "save_edge_list",
     "complete_graph",
@@ -270,21 +269,6 @@ def distance_sum(g: RegularGraph) -> float:
         if found < len(src) * g.n:
             return INF
     return float(total)
-
-
-# -- sparse view ---------------------------------------------------------------
-#
-# scipy is imported inside this helper, not at the top of the module: nothing
-# else in the package needs it below the ARPACK path of specgap.spectral.
-
-
-def adjacency_csr(g: RegularGraph):
-    """The 0/1 adjacency matrix as a scipy CSR matrix, one row per neighbour list."""
-    import scipy.sparse as sp
-
-    indptr = np.arange(0, g.n * g.d + 1, g.d)
-    data = np.ones(g.n * g.d)
-    return sp.csr_matrix((data, g.adj.ravel(), indptr), shape=(g.n, g.n))
 
 
 # -- edge-list text format -----------------------------------------------------

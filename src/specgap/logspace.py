@@ -76,10 +76,6 @@ class LogScalar:
             return LogScalar.zero()
         return LogScalar(sign, float(ln))
 
-    @staticmethod
-    def exp10(log10_value: float, sign: int = 1) -> "LogScalar":
-        return LogScalar.from_ln(log10_value * math.log(10.0), sign)
-
     # -- conversions -------------------------------------------------------
 
     def to_float(self) -> float:
@@ -223,15 +219,6 @@ class LogScalar:
             return "LogScalar(0)"
         s = "-" if self.sign < 0 else ""
         return f"LogScalar({s}exp({self.ln:.6g}))"
-
-    def describe(self) -> str:
-        """Human-readable value, e.g. '1.35e-01' or '10^(-1.39e11)'."""
-        if self.sign == 0:
-            return "0"
-        s = "-" if self.sign < 0 else ""
-        if abs(self.ln) < 600:
-            return f"{s}{math.exp(self.ln):.6g}"
-        return f"{s}10^({self.log10:.6g})"
 
     def to_json(self) -> dict:
         return {"sign": self.sign, "ln_value": self.ln, "log10_value": self.log10}

@@ -3,8 +3,10 @@
 The eigensolver contract: dense symmetric decomposition (LAPACK through
 numpy) up to n = DENSE_LIMIT = 4096, iterative extremal pairs (ARPACK through
 scipy) above, with residual certification against ``tol``.  ARPACK is the
-only use of scipy here, and scipy is imported on that path alone (or when a
-caller asks ``adjacency_matrix`` for the sparse form).  Cheeger constants
+only use of scipy in the package, and scipy is imported on that path alone,
+which builds its CSR matrix from the neighbour rows; the walk-sum bound
+multiplies by A through those rows, at any n.  ``friedman_check`` makes
+the one comparison of lam(G) with 2.1 sqrt(d-1).  Cheeger constants
 are exact rationals up to n = 24, read from one int16 table of the cut size
 of every subset (2^n entries, 32 MiB at n = 24) built by doubling; beyond
 that only heuristic upper bounds are produced, never the lower inequality.
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import RegularGraph, adjacency_csr, distance_rows
+from .graphs import RegularGraph, distance_rows
 
 __all__ = [
     "SpectralSummary",
@@ -46,9 +48,8 @@ DENSE_LIMIT = 4096
 CHEEGER_EXACT_LIMIT = 24
 
 
-def adjacency_matrix(g: RegularGraph, sparse: bool = False):
-    if sparse:
-        return adjacency_csr(g)
+def adjacency_matrix(g: RegularGraph):
+    """The dense 0/1 adjacency matrix (n x n floats)."""
     a = np.zeros((g.n, g.n))
     a[np.repeat(np.arange(g.n), g.d), g.adj.ravel()] = 1.0
     return a
@@ -119,9 +120,11 @@ def _dense_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.nd
 
 
 def _iterative_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.ndarray]:
-    import scipy.sparse.linalg as spla  # here, not at the top: only this path needs scipy
+    import scipy.sparse as sp  # here, not at the top: only this path needs scipy
+    import scipy.sparse.linalg as spla
 
-    a = adjacency_matrix(g, sparse=True)
+    indptr = np.arange(0, g.n * g.d + 1, g.d)  # one CSR row per neighbour list
+    a = sp.csr_matrix((np.ones(g.n * g.d), g.adj.ravel(), indptr), shape=(g.n, g.n))
     try:
         top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=tol / 10)
         bot_vals, bot_vecs = spla.eigsh(a, k=1, which="SA", tol=tol / 10)
@@ -297,7 +300,11 @@ class FriedmanReport:
 
 
 def friedman_check(g: RegularGraph, slack: float = 0.0) -> FriedmanReport:
-    """lam(G) <= 2 sqrt(d-1) + slack, and the 2.1 sqrt(d-1) gate alongside."""
+    """lam(G) <= 2 sqrt(d-1) + slack, and the 2.1 sqrt(d-1) gate alongside.
+
+    This is the one comparison of lam(G) with 2.1 sqrt(d-1): the walk-sum
+    bound and ``expansion.spectral_sufficient_check`` read ``passed_21``.
+    """
     lam = eigen_summary(g).lam
     bound = 2.0 * math.sqrt(g.d - 1) + slack
     bound21 = 2.1 * math.sqrt(g.d - 1)
@@ -314,7 +321,8 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
     """||sum_{k<=l} A^k y||^2 <= 4 (4.41 (d-1))^l for unit mean-zero y.
 
     Preconditions (checked): ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9, and
-    lam(G) <= 2.1 sqrt(d-1).
+    lam(G) <= 2.1 sqrt(d-1) as ``friedman_check`` decides it.  A is applied
+    through the neighbour rows, never as a matrix.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
@@ -323,19 +331,18 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
         raise ValueError("y must be a unit vector (1e-9 tolerance)")
     if abs(float(np.sum(y))) > 1e-9 * g.n:
         raise ValueError("y must have zero mean")
-    summary = eigen_summary(g)
-    if summary.lam > 2.1 * math.sqrt(g.d - 1) + 1e-12:
+    gate = friedman_check(g)
+    if not gate.passed_21:
         raise ValueError(
-            f"walk-sum bound needs lam(G) <= 2.1 sqrt(d-1); "
-            f"got lam={summary.lam:.6f}"
+            f"walk-sum bound needs lam(G) <= 2.1 sqrt(d-1); got lam={gate.lam:.6f}"
         )
     if l < 1:
         raise ValueError("l must be >= 1")
-    a = adjacency_matrix(g, sparse=g.n > 512)
-    z = y.copy()
+    ones = np.ones(g.d)
+    z = y
     acc = np.zeros_like(y)
     for _ in range(l):
-        z = a @ z
+        z = z[g.adj] @ ones  # (A z)_v: the sum of z over the neighbours of v
         acc += z
     value = float(acc @ acc)
     bound = 4.0 * (4.41 * (g.d - 1)) ** l
@@ -344,5 +351,5 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
         "bound": bound,
         "ok": value <= bound * (1 + 1e-12),
         "l": l,
-        "lam": summary.lam,
+        "lam": gate.lam,
     }

@@ -11,8 +11,8 @@ import specgap
 from specgap.constants import eval_constant
 from specgap.expansion import (
     _LN_GUARD,
-    _growth_requirement,
     _growth_scan_exact,
+    _misses,
     _precondition_holds,
     _sample_subset,
     _threshold_ints,
@@ -42,6 +42,19 @@ from specgap.sampling import sample_simple_regular
 
 
 TINY_ALPHA = LogScalar.from_ln(-1e9)
+
+
+def _growth_requirement(alpha, d, l, size, n):
+    """Scalar part-A requirement: ('cap', None) or ('value', required_ln)."""
+    t = alpha.ln + l * math.log(d - 1) + math.log(size)
+    if t >= math.log(0.75 * n):
+        return "cap", None
+    return "value", t
+
+
+def _oracle_misses(alpha, d, l, size, b, n):
+    kind, t = _growth_requirement(alpha, d, l, size, n)
+    return 4 * b < 3 * n if kind == "cap" else math.log(b) < t - _LN_GUARD
 
 
 def brute_growth_check(g, alpha_ln):
@@ -156,7 +169,8 @@ def test_growth_sampled_matches_full_radius_scan():
 
 
 def test_exact_scan_order_and_min_size():
-    """The shared exhaustive scan against a loop over (l, |S|, bitmask)."""
+    """The shared exhaustive scan against a loop over (l, |S|, bitmask), at
+    every min_size."""
     failures = set()
     for g in (
         petersen_graph(),
@@ -172,7 +186,7 @@ def test_exact_scan_order_and_min_size():
         order = sorted(ball_sizes, key=lambda m: (m.bit_count(), m))
         for alpha in (1.0, 0.5, 0.2):
             alpha = LogScalar.from_float(alpha)
-            for min_size in (1, 2, 4, 7):
+            for min_size in range(1, n + 1):
                 expected = None
                 for l in range(1, n + 1):
                     for mask in order:
@@ -193,6 +207,31 @@ def test_exact_scan_order_and_min_size():
                 failures.add(expected and (expected[0], expected[1].bit_count()))
     # passes, and failures at several radii and subset sizes
     assert None in failures and len(failures) > 4
+
+
+def test_misses_matches_scalar_oracle():
+    """The broadcasting part-A predicate against the scalar requirement on
+    every (l, |S|, b) with n <= 24; alpha = 1 at d = 3 gives exact ties."""
+    alphas = [LogScalar.from_float(a) for a in (1.0, 0.5, 0.2)] + [TINY_ALPHA]
+    ties = 0
+    for d in (3, 4, 6):
+        for n in range(d + 1, 25):
+            grid = np.arange(1, n + 1)
+            for alpha in alphas:
+                got = _misses(alpha, d, grid[:, None, None], grid[:, None], grid, n)
+                assert got.shape == (n, n, n) and got.dtype == bool
+                for size in range(1, n + 1):
+                    # the sampled scan's shape: every radius against one |S|
+                    radii = _misses(alpha, d, grid, size, grid, n)
+                    for l in range(1, n + 1):
+                        expected = [_oracle_misses(alpha, d, l, size, b, n) for b in grid]
+                        assert got[l - 1, size - 1].tolist() == expected
+                        assert radii[l - 1] == expected[l - 1]
+                        tie = 2**l * size  # alpha (d-1)^l |S| at alpha = 1, d = 3
+                        if alpha.ln == 0 and d == 3 and 4 * tie < 3 * n:
+                            assert got[l - 1, size - 1, tie - 2 : tie].tolist() == [True, False]
+                            ties += 1
+    assert ties > 0
 
 
 def test_fit_alpha_maximality():

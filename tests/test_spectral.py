@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -136,6 +137,29 @@ def test_friedman_check_k33_and_k4():
     assert not r.passed_21  # 3 > 2.1 sqrt 2 ~ 2.970
     r4 = friedman_check(complete_graph(4))
     assert r4.passed_21  # 1 <= 2.1 sqrt 2
+
+
+def test_gate_21_agrees_at_the_threshold():
+    """friedman_check, spectral_sufficient_check and the walk-sum precondition
+    decide lam(G) <= 2.1 sqrt(d-1) alike at the threshold and one ulp above."""
+    g = complete_graph(7)  # d = 6
+    y = np.array([1.0, -1.0, 0, 0, 0, 0, 0]) / math.sqrt(2)
+    eigen_summary(g)
+    (key, (summary, vec)), = g._spectra.items()
+    threshold = 2.1 * math.sqrt(5)
+    for lam, passes in ((threshold, True), (np.nextafter(threshold, np.inf), False)):
+        g._spectra[key] = (dataclasses.replace(summary, lam=float(lam)), vec)
+        assert friedman_check(g).passed_21 is passes
+        verdict = spectral_sufficient_check(g)
+        assert (verdict.status == "pass") is passes
+        assert verdict.details["threshold"] == friedman_check(g).bound_21
+        try:
+            walk_sum_bound_check(g, y, 2)
+            accepted = True
+        except ValueError as exc:
+            assert "2.1" in str(exc)
+            accepted = False
+        assert accepted is passes
 
 
 def test_walk_sum_bound_k4():
