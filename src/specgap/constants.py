@@ -3,8 +3,10 @@
 All values are returned as LogScalar because the interesting parameter
 regimes (ball-growth rate alpha(d) = d^(-1e11 ln d), popularity scale
 L = 24/alpha, and everything built on them) are far outside float range.
-Integer-valued constants (L0) are also returned exactly as ints by
-``eval_constant_int``.
+The paper's parameterization at degree d is defined here once: alpha(d) and
+L(d) = 24/alpha(d) as the constants "alpha_d" and "L_d", eps as PAPER_EPS;
+``expansion.ExpanParams.paper`` reads them.  The integer constant L0 is
+also exact as ``L0_VALUE``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .logspace import LogScalar, as_logscalar
 __all__ = [
     "CONSTANT_IDS",
     "eval_constant",
-    "eval_constant_int",
+    "PAPER_EPS",
     "a_weight",
     "a_weight_ln",
     "partial_a_sum",
@@ -49,18 +51,7 @@ CONSTANT_IDS = (
 )
 
 
-def _resolve_alpha_L(d, alpha, L):
-    """Allow alpha/L to be numbers, LogScalars, or the string 'paper'."""
-    if isinstance(alpha, str):
-        if alpha != "paper":
-            raise ValueError(f"unknown alpha spec {alpha!r}")
-        alpha = alpha_growth_rate(d)
-    if isinstance(L, str):
-        if L != "paper":
-            raise ValueError(f"unknown L spec {L!r}")
-        L = LogScalar.from_float(24.0) / as_logscalar(alpha)
-    return (as_logscalar(alpha) if alpha is not None else None,
-            as_logscalar(L) if L is not None else None)
+PAPER_EPS = 0.2  # eps of the paper's parameterization
 
 
 def alpha_growth_rate(d: int) -> LogScalar:
@@ -110,18 +101,20 @@ def eval_constant(
 ) -> LogScalar:
     """Evaluate one named constant in log space.
 
-    alpha and L accept floats, LogScalar, or the string "paper" (the typical
-    random-regular-graph parameterization at degree d).
+    alpha and L accept real numbers or LogScalar; the paper's values at
+    degree d are ``eval_constant("alpha_d", d=d)`` and
+    ``eval_constant("L_d", d=d)``.
     """
     p = dict(q=q, C=C, K=K, d=d, alpha=alpha, eps=eps, L=L, i=i, lambda2=lambda2)
     if name not in CONSTANT_IDS:
         raise ValueError(f"unknown constant id {name!r}; known: {CONSTANT_IDS}")
-    if name in {"Gamma", "Pi", "Ltilde", "c", "chat", "cprime", "L_d"}:
-        _require(p, "d")
-        alpha, L = _resolve_alpha_L(d, alpha, L)
+    if alpha is not None:
+        alpha = as_logscalar(alpha)
+    if L is not None:
+        L = as_logscalar(L)
 
     if name == "eps_d":
-        return LogScalar.from_float(0.2)
+        return LogScalar.from_float(PAPER_EPS)
     if name == "L0":
         return LogScalar.from_float(float(L0_VALUE))
     if name == "a_i":
@@ -131,6 +124,7 @@ def eval_constant(
         _require(p, "d")
         return alpha_growth_rate(d)
     if name == "L_d":
+        _require(p, "d")
         return LogScalar.from_float(24.0) / alpha_growth_rate(d)
     if name == "eta":
         _require(p, "d")
@@ -220,13 +214,6 @@ def eval_constant(
         )
         return LogScalar.from_ln(ln)
     raise AssertionError("unreachable")
-
-
-def eval_constant_int(name: str, **kw) -> int:
-    """Integer constants, exactly."""
-    if name == "L0":
-        return L0_VALUE
-    raise ValueError(f"{name} is not an integer constant")
 
 
 def bigint_ln(name: str, *, q=None, C=None, K=None, d=None, L=None) -> float:

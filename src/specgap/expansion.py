@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import eval_constant
+from .constants import PAPER_EPS, eval_constant
 from .graphs import RegularGraph, ball, bfs_distances, distance_rows
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
@@ -81,8 +81,9 @@ class ExpanParams:
     @staticmethod
     def paper(d: int) -> "ExpanParams":
         """The typical random-regular-graph parameterization at degree d."""
-        alpha = eval_constant("alpha_d", d=d)
-        return ExpanParams(alpha=alpha, eps=0.2, L=LogScalar.from_float(24.0) / alpha)
+        return ExpanParams(
+            alpha=eval_constant("alpha_d", d=d), eps=PAPER_EPS, L=eval_constant("L_d", d=d)
+        )
 
 
 @dataclass(frozen=True)
@@ -294,6 +295,8 @@ def growth_check_sampled(g: RegularGraph, alpha, trials: int, rng) -> ExpanVerdi
     violation only means "not falsified", never "pass".  The radius scan for
     a sample stops once its ball covers 3n/4.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     alpha = as_logscalar(alpha)
     rng = as_rng(rng)
     for _ in range(trials):
@@ -370,14 +373,20 @@ def congestion_check_instance(
             witness={"v": subset[0], "T_size": 0, "l": l},
             details={"T": ()},
         )
-    # sees[i, e]: edge e has an endpoint within l - 1 of the i-th vertex of S
+    # a vertex of S sees edge e when an endpoint of e lies within l - 1 of it;
+    # per block of S, count each edge's viewers and pack the edges each sees
     eu, ew = np.array(edges, dtype=np.int64).T
-    sees = np.vstack(
-        [np.minimum(rows[:, eu], rows[:, ew]) <= l - 1 for rows in distance_rows(g, subset)]
-    )
-    t_edges = np.flatnonzero(np.count_nonzero(sees, axis=0) >= ceil_thr)
+    viewers = np.zeros(len(edges), dtype=np.int64)
+    seen = []
+    for rows in distance_rows(g, subset):
+        near = rows <= l - 1
+        sees = near[:, eu] | near[:, ew]
+        viewers += np.count_nonzero(sees, axis=0)
+        seen.append(_edge_sets(sees))
+    popular = viewers >= ceil_thr
+    t_edges = np.flatnonzero(popular)
     details = {"T": tuple(edges[i] for i in t_edges)}
-    counts = np.count_nonzero(sees[:, t_edges], axis=1)
+    counts = np.bitwise_count(np.vstack(seen) & _edge_sets(popular[None, :])).sum(axis=1)
     admissible = np.flatnonzero(counts <= floor_thr)
     if admissible.size:
         i = int(admissible[0])

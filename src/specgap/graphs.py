@@ -273,14 +273,13 @@ def distance_sum(g: RegularGraph) -> float:
 
 # -- edge-list text format -----------------------------------------------------
 #
-# One "u v" pair per line; '#' starts a comment; blank lines ignored.  An
-# optional first data line "n d" declares the size and is validated against
-# the edges (it is re-emitted by save_edge_list).
+# One "u v" pair per line, vertices numbered from 0; '#' starts a comment;
+# blank lines ignored.  An optional first data line "n d" declares the size
+# and is validated against the edges (it is re-emitted by save_edge_list).
 
 
-def load_edge_list(text: str, one_based: bool = False) -> RegularGraph:
+def load_edge_list(text: str) -> RegularGraph:
     rows = []  # (lineno, a, b)
-    off = 1 if one_based else 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -298,7 +297,7 @@ def load_edge_list(text: str, one_based: bool = False) -> RegularGraph:
 
     def build(n, pairs):
         try:
-            return RegularGraph.from_edges(n, [(a - off, b - off) for _, a, b in pairs])
+            return RegularGraph.from_edges(n, [(a, b) for _, a, b in pairs])
         except ValueError as exc:
             raise ValueError(f"invalid edge list: {exc}") from None
 
@@ -313,7 +312,7 @@ def load_edge_list(text: str, one_based: bool = False) -> RegularGraph:
                 return g
         except ValueError:
             pass
-    n_inferred = max(max(a, b) for _, a, b in rows) + 1 - off
+    n_inferred = max(max(a, b) for _, a, b in rows) + 1
     return build(n_inferred, rows)
 
 

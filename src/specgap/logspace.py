@@ -4,9 +4,9 @@ Several of the constants this package evaluates (ball-growth rates like
 d^(-1e11 ln d), popularity cutoffs of the form 24/alpha, the giant products
 they feed into) are far outside double-precision range, so every threshold
 comparison in the package is carried out on a ``LogScalar``: a sign in
-{-1, 0, +1} together with the natural log of the magnitude.  Multiplication,
-division and powers are exact log-domain additions; addition goes through a
-stable signed log-sum-exp.
+{-1, 0, +1} together with the natural log of the magnitude.  The package
+only multiplies, divides and compares such values, and those are exact
+log-domain additions and comparisons.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-__all__ = ["LogScalar", "as_logscalar", "log_sum"]
+__all__ = ["LogScalar", "as_logscalar"]
 
 _NEG_INF = float("-inf")
 
@@ -58,10 +58,6 @@ class LogScalar:
         return LogScalar(0, _NEG_INF)
 
     @staticmethod
-    def one() -> "LogScalar":
-        return LogScalar(1, 0.0)
-
-    @staticmethod
     def from_float(x: float) -> "LogScalar":
         if x == 0:
             return LogScalar.zero()
@@ -70,11 +66,11 @@ class LogScalar:
         return LogScalar(1 if x > 0 else -1, math.log(abs(x)))
 
     @staticmethod
-    def from_ln(ln: float, sign: int = 1) -> "LogScalar":
-        """Value with natural-log magnitude ``ln`` (may exceed float range)."""
+    def from_ln(ln: float) -> "LogScalar":
+        """The positive value exp(``ln``) (``ln`` may exceed float range)."""
         if ln == _NEG_INF:
             return LogScalar.zero()
-        return LogScalar(sign, float(ln))
+        return LogScalar(1, float(ln))
 
     # -- conversions -------------------------------------------------------
 
@@ -88,13 +84,6 @@ class LogScalar:
             mag = float("inf")
         return self.sign * mag
 
-    @property
-    def log10(self) -> float:
-        return self.ln / math.log(10.0)
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other) -> "LogScalar":
@@ -103,8 +92,6 @@ class LogScalar:
             return LogScalar.zero()
         return LogScalar(self.sign * o.sign, self.ln + o.ln)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "LogScalar":
         o = as_logscalar(other)
         if o.sign == 0:
@@ -112,59 +99,6 @@ class LogScalar:
         if self.sign == 0:
             return LogScalar.zero()
         return LogScalar(self.sign * o.sign, self.ln - o.ln)
-
-    def __rtruediv__(self, other) -> "LogScalar":
-        return as_logscalar(other) / self
-
-    def __pow__(self, p) -> "LogScalar":
-        if isinstance(p, LogScalar):
-            p = p.to_float()
-        if self.sign == 0:
-            if p > 0:
-                return LogScalar.zero()
-            if p == 0:
-                return LogScalar.one()
-            raise ZeroDivisionError("0 ** negative")
-        if self.sign < 0:
-            if not float(p).is_integer():
-                raise ValueError("negative base needs an integer exponent")
-            sign = -1 if int(p) % 2 else 1
-        else:
-            sign = 1
-        return LogScalar(sign, self.ln * p)
-
-    def __neg__(self) -> "LogScalar":
-        if self.sign == 0:
-            return self
-        return LogScalar(-self.sign, self.ln)
-
-    def __abs__(self) -> "LogScalar":
-        return self if self.sign >= 0 else -self
-
-    def __add__(self, other) -> "LogScalar":
-        o = as_logscalar(other)
-        if self.sign == 0:
-            return o
-        if o.sign == 0:
-            return self
-        if self.sign == o.sign:
-            # log-sum-exp of two magnitudes
-            hi, lo = (self.ln, o.ln) if self.ln >= o.ln else (o.ln, self.ln)
-            return LogScalar(self.sign, hi + math.log1p(math.exp(lo - hi)))
-        # opposite signs: cancellation
-        if self.ln == o.ln:
-            return LogScalar.zero()
-        big, small = (self, o) if self.ln > o.ln else (o, self)
-        ln = big.ln + math.log1p(-math.exp(small.ln - big.ln))
-        return LogScalar(big.sign, ln)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LogScalar":
-        return self + (-as_logscalar(other))
-
-    def __rsub__(self, other) -> "LogScalar":
-        return as_logscalar(other) + (-self)
 
     # -- comparisons -------------------------------------------------------
 
@@ -203,15 +137,6 @@ class LogScalar:
     def __hash__(self):
         return hash((self.sign, self.ln))
 
-    def close_to(self, other, rel: float = 1e-9) -> bool:
-        """Same sign and log-magnitudes within ``rel`` relative tolerance."""
-        o = as_logscalar(other)
-        if self.sign != o.sign:
-            return False
-        if self.sign == 0:
-            return True
-        return math.isclose(self.ln, o.ln, rel_tol=rel, abs_tol=rel)
-
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
@@ -219,14 +144,3 @@ class LogScalar:
             return "LogScalar(0)"
         s = "-" if self.sign < 0 else ""
         return f"LogScalar({s}exp({self.ln:.6g}))"
-
-    def to_json(self) -> dict:
-        return {"sign": self.sign, "ln_value": self.ln, "log10_value": self.log10}
-
-
-def log_sum(values) -> LogScalar:
-    """Sum an iterable of LogScalars via repeated signed log-sum-exp."""
-    acc = LogScalar.zero()
-    for v in values:
-        acc = acc + as_logscalar(v)
-    return acc

@@ -8,8 +8,7 @@ is a certified lower bound for the graph's Poincare constant at (norm, p);
 the supremum over f is the constant itself.  The scalar p=2 Euclidean case
 has the closed form d/(d - lambda2) (the ratio is a generalized Rayleigh
 quotient maximized by the second eigenvector); brute force confirms that
-value, while a commonly quoted variant d/(2(d - lambda2)) is smaller by a
-factor 2 -- both are reported, only the oracle-backed one is certified.
+value.
 
 The pairwise sum runs over ordered pairs including v = w (those terms are
 zero); the convention is fixed here and used consistently on both sides.
@@ -45,9 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import eval_constant
 from .graphs import RegularGraph, bfs_distances, distance_rows, distance_sum
-from .logspace import LogScalar
 from .norms import Lq, UncondNorm, WeightedLq
 from .rand import as_rng
 from . import spectral
@@ -170,7 +167,7 @@ def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioRepor
     if p < 1:
         raise ValueError("p must be >= 1")
     x = _as_field(f, g.n)
-    if np.allclose(x, x[0]):
+    if np.all(x == x[0]):
         raise ValueError("field is constant: the Poincare ratio is degenerate")
     num = _pair_sum(x, norm, p) / (g.n * g.n)
     den = _edge_sum(x, g, norm, p) / g.num_edges()
@@ -180,7 +177,6 @@ def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioRepor
 @dataclass(frozen=True)
 class ScalarGapResult:
     gamma: float             # certified: d / (d - lambda2)
-    halved_variant: float    # the also-seen d / (2 (d - lambda2)); not certified
     lambda2: float
     extremizer: np.ndarray | None
 
@@ -194,11 +190,14 @@ def gamma_scalar_l2_exact(g: RegularGraph) -> ScalarGapResult:
     above); the extremizer is a copy.
     """
     if np.isinf(bfs_distances(g, [0])).any():
-        return ScalarGapResult(math.inf, math.inf, float("nan"), None)
+        return ScalarGapResult(math.inf, float("nan"), None)
     summary, vec = spectral._spectrum(g)
     lam2 = summary.lambda2
     gamma = g.d / (g.d - lam2)
-    return ScalarGapResult(gamma, gamma / 2.0, lam2, vec.copy())
+    return ScalarGapResult(gamma, lam2, vec.copy())
+
+
+_SEARCH_RESTARTS = 3
 
 
 def gamma_search(
@@ -208,9 +207,9 @@ def gamma_search(
     k: int,
     budget: int,
     rng,
-    restarts: int = 3,
 ) -> RatioReport:
-    """Ratio maximization by multi-restart coordinate perturbation.
+    """Ratio maximization by coordinate perturbation from _SEARCH_RESTARTS
+    random starts, each with an equal share of the budget.
 
     Norm-agnostic (no smoothness assumed): each move proposes a few scaled
     random perturbations of one vertex row, keeps the best if it improves,
@@ -226,13 +225,13 @@ def gamma_search(
     probes = 4
     best_ratio, best_field = -math.inf, None
     evals = 0
-    per_restart = max(1, budget // max(restarts, 1))
+    per_restart = max(1, budget // _SEARCH_RESTARTS)
 
     def full_parts(F):
         return _pair_sum(F, norm, p), _edge_sum(F, g, norm, p)
 
     scale = g.num_edges() / float(n * n)
-    for r in range(restarts):
+    for r in range(_SEARCH_RESTARTS):
         F = rng.normal(size=(n, k))
         num, den = full_parts(F)
         if den <= 0:
@@ -294,17 +293,14 @@ class EmbeddingReport:
 EMBEDDING_TRIALS_PER_LN_N = 8
 
 
-def bourgain_style_embedding(
-    g: RegularGraph, q: float, scales=None, trials: int | None = None, rng=0
-) -> EmbeddingReport:
+def bourgain_style_embedding(g: RegularGraph, q: float, rng=0) -> EmbeddingReport:
     """Bourgain's random-subset embedding into l_q^k with truncated distances.
 
-    Coordinates are min(dist(v, A), 2^s) over ``trials`` random subsets A of
-    density 2^-s at each scale s (Bourgain 1985; Linial-London-Rabinovich,
-    Combinatorica 1995).  By default the scales are s = 1..ceil(log2 n), so
-    the density runs from 1/2 down to about 1/n, and ``trials`` is
-    ceil(c ln n) with c = EMBEDDING_TRIALS_PER_LN_N = 8.  The scale s = 0 is
-    rejected: density 1 puts every vertex in A and gives a zero column.
+    Coordinates are min(dist(v, A), 2^s) over ceil(c ln n) random subsets A
+    of density 2^-s at each scale s = 1..ceil(log2 n), with
+    c = EMBEDDING_TRIALS_PER_LN_N = 8 (Bourgain 1985; Linial-London-Rabinovich,
+    Combinatorica 1995).  The density runs from 1/2 down to about 1/n; the
+    scale s = 0 would put every vertex in A and give a zero column.
 
     LLR fix only the order O(log n) of the trials per scale, so c is a design
     choice.  On the Petersen graph with q = 2 over seeds 0-199 the share of
@@ -320,20 +316,6 @@ def bourgain_style_embedding(
     separated.  Connected graphs only, and n <= spectral.DENSE_LIMIT: the
     all-pairs distance table is n x n.
     """
-    def positive_int(x) -> bool:
-        return isinstance(x, (int, np.integer)) and x >= 1
-
-    if scales is not None:
-        scales = list(scales)
-        if not scales:
-            raise ValueError("scales must not be empty")
-        bad = [s for s in scales if not positive_int(s)]
-        if bad:
-            raise ValueError(
-                f"scales must be integers >= 1 (scale 0 gives a zero column), got {bad}"
-            )
-    if trials is not None and not positive_int(trials):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     n = g.n
     if n > spectral.DENSE_LIMIT:
         raise ValueError(
@@ -344,12 +326,9 @@ def bourgain_style_embedding(
     all_dist = np.vstack(list(distance_rows(g)))
     if np.any(np.isinf(all_dist)):
         raise ValueError("embedding needs a connected graph")
-    if scales is None:
-        scales = range(1, max(1, math.ceil(math.log2(n))) + 1)
-    if trials is None:
-        trials = max(1, math.ceil(EMBEDDING_TRIALS_PER_LN_N * math.log(n)))
+    trials = max(1, math.ceil(EMBEDDING_TRIALS_PER_LN_N * math.log(n)))
     cols = []
-    for s in scales:
+    for s in range(1, max(1, math.ceil(math.log2(n))) + 1):
         density = 2.0 ** (-s)
         cap = float(2**s)
         for _ in range(trials):
@@ -413,43 +392,20 @@ def average_pairwise_distance(g: RegularGraph) -> dict:
     }
 
 
-def uc_experiment(
-    graphs,
-    q_grid=(2, 4, 8, 16, 32),
-    C: float = 20.0,
-    K: float = 20.0,
-    alpha="paper",
-    eps: float = 0.2,
-    L="paper",
-) -> list[dict]:
-    """Distance-growth experiment rows for a family of sampled graphs.
-
-    Per graph: the exact average pairwise distance (the edge-side average is
-    exactly 1), and the smallest grid q whose Poincare bound makes the
-    embedding chain (avg distance <= 20 * Gamma(q) * edge average) feasible.
-    With the typical parameterization Gamma is astronomically large, so the
-    q column is only informative for fitted parameter values.
+def uc_experiment(graphs) -> list[dict]:
+    """Distance-growth rows for a family of graphs: per graph, the exact
+    average pairwise distance over ordered pairs and over distinct pairs.
+    The edge-side average of the distance is exactly 1.
     """
     rows = []
     for g in graphs:
         avg = average_pairwise_distance(g)
-        lhs = LogScalar.from_float(avg["all_pairs"])
-        q_bound = None
-        for q in q_grid:
-            gamma = eval_constant(
-                "Gamma", q=q, C=C, K=K, d=g.d, alpha=alpha, eps=eps, L=L
-            )
-            if LogScalar.from_float(20.0) * gamma >= lhs:
-                q_bound = q
-                break
         rows.append(
             {
                 "n": g.n,
                 "d": g.d,
                 "avg_distance": avg["all_pairs"],
                 "avg_distance_distinct": avg["distinct_pairs"],
-                "edge_average": 1.0,
-                "q_lower_bound": q_bound,
             }
         )
     return rows

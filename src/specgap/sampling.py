@@ -119,8 +119,9 @@ def sample_simple_regular(n: int, d: int, rng, max_rejects: int | None = None):
     restarts do not yield a graph (the caller sets the compute budget; the
     default is ``default_max_rejects(d)``).
     """
-    if n < d or d < 3:
-        raise ValueError(f"need n >= d >= 3, got n={n}, d={d}")
+    if n <= d or d < 3:
+        # a simple d-regular graph needs d + 1 vertices at least
+        raise ValueError(f"need n > d >= 3, got n={n}, d={d}")
     if (n * d) % 2:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = as_rng(rng)

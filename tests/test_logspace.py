@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from specgap.constants import eval_constant
 from specgap.expansion import ExpanParams
-from specgap.logspace import LogScalar, as_logscalar, log_sum
+from specgap.logspace import LogScalar, as_logscalar
 
 
 def test_basic_roundtrip():
@@ -23,12 +23,12 @@ def test_as_logscalar_accepts_real_numbers_only():
     for x in (np.int64(6), np.int32(6), np.float64(6.0), np.float32(6.0), Fraction(12, 2), 6, 6.0):
         assert as_logscalar(x) == LogScalar.from_float(6.0)
     assert as_logscalar(np.float64(-0.25)) == LogScalar.from_float(-0.25)
-    assert as_logscalar(np.int64(0)).is_zero()
+    assert as_logscalar(np.int64(0)) == LogScalar.zero()
     for bad in ("0.5", None, [1.0], 1j):
         with pytest.raises(TypeError, match="LogScalar"):
             as_logscalar(bad)
     # the three former coercion sites share it
-    assert LogScalar.one() * np.int64(3) == LogScalar.from_float(3.0)
+    assert LogScalar.from_float(1.0) * np.int64(3) == LogScalar.from_float(3.0)
     assert ExpanParams(alpha=np.float64(0.5), eps=0.2, L=np.int64(2)).L == LogScalar.from_float(2.0)
     with pytest.raises(TypeError, match="LogScalar"):
         ExpanParams(alpha="0.5", eps=0.2, L=1.0)
@@ -50,7 +50,7 @@ def test_out_of_float_range_values():
     tiny = LogScalar.from_ln(-1e12)
     assert huge.to_float() == float("inf")
     assert tiny.to_float() == 0.0
-    assert tiny.sign == 1 and not tiny.is_zero()
+    assert tiny.sign == 1 and tiny > LogScalar.zero()
     assert (huge * tiny).ln == pytest.approx(0.0)
 
 
@@ -59,24 +59,14 @@ def test_mul_div_pow():
     b = LogScalar.from_float(-7.0)
     assert (a * b).to_float() == pytest.approx(-21.0)
     assert (a / b).to_float() == pytest.approx(-3.0 / 7.0)
-    assert (b**2).to_float() == pytest.approx(49.0)
-    assert (b**3).to_float() == pytest.approx(-343.0)
-    with pytest.raises(ValueError):
-        b**0.5
-    assert (LogScalar.zero() ** 3).is_zero()
-    assert (a**0).to_float() == pytest.approx(1.0)
-
-
-def test_signed_addition():
-    a = LogScalar.from_float(5.0)
-    b = LogScalar.from_float(-3.0)
-    assert (a + b).to_float() == pytest.approx(2.0)
-    assert (b + a).to_float() == pytest.approx(2.0)
-    assert (a - a).is_zero()
-    assert (a + LogScalar.zero()).to_float() == pytest.approx(5.0)
-    # additions dominated by one term stay stable
-    big = LogScalar.from_ln(1000.0)
-    assert (big + a).ln == pytest.approx(1000.0, abs=1e-12)
+    assert a * LogScalar.zero() == LogScalar.zero()
+    assert LogScalar.zero() / b == LogScalar.zero()
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+    # the package only multiplies, divides and compares: no powers or sums
+    for op in (lambda: b**2, lambda: a + b, lambda: a - b, lambda: 2 * a):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_comparisons_total_order():
@@ -87,12 +77,6 @@ def test_comparisons_total_order():
             assert (x < y) == (vals[i] < vals[j])
             assert (x >= y) == (vals[i] >= vals[j])
             assert (x == y) == (vals[i] == vals[j])
-
-
-def test_log_sum_matches_float_sum():
-    xs = [0.5, -0.25, 3.0, -1.5, 2.25]
-    total = log_sum(LogScalar.from_float(x) for x in xs)
-    assert total.to_float() == pytest.approx(sum(xs), rel=1e-12)
 
 
 @given(
@@ -113,15 +97,5 @@ def test_mul_div_cancels_exactly_on_integer_logs(la, lb):
 def test_mul_div_cancels_to_relative_tolerance(la, lb):
     a = LogScalar.from_ln(la)
     b = LogScalar.from_ln(lb)
-    assert ((a * b) / b).close_to(a, rel=1e-12)
-
-
-@given(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-)
-def test_addition_commutes_and_is_monotone(la, lb):
-    a = LogScalar.from_ln(la)
-    b = LogScalar.from_ln(lb)
-    assert (a + b) == (b + a)
-    assert (a + b) >= a  # both positive
+    back = (a * b) / b
+    assert back.sign == 1 and math.isclose(back.ln, a.ln, rel_tol=1e-12, abs_tol=1e-12)

@@ -175,10 +175,19 @@ def test_ratio_rejects_constant_field():
         poincare_ratio(g, np.ones(4), Lq(2), 2)
 
 
+def test_ratio_of_tiny_or_offset_fields_is_not_constant():
+    # the ratio is invariant under scaling and shifting, so a field that
+    # differs from a constant by 1e-9 v_2, or sits at 1e6 + 1e-3 v_2, still
+    # gives the Petersen graph's d / (d - lambda2) = 1.5
+    g = petersen_graph()
+    v2 = gamma_scalar_l2_exact(g).extremizer
+    for field in (1e-9 * v2, 1e6 + 1e-3 * v2):
+        assert poincare_ratio(g, field, Lq(2), 2).ratio == pytest.approx(1.5, rel=1e-6)
+
+
 def test_scalar_closed_form_named_graphs():
     r4 = gamma_scalar_l2_exact(complete_graph(4))
     assert r4.gamma == pytest.approx(0.75)
-    assert r4.halved_variant == pytest.approx(0.375)
     rp = gamma_scalar_l2_exact(petersen_graph())
     assert rp.gamma == pytest.approx(1.5)
     rk33 = gamma_scalar_l2_exact(complete_bipartite(3, 3))
@@ -277,23 +286,6 @@ def test_embedding_petersen_many_seeds(seed):
     assert rep.distortion <= 3.0
 
 
-@pytest.mark.parametrize("scales", [[0, 1, 2], [1, 2.5], [-1], ["2"]])
-def test_embedding_rejects_bad_scale(scales):
-    with pytest.raises(ValueError, match="scales must be integers >= 1"):
-        bourgain_style_embedding(petersen_graph(), q=2, scales=scales, rng=0)
-
-
-def test_embedding_rejects_empty_scales():
-    with pytest.raises(ValueError, match="scales must not be empty"):
-        bourgain_style_embedding(petersen_graph(), q=2, scales=[], rng=0)
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_embedding_rejects_bad_trials(trials):
-    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-        bourgain_style_embedding(petersen_graph(), q=2, trials=trials, rng=0)
-
-
 def test_embedding_gamma_lower_bound_inequality():
     g, _ = sample_simple_regular(64, 6, make_rng(2))
     rep = bourgain_style_embedding(g, q=2, rng=9)
@@ -377,7 +369,6 @@ def test_uc_experiment_rows_and_monotone_trend():
     assert [r["n"] for r in rows] == [16, 32, 64]
     avgs = [r["avg_distance"] for r in rows]
     assert avgs == sorted(avgs)
-    assert all(r["edge_average"] == 1.0 for r in rows)
-    # with the typical parameterization the Gamma side is astronomically
-    # large, so the first grid q already satisfies the chain
-    assert all(r["q_lower_bound"] == 2 for r in rows)
+    for g, r in zip(graphs, rows):
+        assert set(r) == {"n", "d", "avg_distance", "avg_distance_distinct"}
+        assert r["avg_distance_distinct"] == pytest.approx(r["avg_distance"] * g.n / (g.n - 1))

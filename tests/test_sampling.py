@@ -74,6 +74,11 @@ def test_pairing_validation():
     # a perfect matching needs an even number of points
     with pytest.raises(ValueError, match="even"):
         sample_simple_regular(5, 3, make_rng(0))
+    # no simple d-regular graph has n <= d vertices; the refusal comes before
+    # the rng is even read, so no rng is needed
+    for n, d in ((4, 4), (6, 6)):
+        with pytest.raises(ValueError, match="n > d"):
+            sample_simple_regular(n, d, None)
 
 
 @settings(max_examples=30, deadline=None)

@@ -73,7 +73,7 @@ def test_iterative_agrees_with_dense():
     old = spectral.DENSE_LIMIT
     spectral.DENSE_LIMIT = 100
     try:
-        it = eigen_summary(g, tol=1e-8)
+        it = eigen_summary(g)
     finally:
         spectral.DENSE_LIMIT = old
     assert it.mode == "iterative"
@@ -131,9 +131,9 @@ def test_cheeger_sandwich_random_g12():
 
 
 def test_friedman_check_k33_and_k4():
-    r = friedman_check(complete_bipartite(3, 3), slack=0.1)
+    r = friedman_check(complete_bipartite(3, 3))
     assert r.lam == pytest.approx(3.0)
-    assert not r.passed  # 3 > 2 sqrt 2 + 0.1
+    assert not r.passed  # 3 > 2 sqrt 2
     assert not r.passed_21  # 3 > 2.1 sqrt 2 ~ 2.970
     r4 = friedman_check(complete_graph(4))
     assert r4.passed_21  # 1 <= 2.1 sqrt 2
@@ -188,10 +188,15 @@ def test_walk_sum_preconditions():
         walk_sum_bound_check(g, np.array([1.0, -1.0, 0.0, 0.0]), 1)
     with pytest.raises(ValueError, match="zero mean"):
         walk_sum_bound_check(g, np.array([1.0, 0, 0, 0]), 1)
+    k33 = complete_bipartite(3, 3)
+    y = np.zeros(6)
+    y[0], y[3] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    # K_{3,3} fails the gate, but l = 0 is refused first, before any eigensolve
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        walk_sum_bound_check(k33, y, 0)
+    assert k33._spectra is None
     with pytest.raises(ValueError, match="2.1"):
-        y = np.zeros(6)
-        y[0], y[3] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        walk_sum_bound_check(complete_bipartite(3, 3), y, 1)
+        walk_sum_bound_check(k33, y, 1)
 
 
 # -- cheeger_exact against the per-edge block scan --------------------------------
@@ -366,7 +371,15 @@ def test_spectrum_cache_not_part_of_equality():
 def test_failed_solve_is_not_cached(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
     g, _ = sample_simple_regular(200, 3, make_rng(13))
+    eigsh = spla.eigsh
+
+    def off_by_1e_6(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(spla, "eigsh", off_by_1e_6)
     with pytest.raises(RuntimeError, match="exceeds tol"):
-        eigen_summary(g, tol=1e-300)
-    assert ("iterative", 1e-300) not in (g._spectra or {})
+        eigen_summary(g)
+    assert "iterative" not in (g._spectra or {})
+    monkeypatch.setattr(spla, "eigsh", eigsh)
     assert eigen_summary(g).mode == "iterative"
