@@ -258,16 +258,17 @@ class IdentityReport:
         )
 
 
-def identity_checks(
-    q_grid=(2, 3, 5, 10),
-    d_grid=(3, 6, 10),
-    c_grid=(1, 20),
-    alpha=1.0,
-    eps=1.0,
-    L=1.0,
-    a_terms: int = 10**6,
-) -> IdentityReport:
-    """Cross-check the closed forms against each other.
+# The grid of identity_checks: q, d and C values, at alpha = eps = L = 1, and
+# the terms of its partial sum of the a_i.
+IDENTITY_Q_GRID = (2, 3, 5, 10)
+IDENTITY_D_GRID = (3, 6, 10)
+IDENTITY_C_GRID = (1, 20)
+IDENTITY_A_TERMS = 10**6
+
+
+def identity_checks() -> IdentityReport:
+    """Cross-check the closed forms against each other on the IDENTITY_*
+    grid, at alpha = eps = L = 1.
 
     The recombination argument needs 4/c' <= Pi; the exact-equality variant
     is evaluated too and reported with its deviation (it does not hold: at
@@ -277,11 +278,12 @@ def identity_checks(
     max_dev = 0.0
     upper_ok = True
     four = LogScalar.from_float(4.0)
-    for q in q_grid:
-        for d in d_grid:
-            for C in c_grid:
-                cp = eval_constant("cprime", q=q, C=C, d=d, alpha=alpha, eps=eps, L=L)
-                pi = eval_constant("Pi", q=q, C=C, d=d, alpha=alpha, eps=eps, L=L)
+    unit = dict(alpha=1.0, eps=1.0, L=1.0)
+    for q in IDENTITY_Q_GRID:
+        for d in IDENTITY_D_GRID:
+            for C in IDENTITY_C_GRID:
+                cp = eval_constant("cprime", q=q, C=C, d=d, **unit)
+                pi = eval_constant("Pi", q=q, C=C, d=d, **unit)
                 lhs = four / cp
                 dev = abs(lhs.ln - pi.ln) / max(abs(pi.ln), 1.0)
                 max_dev = max(max_dev, dev)
@@ -302,7 +304,7 @@ def identity_checks(
         kd = eval_constant("K", d=d)
         k_values[d] = kd.ln
         k_ok = k_ok and (kd >= LogScalar.from_float(3500.0))
-    s = partial_a_sum(a_terms)
+    s = partial_a_sum(IDENTITY_A_TERMS)
     return IdentityReport(
         grid=tuple(records),
         max_equality_deviation=max_dev,
@@ -315,17 +317,18 @@ def identity_checks(
     )
 
 
-def baseline_comparison(q_grid, d: int, lambda2: float, C: float = 1.0) -> list[dict]:
+def baseline_comparison(q_grid, d: int, lambda2: float) -> list[dict]:
     """ln of the expansion-route bound vs the homeomorphism-route baselines.
 
     The former grows polynomially in q (10 ln q); the baselines' logs are
-    affine in q, which is the headline separation.  Uses alpha=eps=L=K=1 in
-    the expansion-route constant so the q-dependence is isolated.
+    affine in q, which is the headline separation.  Uses C = 1 and
+    alpha = eps = L = K = 1 in the expansion-route constant so the
+    q-dependence is isolated.
     """
     rows = []
     for q in q_grid:
-        g = eval_constant("Gamma", q=q, C=C, K=1, d=d, alpha=1.0, eps=1.0, L=1.0)
-        osi = eval_constant("OS_bound_i", q=q, C=C, d=d, lambda2=lambda2)
+        g = eval_constant("Gamma", q=q, C=1.0, K=1, d=d, alpha=1.0, eps=1.0, L=1.0)
+        osi = eval_constant("OS_bound_i", q=q, C=1.0, d=d, lambda2=lambda2)
         osii = eval_constant("OS_bound_ii", q=q, d=d, lambda2=lambda2)
         rows.append(
             {

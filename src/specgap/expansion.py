@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import PAPER_EPS, eval_constant
-from .graphs import RegularGraph, ball, bfs_distances, distance_rows
+from .graphs import RegularGraph, _level_sets, ball, bfs_distances, distance_rows
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
 from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary, friedman_check
@@ -110,11 +110,16 @@ def _require_exact_size(g: RegularGraph, op: str, instead: str):
 
 
 def _single_ball_masks(g: RegularGraph) -> np.ndarray:
-    """single[l, v] = uint32 bitmask of B({v}, l) for l in 0..n (n <= 32)."""
-    n = g.n
-    dists = np.vstack(list(distance_rows(g)))
-    within = dists[None, :, :] <= np.arange(n + 1)[:, None, None]
-    return (within.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))).astype(np.uint32)
+    """single[l, v] = uint32 bitmask of B({v}, l) for l in 0..n (n <= 32).
+
+    One per-source sweep from every vertex fits one word: the sources that
+    reach v within l are B({v}, l), so the level bits of v, ORed over the
+    levels up to l, are its ball.
+    """
+    single = np.zeros((g.n + 1, g.n), dtype=np.uint64)
+    for level, rows, bits in _level_sets(g, np.arange(g.n)):
+        single[level, rows] = bits[:, 0]
+    return np.bitwise_or.accumulate(single, axis=0).astype(np.uint32)
 
 
 def _popcounts(n: int) -> np.ndarray:

@@ -3,7 +3,11 @@ edge-list I/O.
 
 A graph is ``RegularGraph``: its ``adj`` is a read-only int64 (n, d) array
 whose row v lists the neighbours of v in increasing order; every operation
-of the package reads that array.  Vertices are 0-based ints.  Instances are
+of the package reads that array.  Vertices are 0-based ints.  The
+constructor enforces the invariant on every path (``from_edges``, the edge
+list reader, the named graphs and the sampler alike): it rejects rows with
+labels outside [0, n), loops, repeated or one-sided neighbours, and d < 3,
+so no other code validates neighbour rows.  Instances are
 immutable after construction and every operation here is a pure function,
 so they are safe to share across threads and worker processes.  The one
 private slot, ``_spectra``, is a cache that only ``specgap.spectral`` fills;
@@ -14,6 +18,7 @@ explicitly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +50,15 @@ DISTANCE_CHUNK_ENTRIES = 1 << 22
 
 @dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """Simple d-regular graph on {0, ..., n-1}.
+    """Simple d-regular graph on {0, ..., n-1}, d >= 3.
 
     ``adj`` is the read-only int64 (n, d) array of sorted neighbour rows.
-    Two graphs are equal, and hash alike, when n, d and ``adj`` agree.
+    The constructor takes any integer (n, d) array of neighbour rows, in any
+    order within a row, and stores a sorted copy; it raises ValueError, in
+    this order, on a wrong shape, a label outside [0, n), a self-loop, a
+    repeated neighbour, a neighbour whose row lacks the reverse entry and
+    d < 3 (TypeError on non-integer labels).  Two graphs are equal, and hash
+    alike, when n, d and ``adj`` agree.
     """
 
     n: int
@@ -56,30 +66,71 @@ class RegularGraph:
     adj: np.ndarray
     _spectra: dict = field(default=None, repr=False)
 
-    @staticmethod
-    def from_edges(n: int, edges) -> "RegularGraph":
-        """Build and validate from an iterable of (u, v) pairs."""
-        nbrs = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex out of range in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in nbrs[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        degrees = {len(s) for s in nbrs}
-        if len(degrees) != 1:
-            raise ValueError(f"graph is not regular: degrees {sorted(degrees)}")
-        d = degrees.pop()
+    def __post_init__(self):
+        n, d = operator.index(self.n), operator.index(self.d)
+        adj = np.asarray(self.adj)
+        if n < 1 or adj.shape != (n, d):
+            raise ValueError(f"adj must have shape (n, d) = ({n}, {d}), n >= 1; got {adj.shape}")
+        if adj.size and adj.dtype.kind not in "iu":
+            raise TypeError(f"neighbour labels must be integers, got {adj.dtype} values")
+        adj = adj.astype(np.int64)  # a copy: the caller's array stays its own
+        if adj.size and (adj.min() < 0 or adj.max() >= n):
+            bad = adj[(adj < 0) | (adj >= n)]
+            raise ValueError(f"vertex {int(bad[0])} out of range [0, {n})")
+        adj.sort(axis=1)
+        rows = np.arange(n)[:, None]
+        loops = adj == rows
+        if loops.any():
+            raise ValueError(f"self-loop at vertex {int(np.flatnonzero(loops.any(axis=1))[0])}")
+        # arc (u, v) as the key u n + v: sorted rows make the keys increasing,
+        # so a repeated neighbour is an equal pair of consecutive keys
+        keys = (rows * n + adj).ravel()
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeat.size:
+            raise ValueError(f"duplicate edge {divmod(int(keys[repeat[0]]), n)}")
+        # every arc (u, v) has its reverse exactly when the reversed keys
+        # v n + u, sorted, are the keys themselves
+        reverse = np.sort((adj * n + rows).ravel())
+        if not np.array_equal(reverse, keys):
+            u, v = divmod(int(keys[~np.isin(keys, reverse)][0]), n)
+            raise ValueError(f"vertex {u} lists neighbour {v}, but {v} does not list {u}")
         if d < 3:
             raise ValueError(f"degree must be at least 3, got {d}")
-        if n < d:
-            raise ValueError(f"need n >= d, got n={n}, d={d}")
-        adj = np.array([sorted(s) for s in nbrs], dtype=np.int64)
         adj.flags.writeable = False
-        return RegularGraph(n, d, adj)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "adj", adj)
+
+    @staticmethod
+    def from_edges(n: int, edges) -> "RegularGraph":
+        """Build from an iterable of (u, v) pairs; each edge lists once.
+
+        Checks the labels' range and the degrees here; the constructor checks
+        the rest (loops, repeated edges, d >= 3).
+        """
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got an array of shape {e.shape}")
+        if e.size and e.dtype.kind not in "iu":
+            raise TypeError(f"vertices must be integers, got {e.dtype} values")
+        e = e.astype(np.int64, copy=False)
+        if e.size and (e.min() < 0 or e.max() >= n):
+            u, v = e[((e < 0) | (e >= n)).any(axis=1)][0].tolist()
+            raise ValueError(f"vertex out of range in edge ({u}, {v})")
+        degrees = np.bincount(e.ravel(), minlength=max(n, 0))
+        if not degrees.size or np.any(degrees != degrees[0]):
+            raise ValueError(f"graph is not regular: degrees {np.unique(degrees).tolist()}")
+        # each edge is the arcs (u, v) and (v, u), keyed u n + v: the sorted
+        # keys list row 0, then row 1, ..., each row's heads in order
+        arcs = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        d = int(degrees[0])
+        return RegularGraph(n, d, (arcs % n).reshape(n, d))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, so adj stays read-only
+        return RegularGraph, (self.n, self.d, self.adj)
 
     def __eq__(self, other):
         if not isinstance(other, RegularGraph):

@@ -104,9 +104,10 @@ class WeightedLq(UncondNorm):
     def __post_init__(self):
         if not (self.q >= 1):
             raise ValueError("q must be >= 1")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        weights = tuple(float(w) for w in self.weights)
+        if not weights or not all(0 < w < math.inf for w in weights):
+            raise ValueError(f"weights must be finite, positive and nonempty, got {weights}")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self):
@@ -281,8 +282,9 @@ def _as_matrix(vectors) -> np.ndarray:
 def cotype_constant_exact(nm: UncondNorm, vectors, q: float) -> float:
     """Best constant C with E||sum r_i x_i||^q >= C^-q sum ||x_i||^q.
 
-    Exact over all 2^m sign patterns; m <= COTYPE_EXACT_LIMIT.  The raw
-    value may fall below 1; cap at 1 when using it as a certificate.
+    Exact over all 2^m sign patterns, of which the 2^(m-1) with r_m = +1
+    give the same mean; m <= COTYPE_EXACT_LIMIT.  The raw value may fall
+    below 1; cap at 1 when using it as a certificate.
     """
     x = _as_matrix(vectors)
     m = x.shape[0]
@@ -293,7 +295,8 @@ def cotype_constant_exact(nm: UncondNorm, vectors, q: float) -> float:
         )
     if q < 2:
         raise ValueError("cotype exponent q must be >= 2")
-    return _moment_ratio(nm, x, sign_patterns(m) @ x, q)
+    # norms are even: the last vector keeps sign +1 and half the rows suffice
+    return _moment_ratio(nm, x, sign_patterns(m - 1) @ x[:-1] + x[-1], q)
 
 
 def cotype_constant_mc(nm: UncondNorm, vectors, q: float, trials: int, rng) -> dict:

@@ -40,7 +40,7 @@ n <= spectral.DENSE_LIMIT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,13 +159,17 @@ def _edge_sum(x: np.ndarray, g: RegularGraph, nm: UncondNorm, p: float) -> float
     return float(nm.eval_pow(x[u] - x[g.adj[u, j]], p).sum())
 
 
+def _check_p(p: float) -> None:
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
+
+
 def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioReport:
     """Exact two-sided evaluation for one field; a lower bound on the constant.
 
     Rejects constant fields (the edge side vanishes).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     x = _as_field(f, g.n)
     if np.all(x == x[0]):
         raise ValueError("field is constant: the Poincare ratio is degenerate")
@@ -217,6 +221,9 @@ def gamma_search(
     best-so-far; deterministic given the seed; ``budget`` caps the number of
     candidate evaluations.
     """
+    _check_p(p)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     rng = as_rng(rng)
@@ -272,9 +279,7 @@ def gamma_search(
                     fails = 0
                     if step < 1e-9:
                         break
-    num = _pair_sum(best_field, norm, p) / (n * n)
-    den = _edge_sum(best_field, g, norm, p) / g.num_edges()
-    return RatioReport(num, den, num / den, p, evaluations=evals, field=best_field)
+    return replace(poincare_ratio(g, best_field, norm, p), evaluations=evals)
 
 
 # -- metric embeddings -------------------------------------------------------------

@@ -298,21 +298,13 @@ class _Pairing:
         return True
 
     def graph(self) -> RegularGraph:
-        """The simple graph of a switched-out pairing, built from its sorted
-        partner rows; RuntimeError if it has a loop, a repeated neighbour or
-        an asymmetric row."""
+        """The simple graph of a switched-out pairing; RuntimeError if the
+        constructor rejects its partner rows, which only a bug can cause."""
         n, d = self.n, self.d
-        adj = np.sort(self.vertex[self.partner].reshape(n, d), axis=1)
-        rows = np.arange(n)[:, None]
-        keys = (rows * n + adj).ravel()
-        if (
-            np.any(adj == rows)
-            or np.any(adj[:, 1:] == adj[:, :-1])
-            or not np.array_equal(np.sort((adj * n + rows).ravel()), keys)
-        ):
-            raise RuntimeError(f"switched pairing is not a simple {d}-regular graph")
-        adj.flags.writeable = False
-        return RegularGraph(n, d, adj)
+        try:
+            return RegularGraph(n, d, self.vertex[self.partner].reshape(n, d))
+        except ValueError as exc:
+            raise RuntimeError(f"switched pairing is not a simple {d}-regular graph") from exc
 
 
 # -- BFS exploration -----------------------------------------------------------

@@ -16,6 +16,7 @@ from specgap.expansion import (
     _misses,
     _precondition_holds,
     _sample_subset,
+    _single_ball_masks,
     _threshold_ints,
     ExpanParams,
     ExpanPreconditionError,
@@ -35,6 +36,7 @@ from specgap.graphs import (
     complete_bipartite,
     complete_graph,
     disjoint_union,
+    distance_rows,
     petersen_graph,
 )
 from specgap.logspace import LogScalar
@@ -51,6 +53,27 @@ def _growth_requirement(alpha, d, l, size, n):
     if t >= math.log(0.75 * n):
         return "cap", None
     return "value", t
+
+
+def _oracle_ball_masks(g):
+    """single[l, v] = bitmask of B({v}, l), from float distance rows and an
+    (n+1) x n x n comparison cube."""
+    n = g.n
+    dists = np.vstack(list(distance_rows(g)))
+    within = dists[None, :, :] <= np.arange(n + 1)[:, None, None]
+    return (within.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))).astype(np.uint32)
+
+
+def test_single_ball_masks_match_distance_oracle():
+    cases = [
+        petersen_graph(),
+        sample_simple_regular(20, 3, make_rng(4))[0],
+        disjoint_union(complete_graph(4), petersen_graph()),
+    ]
+    for g in cases:
+        got = _single_ball_masks(g)
+        assert got.dtype == np.uint32 and got.shape == (g.n + 1, g.n)
+        assert np.array_equal(got, _oracle_ball_masks(g))
 
 
 def _oracle_misses(alpha, d, l, size, b, n):

@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import pickle
+import re
 from collections import deque
 
 import numpy as np
@@ -53,16 +56,111 @@ def test_k4_construction():
     assert g.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+def reference_from_edges(n, edges):
+    """The set-loop builder: one neighbour set per vertex, checked edge by
+    edge.  Returns (d, adj) with adj a list of sorted neighbour rows."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v in nbrs[u]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    degrees = {len(s) for s in nbrs}
+    if len(degrees) != 1:
+        raise ValueError(f"graph is not regular: degrees {sorted(degrees)}")
+    d = degrees.pop()
+    if d < 3:
+        raise ValueError(f"degree must be at least 3, got {d}")
+    return d, [sorted(s) for s in nbrs]
+
+
+FAULTY_EDGE_LISTS = [
+    (4, [(0, 1), (1, 2), (2, 3), (3, 4)], "vertex out of range in edge (3, 4)"),
+    (4, [(0, 0), (1, 2), (1, 3), (2, 3)], "self-loop at vertex 0"),
+    (4, [(0, 1), (0, 1), (2, 3), (2, 3)], "duplicate edge (0, 1)"),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], "graph is not regular: degrees [2, 3]"),
+    # a 4-cycle is 2-regular, below the d >= 3 floor
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], "degree must be at least 3, got 2"),
+]
+
+
 def test_invalid_graphs_rejected():
-    with pytest.raises(ValueError, match="self-loop"):
-        RegularGraph.from_edges(4, [(0, 0), (1, 2), (1, 3), (2, 3)])
-    with pytest.raises(ValueError, match="duplicate"):
-        RegularGraph.from_edges(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
-    with pytest.raises(ValueError, match="not regular"):
-        RegularGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    with pytest.raises(ValueError, match="degree"):
-        # a 4-cycle is 2-regular, below the d >= 3 floor
-        RegularGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    # one edge list per fault kind: the same type and message as the set loop
+    for n, edges, message in FAULTY_EDGE_LISTS:
+        for build in (reference_from_edges, RegularGraph.from_edges):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(n, edges)
+
+
+def test_from_edges_rejects_float_labels():
+    # like graphs._vertices: no label is cast to an integer, not even 1.0
+    for edges in ([(0.0, 1.0), (0, 2)], [(0.5, 1)], np.array([[0, 1], [2, 3]], dtype=float)):
+        with pytest.raises(TypeError, match="vertices must be integers"):
+            RegularGraph.from_edges(4, edges)
+    with pytest.raises(ValueError, match="pairs"):
+        RegularGraph.from_edges(4, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"not regular: degrees \[\]"):
+        RegularGraph.from_edges(0, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(4, 3), (8, 3), (10, 4), (12, 5), (20, 3), (40, 6)]),
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_from_edges_matches_set_loop_builder(nd, seed, random):
+    n, d = nd
+    g, _ = sample_simple_regular(n, d, make_rng(seed))
+    perm = list(range(n))
+    random.shuffle(perm)
+    edges = [(perm[u], perm[v]) if random.random() < 0.5 else (perm[v], perm[u]) for u, v in g.edges()]
+    random.shuffle(edges)
+    h = RegularGraph.from_edges(n, edges)
+    assert (h.n, h.d) == (n, d)
+    assert h.adj.tolist() == reference_from_edges(n, edges)[1]
+    assert np.array_equal(RegularGraph.from_edges(n, np.array(edges)).adj, h.adj)
+
+
+def test_constructor_validates_neighbour_rows():
+    good = petersen_graph().adj
+    one_sided = good.copy()
+    one_sided[0] = [1, 4, 6]  # 0 lists 6, which does not list it; 5 lists 0 alone
+    repeated = complete_graph(4).adj.copy()
+    repeated[0] = [1, 1, 2]
+    cases = [
+        (10, 3, good[:, :2], "shape"),
+        (0, 3, np.zeros((0, 3), dtype=int), "shape"),
+        (10, 3, good + 1, "vertex 10 out of range"),
+        (10, 3, good - 1, "vertex -1 out of range"),
+        # every row lists vertex 0: the loop at 0 is found first
+        (3, 3, np.zeros((3, 3), dtype=int), "self-loop at vertex 0"),
+        (4, 3, repeated, r"duplicate edge \(0, 1\)"),
+        (10, 3, one_sided, "vertex 0 lists neighbour 6, but 6 does not list 0"),
+        (6, 2, [[(v + 1) % 6, (v - 1) % 6] for v in range(6)], "degree must be at least 3, got 2"),
+    ]
+    for n, d, adj, message in cases:
+        with pytest.raises(ValueError, match=message):
+            RegularGraph(n, d, adj)
+    with pytest.raises(TypeError, match="integers"):
+        RegularGraph(10, 3, good.astype(float))
+    with pytest.raises(TypeError):
+        RegularGraph(10.0, 3, good)
+
+
+def test_constructor_stores_sorted_read_only_copy():
+    rows = petersen_graph().adj[:, ::-1].astype(np.int32)  # each row reversed
+    g = RegularGraph(np.int64(10), 3, rows)
+    assert g == petersen_graph() and type(g.n) is int and g.adj.dtype == np.int64
+    assert not g.adj.flags.writeable
+    rows[0, 0] = 9  # the caller's array stays its own
+    assert g == petersen_graph()
+    for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert back == g and not back.adj.flags.writeable
 
 
 def test_dist_identity_and_complete():

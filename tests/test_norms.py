@@ -46,6 +46,13 @@ def test_eval_validation():
         Lq(0.5)
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), ()])
+def test_weighted_lq_rejects_nonfinite_or_empty_weights(weights):
+    # a nan or inf weight used to give a nan norm; no weights, a 0-dim norm
+    with pytest.raises(ValueError, match="finite, positive and nonempty"):
+        WeightedLq(2, weights)
+
+
 def test_lq_large_entries_do_not_overflow():
     # 1e10 ** 32 overflows a double; the norm itself is 1e10
     assert Lq(32)([1e10, 1.0]) == pytest.approx(1e10, rel=1e-12)
@@ -178,6 +185,21 @@ def test_cotype_scale_invariance():
     c1 = cotype_constant_exact(Lq(2), fam, 2)
     c2 = cotype_constant_exact(Lq(2), 7.5 * fam, 2)
     assert c1 == pytest.approx(c2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "nm",
+    [Lq(3), WeightedLq(4, (0.5, 2.0, 1.0, 3.0)), BlockNorm(Lq(1), ((Lq(2), 2), (Lq(math.inf), 2)))],
+    ids=["Lq", "WeightedLq", "BlockNorm"],
+)
+@pytest.mark.parametrize("m", [1, 4, 7])
+def test_cotype_exact_half_signs_match_full_enumeration(nm, m):
+    # reference: all 2^m sign rows, (sum_i ||x_i||^q / mean_j ||sum_j||^q)^(1/q)
+    x = make_rng(m).normal(size=(m, 4))
+    q = 4.0
+    sums = sign_patterns(m) @ x
+    full = (np.sum(nm.eval_many(x) ** q) / np.mean(nm.eval_many(sums) ** q)) ** (1 / q)
+    assert cotype_constant_exact(nm, x, q) == pytest.approx(full, rel=1e-12)
 
 
 def test_cotype_budget_and_mc():

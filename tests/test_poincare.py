@@ -175,6 +175,13 @@ def test_ratio_rejects_constant_field():
         poincare_ratio(g, np.ones(4), Lq(2), 2)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_ratio_rejects_p_outside_one_to_inf(p):
+    field = np.arange(4.0)
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        poincare_ratio(complete_graph(4), field, Lq(2), p)
+
+
 def test_ratio_of_tiny_or_offset_fields_is_not_constant():
     # the ratio is invariant under scaling and shifting, so a field that
     # differs from a constant by 1e-9 v_2, or sits at 1e6 + 1e-3 v_2, still
@@ -238,6 +245,30 @@ def test_gamma_search_monotone_and_budgeted():
     r2 = gamma_search(g, Lq(2), 2, k=1, budget=40_000, rng=3)
     assert r2.ratio >= r1.ratio - 1e-12
     assert r1.evaluations <= 400
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_gamma_search_rejects_p_outside_one_to_inf(p):
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        gamma_search(complete_graph(4), Lq(2), p, k=1, budget=40, rng=0)
+
+
+def test_gamma_search_rejects_empty_fields():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        gamma_search(complete_graph(4), Lq(2), 2, k=0, budget=40, rng=0)
+
+
+def test_gamma_search_reports_its_fields_ratio():
+    g = petersen_graph()
+    rep = gamma_search(g, Lq(3), 1.5, k=2, budget=400, rng=5)
+    again = poincare_ratio(g, rep.field, Lq(3), 1.5)
+    assert (rep.numerator, rep.denominator, rep.ratio, rep.p) == (
+        again.numerator,
+        again.denominator,
+        again.ratio,
+        again.p,
+    )
+    assert 0 < rep.evaluations <= 400 and again.evaluations == 0
 
 
 def test_gamma_search_k4_l1_matches_brute_force_grid():

@@ -140,6 +140,23 @@ def pairing_of(n, d, edges):
     return np.array(points)
 
 
+def test_pairing_graph_rejects_non_involutive_partner():
+    # a simple pairing of the prism graph C_3 x K_2, then a partner map that
+    # sends point (v, j) to point (v + j + 1 mod 6, j): no loop and no
+    # repeated neighbour, but v lists v + 1 and v + 1 does not list v
+    prism = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    points = pairing_of(6, 3, prism)
+    loops, doubles = _classify(points, 6, 3, 0, 0)
+    pairing = _Pairing(points, 6, 3, loops, doubles)
+    assert pairing.graph() == RegularGraph.from_edges(6, prism)
+    v, j = np.divmod(np.arange(18), 3)
+    pairing.partner = 3 * ((v + j + 1) % 6) + j
+    assert not np.array_equal(pairing.partner[pairing.partner], np.arange(18))
+    with pytest.raises(RuntimeError, match="not a simple 3-regular graph") as info:
+        pairing.graph()
+    assert "does not list" in str(info.value.__cause__)
+
+
 def test_is_simple_detects_loops_and_multiedges():
     points = np.arange(12)  # pairs (0, 1), (4, 5), (6, 7), (10, 11): a loop at each vertex
     loops, doubles = _classify(points, 4, 3, 4, 0)
