@@ -9,8 +9,8 @@ spectral    eigenvalues, Cheeger constants, spectral certificates
 expansion   long-range expansion checking, fitting, sufficient conditions
 norms       1-unconditional norm trees, cotype and concavity constants
 poincare    Poincare-ratio evaluation, search, embeddings, distance sweeps
-constants   log-space evaluation of the named constants
-logspace    sign + log-magnitude scalar arithmetic
+constants   the named constants: one table of closed forms for their logs
+logspace    numbers >= 0 stored as their natural logs
 """
 
 __version__ = "0.1.0"

@@ -1,8 +1,13 @@
 """Log-space evaluation of every named constant and the relations among them.
 
-All values are returned as LogScalar because the interesting parameter
+Every constant is a positive magnitude, and the interesting parameter
 regimes (ball-growth rate alpha(d) = d^(-1e11 ln d), popularity scale
-L = 24/alpha, and everything built on them) are far outside float range.
+L = 24/alpha, and everything built on them) are far outside float range,
+so each is evaluated as its natural log and returned as a LogScalar.  The
+constants form one table, ``_LN``, from a name to a closed form for its log;
+a closed form's parameter list is the constant's requirement list, which
+``eval_constant`` reads and checks before evaluating.
+
 The paper's parameterization at degree d is defined here once: alpha(d) and
 L(d) = 24/alpha(d) as the constants "alpha_d" and "L_d", eps as PAPER_EPS;
 ``expansion.ExpanParams.paper`` reads them.  The integer constant L0 is
@@ -11,7 +16,9 @@ also exact as ``L0_VALUE``.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +29,6 @@ __all__ = [
     "CONSTANT_IDS",
     "eval_constant",
     "PAPER_EPS",
-    "a_weight",
-    "a_weight_ln",
     "partial_a_sum",
     "identity_checks",
     "IdentityReport",
@@ -31,47 +36,7 @@ __all__ = [
 ]
 
 L0_VALUE = (7 * 10**8) // 15 + 1  # 46_666_667
-
-CONSTANT_IDS = (
-    "Gamma",
-    "Pi",
-    "Ltilde",
-    "c",
-    "chat",
-    "cprime",
-    "alpha_d",
-    "eps_d",
-    "L_d",
-    "eta",
-    "L0",
-    "K",
-    "a_i",
-    "OS_bound_i",
-    "OS_bound_ii",
-)
-
-
 PAPER_EPS = 0.2  # eps of the paper's parameterization
-
-
-def alpha_growth_rate(d: int) -> LogScalar:
-    """d^(-1e11 ln d): the typical ball-growth rate at degree d."""
-    if d < 3:
-        raise ValueError("need d >= 3")
-    return LogScalar.from_ln(-1e11 * math.log(d) ** 2)
-
-
-def a_weight(i: int) -> float:
-    """The summable scale weights a_i = (6/pi^2) / i^2 (they sum to 1)."""
-    if i < 1:
-        raise ValueError("need i >= 1")
-    return (6.0 / math.pi**2) / (i * i)
-
-
-def a_weight_ln(i: int) -> float:
-    if i < 1:
-        raise ValueError("need i >= 1")
-    return math.log(6.0 / math.pi**2) - 2.0 * math.log(i)
 
 
 def partial_a_sum(n_terms: int) -> float:
@@ -80,140 +45,95 @@ def partial_a_sum(n_terms: int) -> float:
     return float((6.0 / math.pi**2) * np.sum(1.0 / (idx * idx)))
 
 
-def _require(params: dict, *names):
-    missing = [k for k in names if params.get(k) is None]
-    if missing:
-        raise ValueError(f"missing parameter(s): {', '.join(missing)}")
+# Each constant's natural log as a function of exactly the parameters it
+# needs; alpha and L arrive as LogScalar, the others as given.
+_LN = {
+    "Gamma": lambda q, C, K, d, alpha, eps, L: (
+        115 * math.log(2.0) + 10 * math.log(q) + 2 * math.log(C) + 3 * math.log(K)
+        + 25 * math.log(d) + 8 * L.ln - 14 * alpha.ln - 18 * math.log(eps)
+    ),
+    "Pi": lambda q, C, d, alpha, eps, L: (
+        113 * math.log(2.0) + 10 * math.log(q) + 2 * math.log(C)
+        + 24 * math.log(d) + 8 * L.ln - 14 * alpha.ln - 18 * math.log(eps)
+    ),
+    "Ltilde": lambda d, alpha, eps, L: (
+        math.log(2.0) + 8 * (math.log(20.0 * d) + L.ln - alpha.ln - math.log(eps))
+    ),
+    "c": lambda d, alpha: 2 * alpha.ln - math.log(48.0 * d * (d - 1.0)),
+    "chat": lambda q, C, d, alpha, eps, L: (
+        3 * alpha.ln - 15 * math.log(2.0) - 3 * math.log(d) - math.log(C)
+        - _LN["Ltilde"](d, alpha, eps, L) / q
+    ),
+    "cprime": lambda q, C, d, alpha, eps, L: (
+        2 * _LN["chat"](q, C, d, alpha, eps, L)
+        + 10 * (math.log(eps) - math.log(10.0 * q * d))
+    ),
+    # alpha(d) = d^(-1e11 ln d), the typical ball-growth rate, and L = 24/alpha
+    "alpha_d": lambda d: -1e11 * math.log(d) ** 2,
+    "eps_d": lambda: math.log(PAPER_EPS),
+    "L_d": lambda d: math.log(24.0) - _LN["alpha_d"](d),
+    "eta": lambda d: -(2 * math.log(12.0) + 3.0 + (2 * L0_VALUE + 2) * math.log(d - 1.0)),
+    "L0": lambda: math.log(L0_VALUE),
+    "K": lambda d: (
+        math.log((d - 2.1 * math.sqrt(d - 1.0)) / 2.0)
+        + (L0_VALUE - 1) * math.log(1.5 - 1.05 * math.sqrt(d - 1.0) / d)
+    ),
+    # the summable scale weights a_i = (6/pi^2) / i^2 (they sum to 1)
+    "a_i": lambda i: math.log(6.0 / math.pi**2) - 2.0 * math.log(i),
+    "OS_bound_i": lambda q, C, d, lambda2: (
+        (3616 * q + 450) * math.log(2.0) + (384 * q + 104) * math.log(q)
+        + (129 * q + 4) * math.log(C) + 8 * (math.log(d) - math.log(d - lambda2))
+    ),
+    "OS_bound_ii": lambda q, d, lambda2: (
+        64 * math.log(q) + (576 * q + 234) * math.log(2.0)
+        + 8 * (math.log(d) - math.log(d - lambda2))
+    ),
+}
+CONSTANT_IDS = tuple(_LN)
+_NEEDS = {name: tuple(inspect.signature(f).parameters) for name, f in _LN.items()}
+
+
+# What each parameter must be, and the test of it; alpha and L are tested
+# as LogScalar, the others as given.
+_CHECKS = {
+    **dict.fromkeys("q C K eps".split(), ("finite and > 0", lambda x: math.isfinite(x) and x > 0)),
+    **dict.fromkeys(("alpha", "L"), ("> 0 with a finite ln", lambda x: math.isfinite(x.ln))),
+    "d": ("an integer >= 3", lambda x: isinstance(x, numbers.Integral) and x >= 3),
+    "i": ("an integer >= 1", lambda x: isinstance(x, numbers.Integral) and x >= 1),
+    "lambda2": ("finite", math.isfinite),
+}
 
 
 def eval_constant(
-    name: str,
-    *,
-    q=None,
-    C=None,
-    K=None,
-    d=None,
-    alpha=None,
-    eps=None,
-    L=None,
-    i=None,
-    lambda2=None,
+    name: str, *, q=None, C=None, K=None, d=None, alpha=None, eps=None, L=None, i=None, lambda2=None
 ) -> LogScalar:
     """Evaluate one named constant in log space.
 
-    alpha and L accept real numbers or LogScalar; the paper's values at
-    degree d are ``eval_constant("alpha_d", d=d)`` and
-    ``eval_constant("L_d", d=d)``.
+    Only the constant's own parameters are read, and each is checked first:
+    d is an integer >= 3, i an integer >= 1, q, C, K and eps are finite and
+    > 0, alpha and L (real numbers or LogScalar) are > 0 with a finite ln,
+    and lambda2 is finite and < d.  The paper's alpha and L at degree d are
+    ``eval_constant("alpha_d", d=d)`` and ``eval_constant("L_d", d=d)``.
     """
-    p = dict(q=q, C=C, K=K, d=d, alpha=alpha, eps=eps, L=L, i=i, lambda2=lambda2)
-    if name not in CONSTANT_IDS:
+    if name not in _LN:
         raise ValueError(f"unknown constant id {name!r}; known: {CONSTANT_IDS}")
-    if alpha is not None:
-        alpha = as_logscalar(alpha)
-    if L is not None:
-        L = as_logscalar(L)
-
-    if name == "eps_d":
-        return LogScalar.from_float(PAPER_EPS)
-    if name == "L0":
-        return LogScalar.from_float(float(L0_VALUE))
-    if name == "a_i":
-        _require(p, "i")
-        return LogScalar.from_ln(a_weight_ln(i))
-    if name == "alpha_d":
-        _require(p, "d")
-        return alpha_growth_rate(d)
-    if name == "L_d":
-        _require(p, "d")
-        return LogScalar.from_float(24.0) / alpha_growth_rate(d)
-    if name == "eta":
-        _require(p, "d")
-        ln = -(2 * math.log(12.0) + 3.0 + (2 * L0_VALUE + 2) * math.log(d - 1.0))
-        return LogScalar.from_ln(ln)
-    if name == "K":
-        _require(p, "d")
-        lead = (d - 2.1 * math.sqrt(d - 1.0)) / 2.0
-        if lead <= 0:
-            raise ValueError(f"K is positive only when d > 2.1 sqrt(d-1); d={d}")
-        base = 1.5 - 1.05 * math.sqrt(d - 1.0) / d
-        ln = math.log(lead) + (L0_VALUE - 1) * math.log(base)
-        return LogScalar.from_ln(ln)
-    if name == "Gamma":
-        _require(p, "q", "C", "K", "d", "alpha", "eps", "L")
-        ln = (
-            115 * math.log(2.0)
-            + 10 * math.log(q)
-            + 2 * math.log(C)
-            + 3 * math.log(K)
-            + 25 * math.log(d)
-            + 8 * L.ln
-            - 14 * alpha.ln
-            - 18 * math.log(eps)
-        )
-        return LogScalar.from_ln(ln)
-    if name == "Pi":
-        _require(p, "q", "C", "d", "alpha", "eps", "L")
-        ln = (
-            113 * math.log(2.0)
-            + 10 * math.log(q)
-            + 2 * math.log(C)
-            + 24 * math.log(d)
-            + 8 * L.ln
-            - 14 * alpha.ln
-            - 18 * math.log(eps)
-        )
-        return LogScalar.from_ln(ln)
-    if name == "Ltilde":
-        _require(p, "d", "alpha", "eps", "L")
-        ln = math.log(2.0) + 8 * (
-            math.log(20.0 * d) + L.ln - alpha.ln - math.log(eps)
-        )
-        return LogScalar.from_ln(ln)
-    if name == "c":
-        _require(p, "d", "alpha")
-        return LogScalar.from_ln(
-            2 * alpha.ln - math.log(48.0 * d * (d - 1.0))
-        )
-    if name == "chat":
-        _require(p, "q", "C", "d", "alpha", "eps", "L")
-        lt = eval_constant("Ltilde", d=d, alpha=alpha, eps=eps, L=L)
-        ln = (
-            3 * alpha.ln
-            - 15 * math.log(2.0)
-            - 3 * math.log(d)
-            - math.log(C)
-            - lt.ln / q
-        )
-        return LogScalar.from_ln(ln)
-    if name == "cprime":
-        _require(p, "q", "C", "d", "alpha", "eps", "L")
-        ch = eval_constant("chat", q=q, C=C, d=d, alpha=alpha, eps=eps, L=L)
-        ln = 2 * ch.ln + 10 * (math.log(eps) - math.log(10.0 * q * d))
-        return LogScalar.from_ln(ln)
-    if name == "OS_bound_i":
-        _require(p, "q", "C", "d", "lambda2")
-        gap = d - lambda2
-        if gap <= 0:
-            raise ValueError("need lambda2 < d")
-        ln = (
-            (3616 * q + 450) * math.log(2.0)
-            + (384 * q + 104) * math.log(q)
-            + (129 * q + 4) * math.log(C)
-            + 8 * (math.log(d) - math.log(gap))
-        )
-        return LogScalar.from_ln(ln)
-    if name == "OS_bound_ii":
-        _require(p, "q", "d", "lambda2")
-        gap = d - lambda2
-        if gap <= 0:
-            raise ValueError("need lambda2 < d")
-        ln = (
-            64 * math.log(q)
-            + (576 * q + 234) * math.log(2.0)
-            + 8 * (math.log(d) - math.log(gap))
-        )
-        return LogScalar.from_ln(ln)
-    raise AssertionError("unreachable")
+    given = dict(q=q, C=C, K=K, d=d, alpha=alpha, eps=eps, L=L, i=i, lambda2=lambda2)
+    missing = [k for k in _NEEDS[name] if given[k] is None]
+    if missing:
+        raise ValueError(f"{name} is missing parameter(s): {', '.join(missing)}")
+    args = {}
+    for k in _NEEDS[name]:
+        need, test = _CHECKS[k]
+        try:
+            args[k] = as_logscalar(given[k]) if k in ("alpha", "L") else given[k]
+            valid = test(args[k])
+        except (TypeError, ValueError) as e:
+            raise type(e)(f"{k} must be {need}: {e}") from None
+        if not valid:
+            raise ValueError(f"{k} must be {need}, got {given[k]!r}")
+    if "lambda2" in args and not lambda2 < d:
+        raise ValueError(f"lambda2 must be < d = {d}, got {lambda2!r}")
+    return LogScalar.from_ln(_LN[name](**args))
 
 
 def bigint_ln(name: str, *, q=None, C=None, K=None, d=None, L=None) -> float:
@@ -246,16 +166,6 @@ class IdentityReport:
     k_above_3500: bool
     a_partial_sum: float
     a_sum_ok: bool
-
-    def summary(self) -> str:
-        eq = "holds" if self.equality_holds else "FAILS"
-        return (
-            f"4/c' = Pi {eq} (max rel. ln-deviation "
-            f"{self.max_equality_deviation:.3e}); 4/c' <= Pi "
-            f"{'holds' if self.upper_bound_holds else 'FAILS'}; "
-            f"K >= 3500 {'holds' if self.k_above_3500 else 'FAILS'}; "
-            f"sum a_i = {self.a_partial_sum:.9f}"
-        )
 
 
 # The grid of identity_checks: q, d and C values, at alpha = eps = L = 1, and

@@ -37,7 +37,6 @@ from .rand import as_rng
 from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary, friedman_check
 
 __all__ = [
-    "EXACT_LIMIT",
     "ExpanParams",
     "ExpanVerdict",
     "ExpanPreconditionError",
@@ -51,7 +50,6 @@ __all__ = [
     "cheeger_growth_check",
 ]
 
-EXACT_LIMIT = CHEEGER_EXACT_LIMIT  # one limit for every exhaustive subset scan
 _MASK_CHUNK = 1 << 13  # subsets per part-B numpy block; keeps its temporaries to a few MiB
 _LN_GUARD = 1e-12  # treat log-threshold ties as satisfied
 
@@ -71,11 +69,11 @@ class ExpanParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_logscalar(self.alpha))
         object.__setattr__(self, "L", as_logscalar(self.L))
-        if not (self.alpha.sign == 1 and self.alpha.ln <= 0):
+        if not (-math.inf < self.alpha.ln <= 0):
             raise ValueError("alpha must lie in (0, 1]")
         if not (0 < self.eps <= 1):
             raise ValueError("eps must lie in (0, 1]")
-        if not (self.L.sign == 1 and self.L.ln >= 0):
+        if not self.L.ln >= 0:
             raise ValueError("L must be >= 1")
 
     @staticmethod
@@ -102,9 +100,9 @@ class ExpanVerdict:
 
 
 def _require_exact_size(g: RegularGraph, op: str, instead: str):
-    if g.n > EXACT_LIMIT:
+    if g.n > CHEEGER_EXACT_LIMIT:
         raise ValueError(
-            f"{op} scans all 2^n subsets and is limited to n <= {EXACT_LIMIT} "
+            f"{op} scans all 2^n subsets and is limited to n <= {CHEEGER_EXACT_LIMIT} "
             f"(got n={g.n}); {instead}"
         )
 

@@ -167,14 +167,23 @@ def _check_p(p: float) -> None:
 def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioReport:
     """Exact two-sided evaluation for one field; a lower bound on the constant.
 
-    Rejects constant fields (the edge side vanishes).
+    Rejects constant fields (the edge side vanishes), and fields whose
+    p-th-power sums overflow or underflow the double range.
     """
     _check_p(p)
     x = _as_field(f, g.n)
     if np.all(x == x[0]):
         raise ValueError("field is constant: the Poincare ratio is degenerate")
-    num = _pair_sum(x, norm, p) / (g.n * g.n)
-    den = _edge_sum(x, g, norm, p) / g.num_edges()
+    with np.errstate(over="ignore", under="ignore"):
+        pairs = _pair_sum(x, norm, p)
+        edges = _edge_sum(x, g, norm, p)
+    if not (0 < pairs < math.inf and 0 < edges < math.inf):
+        raise ValueError(
+            f"the p-th-power sums of the field (pairs {pairs!r}, edges {edges!r}) "
+            "leave the double range; rescale the field"
+        )
+    num = pairs / (g.n * g.n)
+    den = edges / g.num_edges()
     return RatioReport(num, den, num / den, p, field=x)
 
 

@@ -402,10 +402,6 @@ def frontier_unique_montecarlo(
         raise ValueError("R must be nonempty")
     if not (0 <= r[0] and r[-1] < n):
         raise ValueError(f"R must lie in [0, {n})")
-    if 2 * len(r) >= n:
-        raise ValueError("need |R| < n/2")
-    if not (0 < theta < 1):
-        raise ValueError("theta must lie in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pairs = [tuple(pair) for pair in prefix]
@@ -425,6 +421,7 @@ def frontier_unique_montecarlo(
     # prefix pairs lie inside R, so only the completion crosses into R
     free = np.array(sorted(set(range(n * d)) - set(points)))
     a_size = int(np.count_nonzero(in_r[free // d]))
+    bound = frontier_unique_bound(theta, a_size, n, len(r))  # checks theta and |R| < n/2
     threshold = theta * a_size
 
     hits = 0
@@ -436,7 +433,7 @@ def frontier_unique_montecarlo(
     freq = hits / trials
     return {
         "frequency": freq,
-        "bound": frontier_unique_bound(theta, a_size, n, len(r)),
+        "bound": bound,
         "stderr": math.sqrt(max(freq * (1 - freq), 1e-12) / trials),
         "trials": trials,
         "a_size": a_size,

@@ -22,6 +22,7 @@ of the vector, and a solve that fails is not stored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ __all__ = [
 
 DENSE_LIMIT = 4096
 ARPACK_TOL = 1e-8  # certified residual ||A v - lambda v||_2 of each ARPACK pair
-CHEEGER_EXACT_LIMIT = 24
+CHEEGER_EXACT_LIMIT = 24  # one limit for every exhaustive subset scan of a graph
 
 
 def adjacency_matrix(g: RegularGraph):
@@ -321,12 +322,18 @@ def friedman_check(g: RegularGraph) -> FriedmanReport:
 def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
     """||sum_{k=1..l} A^k y||^2 <= 4 (4.41 (d-1))^l for unit mean-zero y.
 
-    Preconditions (checked, the inputs first): l >= 1, ||y||_2 = 1 to 1e-9,
-    sum(y) = 0 to 1e-9, and lam(G) <= 2.1 sqrt(d-1) as ``friedman_check``
-    decides it.  A is applied through the neighbour rows, never as a matrix.
+    Preconditions (checked, the inputs first): 1 <= l with the bound below
+    the largest double, ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9, and
+    lam(G) <= 2.1 sqrt(d-1) as ``friedman_check`` decides it.  A is applied
+    through the neighbour rows, never as a matrix.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
+    l_max = int((math.log(sys.float_info.max) - math.log(4.0)) / math.log(4.41 * (g.d - 1)))
+    if l > l_max:
+        raise ValueError(
+            f"the bound 4 (4.41 (d-1))^l exceeds the largest double: need l <= {l_max} at d={g.d}"
+        )
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"y must have shape ({g.n},)")

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from specgap.constants import (
+    CONSTANT_IDS,
     L0_VALUE,
-    a_weight,
     baseline_comparison,
     bigint_ln,
     PAPER_EPS,
@@ -17,9 +18,10 @@ from specgap.logspace import LogScalar
 
 def test_eps_and_a_sequence():
     assert eval_constant("eps_d").to_float() == pytest.approx(0.2)
-    assert a_weight(1) == pytest.approx(6 / math.pi**2)
-    assert a_weight(1) == pytest.approx(0.607927, abs=1e-6)
-    assert eval_constant("a_i", i=3).to_float() == pytest.approx(a_weight(1) / 9)
+    a1 = eval_constant("a_i", i=1).to_float()
+    assert a1 == pytest.approx(6 / math.pi**2)
+    assert a1 == pytest.approx(0.607927, abs=1e-6)
+    assert eval_constant("a_i", i=3).to_float() == pytest.approx(a1 / 9)
 
 
 def test_alpha_growth_rate_log_value():
@@ -163,3 +165,73 @@ def test_unknown_constant_and_missing_params():
         eval_constant("Bogus")
     with pytest.raises(ValueError, match="missing"):
         eval_constant("Gamma", q=2)
+
+
+# One valid value per parameter of eval_constant.
+VALID = dict(q=2, C=1.5, K=2, d=6, alpha=0.5, eps=0.2, L=3.0, i=2, lambda2=2 * math.sqrt(5))
+
+
+def test_every_constant_reads_exactly_its_parameters():
+    needs = {}
+    for name in CONSTANT_IDS:
+        value = eval_constant(name, **VALID)
+        assert isinstance(value, LogScalar) and math.isfinite(value.ln), name
+    for name in CONSTANT_IDS:
+        needed = []
+        for k in VALID:
+            try:
+                eval_constant(name, **{j: v for j, v in VALID.items() if j != k})
+            except ValueError as e:
+                assert str(e) == f"{name} is missing parameter(s): {k}"
+                needed.append(k)
+        # an unneeded parameter is never read, so any value of it is fine
+        unneeded = [k for k in VALID if k not in needed]
+        assert eval_constant(name, **{**VALID, **{k: "unread" for k in unneeded}}) == eval_constant(
+            name, **VALID
+        )
+        needs[name] = needed
+    assert needs["Gamma"] == ["q", "C", "K", "d", "alpha", "eps", "L"]
+    assert needs["OS_bound_ii"] == ["q", "d", "lambda2"]
+    assert needs["eps_d"] == needs["L0"] == []
+
+
+def test_integer_parameters_accept_numpy_integers():
+    assert eval_constant("K", d=np.int64(6)) == eval_constant("K", d=6)
+    assert eval_constant("a_i", i=np.int32(3)) == eval_constant("a_i", i=3)
+
+
+GAMMA = dict(q=1, C=1, K=1, d=3, alpha=1, eps=1, L=1)
+
+
+@pytest.mark.parametrize(
+    "name, kw, param",
+    [
+        ("Gamma", dict(GAMMA, q=math.inf), "q"),
+        ("Gamma", dict(GAMMA, alpha=0), "alpha"),
+        ("Gamma", dict(GAMMA, eps=math.inf), "eps"),
+        ("Gamma", dict(GAMMA, L=0), "L"),
+        ("eta", dict(d=math.inf), "d"),
+        ("c", dict(d=math.inf, alpha=1), "d"),
+        ("alpha_d", dict(d=math.inf), "d"),
+        ("Gamma", dict(GAMMA, q=0), "q"),
+        ("Gamma", dict(GAMMA, q=-2), "q"),
+        ("Gamma", dict(GAMMA, eps=0), "eps"),
+        ("eta", dict(d=1), "d"),
+        ("c", dict(d=1, alpha=1), "d"),
+        ("K", dict(d=1), "d"),
+        ("eta", dict(d=2), "d"),
+        ("c", dict(d=2, alpha=1), "d"),
+        ("a_i", dict(i=2.5), "i"),
+        ("a_i", dict(i=0), "i"),
+        ("OS_bound_ii", dict(q=2, d=3, lambda2=math.nan), "lambda2"),
+        ("OS_bound_ii", dict(q=2, d=3, lambda2=3.0), "lambda2"),
+    ],
+)
+def test_invalid_parameter_is_named(name, kw, param):
+    with pytest.raises(ValueError, match=rf"^{param} must be"):
+        eval_constant(name, **kw)
+
+
+def test_non_real_parameter_is_named():
+    with pytest.raises(TypeError, match=r"^q must be finite and > 0: must be real number"):
+        eval_constant("Gamma", **dict(GAMMA, q="2"))

@@ -192,6 +192,28 @@ def test_ratio_of_tiny_or_offset_fields_is_not_constant():
         assert poincare_ratio(g, field, Lq(2), 2).ratio == pytest.approx(1.5, rel=1e-6)
 
 
+def test_ratio_refuses_sums_outside_double_range():
+    g = petersen_graph()
+    field = make_rng(0).standard_normal((10, 2))
+    base = {p: poincare_ratio(g, field, Lq(p), p).ratio for p in (1, 2)}
+    for scale, nm, p in [
+        (1e160, Lq(2), 2),
+        (1e160, lift_l1(Lq(4), 1, 2), 4),
+        (1e160, Lq(3), 3),
+        (1e160, Lq(math.inf), 2),
+        (1e-300, Lq(2), 2),
+        (1e-300, lift_l1(Lq(4), 1, 2), 4),
+        (1e-300, Lq(3), 3),
+        (1e-300, Lq(math.inf), 2),
+    ]:
+        with pytest.raises(ValueError, match="p-th-power sums.*rescale the field"):
+            poincare_ratio(g, scale * field, nm, p)
+    for scale in (1e160, 1e-300):
+        assert poincare_ratio(g, scale * field, Lq(1), 1).ratio == pytest.approx(base[1], rel=1e-12)
+    # subnormal squares lose digits but stay in range
+    assert poincare_ratio(g, 1e-160 * field, Lq(2), 2).ratio == pytest.approx(base[2], rel=0.1)
+
+
 def test_scalar_closed_form_named_graphs():
     r4 = gamma_scalar_l2_exact(complete_graph(4))
     assert r4.gamma == pytest.approx(0.75)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 from specgap.graphs import RegularGraph, complete_graph, disjoint_union
+import specgap.sampling as sampling
 from specgap.rand import as_rng, make_rng
 from specgap.sampling import (
     ExplorationTrace,
@@ -281,6 +282,19 @@ def test_frontier_unique_montecarlo_rejects_prefix_of_other_degree():
     prefix = [(0, 1), (200, 201)]
     with pytest.raises(ValueError, match="out of range"):
         frontier_unique_montecarlo(60, 3, range(10), prefix, 0.5, 10, make_rng(0))
+
+
+def test_frontier_unique_montecarlo_checks_through_the_bound(monkeypatch):
+    calls = []
+    real = sampling.frontier_unique_bound
+    monkeypatch.setattr(sampling, "frontier_unique_bound", lambda *a: calls.append(a) or real(*a))
+    res = frontier_unique_montecarlo(60, 3, range(10), [], 0.5, 10, make_rng(0))
+    assert calls == [(0.5, 30, 60, 10)] and res["bound"] == real(0.5, 30, 60, 10)
+    for theta in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+            frontier_unique_montecarlo(60, 3, range(10), [], theta, 10, make_rng(0))
+    with pytest.raises(ValueError, match=r"need \|R\| < n/2"):
+        frontier_unique_montecarlo(20, 3, range(10), [], 0.5, 10, make_rng(0))
 
 
 def test_frontier_unique_montecarlo_rejects_zero_trials():

@@ -182,6 +182,15 @@ def test_walk_sum_bound_petersen_eigenvector():
     assert rep["value"] == pytest.approx(9.0, rel=1e-9)  # (1+1+1)^2
 
 
+def test_walk_sum_refuses_l_past_the_double_range():
+    g = petersen_graph()
+    y = np.linalg.eigh(adjacency_matrix(g))[1][:, -2]
+    assert walk_sum_bound_check(g, y, 325)["ok"]  # 4 * 8.82^325 ~ 7.6e307
+    for l in (326, 400):
+        with pytest.raises(ValueError, match="need l <= 325 at d=3"):
+            walk_sum_bound_check(g, y, l)
+
+
 def test_walk_sum_preconditions():
     g = complete_graph(4)
     with pytest.raises(ValueError, match="unit"):
