@@ -112,7 +112,8 @@ def eval_constant(
     Only the constant's own parameters are read, and each is checked first:
     d is an integer >= 3, i an integer >= 1, q, C, K and eps are finite and
     > 0, alpha and L (real numbers or LogScalar) are > 0 with a finite ln,
-    and lambda2 is finite and < d.  The paper's alpha and L at degree d are
+    and lambda2 is finite and < d.  A closed form whose log leaves the double
+    range raises OverflowError.  The paper's alpha and L at degree d are
     ``eval_constant("alpha_d", d=d)`` and ``eval_constant("L_d", d=d)``.
     """
     if name not in _LN:
@@ -133,7 +134,12 @@ def eval_constant(
             raise ValueError(f"{k} must be {need}, got {given[k]!r}")
     if "lambda2" in args and not lambda2 < d:
         raise ValueError(f"lambda2 must be < d = {d}, got {lambda2!r}")
-    return LogScalar.from_ln(_LN[name](**args))
+    ln = _LN[name](**args)
+    if not math.isfinite(ln):
+        raise OverflowError(
+            f"the log of {name} at these parameters is {ln!r}: it leaves the double range"
+        )
+    return LogScalar.from_ln(ln)
 
 
 def bigint_ln(name: str, *, q=None, C=None, K=None, d=None, L=None) -> float:

@@ -144,11 +144,44 @@ def _ones(k: int) -> np.ndarray:
     return out
 
 
-def _power_sums(a: np.ndarray, q: float) -> np.ndarray:
-    """sum_j a_j^q over the last axis; this is ||a||_q^q itself, so it
-    overflows or underflows only where that value leaves the double range."""
+# Integer exponents up to this go by repeated squaring; its relative error
+# is at most about q ulps, which is the conditioning of a^q itself.
+_SQUARING_MAX = 64
+
+
+def _powers(a: np.ndarray, q: float) -> np.ndarray:
+    """a^q elementwise for a >= 0, as a new array; over- and underflow give
+    inf and 0 without a warning.
+
+    An integer q <= _SQUARING_MAX goes by repeated squaring: numpy's pow has
+    no fast path for exponents past 2, and one multiplication costs about a
+    sixth of one pow.  Every other q is ``a**q``.
+    """
     with np.errstate(over="ignore", under="ignore"):
-        return _row_sums(a**q)
+        if not (float(q).is_integer() and 1 <= q <= _SQUARING_MAX):
+            return a**q
+        # sq runs through a^(2^i); after its first product it is squared in
+        # place, so at most two arrays are allocated: fresh large arrays cost
+        # page faults that exceed the multiplications themselves
+        e, sq, out = int(q), a, None
+        while True:
+            if e & 1 and out is not None:
+                out *= sq
+            elif e & 1:  # take sq itself only if it is ours and not squared again
+                out = sq if sq is not a and e == 1 else sq.copy(order="K")
+            e >>= 1
+            if not e:
+                return out
+            sq = sq * sq if sq is a else np.multiply(sq, sq, out=sq)
+
+
+def _power_sums(a: np.ndarray, q: float) -> np.ndarray:
+    """sum_j a_j^q over the last axis of a >= 0, at any number of leading
+    axes and in any memory layout; the powers come from ``_powers``.  This is
+    ||a||_q^q itself, so it overflows or underflows only where that value
+    leaves the double range, silently."""
+    with np.errstate(over="ignore", under="ignore"):
+        return _row_sums(_powers(a, q))
 
 
 def _lq_norms(a: np.ndarray, q: float) -> np.ndarray:

@@ -23,9 +23,15 @@ Cost of the all-pairs kernels, for an (n, k) field:
   evaluation.
 - pair sum, every other (norm, p), q = inf and BlockNorm included: the pairs
   v < w in blocks of rows through ``norm.eval_pow``, doubled; n^2/2 norm
-  evaluations.
-- edge sum and the per-move updates of ``gamma_search``: ``norm.eval_pow``,
-  which for Lq at p = q skips the root-then-power round trip.
+  evaluations.  Each block's differences are formed from x.T as a (k, rows,
+  n) array and handed to the norm as a (rows, n, k) view, so every numpy
+  pass runs over n contiguous entries rather than k = 2 to 4.
+- edge sum: one ``norm.eval_pow`` call over the edges, which for Lq at
+  p = q skips the root-then-power round trip.
+- a move of ``gamma_search``: one ``norm.eval_pow`` call on a (1 + probes,
+  n) table, the current row and the candidates against every row, laid out
+  coordinate-major like the pair-sum blocks.  The edge terms are columns of
+  the same table, so a move costs (1 + probes) n norm evaluations.
 - all-pairs distances: one bit-parallel BFS sweep over ``g.adj`` per block
   of sources, each vertex holding a bitset of the sources that reached it.
   ``average_pairwise_distance`` counts the bits per level
@@ -45,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import RegularGraph, bfs_distances, distance_rows, distance_sum
-from .norms import Lq, UncondNorm, WeightedLq
+from .norms import Lq, UncondNorm, WeightedLq, _powers
 from .rand import as_rng
 from . import spectral
 
@@ -128,8 +134,7 @@ def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
         # sorted columns: the gaps are >= 0 above the diagonal, <= 0 below it
         gaps = s[:, None, start:] - s[:, start : start + rows, None]
         np.maximum(gaps, 0.0, out=gaps)
-        np.power(gaps, q, out=gaps)
-        total += gaps.sum(axis=(1, 2))
+        total += _powers(gaps, q).sum(axis=(1, 2))
     return total
 
 
@@ -143,12 +148,12 @@ def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
     factors = _coordinate_factors(nm, p, k)
     if factors is not None:
         return 2.0 * float(factors @ _column_pair_sums(x, p))
+    xt = np.ascontiguousarray(x.T)  # (k, n): coordinate-major, see gamma_search
     total = 0.0
     rows = _triangle_rows(n, k)
     for start in range(0, n, rows):
-        block = x[start : start + rows]
-        diffs = block[:, None, :] - x[None, start:, :]
-        vals = nm.eval_pow(diffs.reshape(-1, k), p).reshape(len(block), -1)
+        diffs = xt[:, start : start + rows, None] - xt[:, None, start:]
+        vals = nm.eval_pow(diffs.transpose(1, 2, 0), p)
         total += float(np.triu(vals, 1).sum())  # column j is vertex start + j
     return 2.0 * total
 
@@ -229,6 +234,11 @@ def gamma_search(
     and halves the step scale after a streak of failures.  Monotone in the
     best-so-far; deterministic given the seed; ``budget`` caps the number of
     candidate evaluations.
+
+    A move is one ``norm.eval_pow`` call: the current row and the candidates
+    against all n rows, read from a coordinate-major copy of the field kept
+    beside it.  Row 0 of that table is the current row's pair term, and
+    the columns of v's neighbours are its edge terms, before and after.
     """
     _check_p(p)
     if k < 1:
@@ -247,8 +257,10 @@ def gamma_search(
         return _pair_sum(F, norm, p), _edge_sum(F, g, norm, p)
 
     scale = g.num_edges() / float(n * n)
+    rows = np.empty((k, 1 + probes))  # the current row, then the candidates
     for r in range(_SEARCH_RESTARTS):
         F = rng.normal(size=(n, k))
+        FT = np.ascontiguousarray(F.T)  # F coordinate-major, kept equal to F
         num, den = full_parts(F)
         if den <= 0:
             continue
@@ -261,22 +273,22 @@ def gamma_search(
             dirs = rng.normal(size=(probes, k))
             ts = step * np.array([1.0, 0.3, 3.0, 0.1])
             cands = F[v] + dirs * ts[:, None]
-            diffs = cands[:, None, :] - F[None, :, :]
-            nn = norm.eval_pow(diffs.reshape(-1, k), p).reshape(probes, n)
-            nn[:, v] = 0.0
-            old_pair = float(np.sum(norm.eval_pow(F[v] - F, p)))
-            cnum = num - 2 * old_pair + 2 * nn.sum(axis=1)
-            edge_old = float(np.sum(norm.eval_pow(F[v] - F[nbr[v]], p)))
-            ediffs = cands[:, None, :] - F[nbr[v]][None, :, :]
-            dd = norm.eval_pow(ediffs.reshape(-1, k), p).reshape(probes, -1)
-            cden = den - edge_old + dd.sum(axis=1)
+            rows[:, 0] = F[v]
+            rows[:, 1:] = cands.T
+            # table[c, w] = ||rows_c - F[w]||^p; an edge term of v is a pair term
+            diffs = rows[:, :, None] - FT[:, None, :]
+            table = norm.eval_pow(diffs.transpose(1, 2, 0), p)
+            table[1:, v] = 0.0  # a candidate replaces row v: no pair with it
+            pair = table.sum(axis=1)
+            edge = table[:, nbr[v]].sum(axis=1)
+            cnum = num - 2 * float(pair[0]) + 2 * pair[1:]
+            cden = den - float(edge[0]) + edge[1:]
             evals += probes
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(cden > 0, cnum / cden, -math.inf)
             i = int(np.argmax(ratios))
             if ratios[i] > (num / den) * (1 + 1e-12):
-                F = F.copy()
-                F[v] = cands[i]
+                F[v] = FT[:, v] = cands[i]
                 num, den = float(cnum[i]), float(cden[i])
                 fails = 0
                 if num / den * scale > best_ratio:

@@ -323,9 +323,10 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
     """||sum_{k=1..l} A^k y||^2 <= 4 (4.41 (d-1))^l for unit mean-zero y.
 
     Preconditions (checked, the inputs first): 1 <= l with the bound below
-    the largest double, ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9, and
+    the largest double, ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9 n, and
     lam(G) <= 2.1 sqrt(d-1) as ``friedman_check`` decides it.  A is applied
-    through the neighbour rows, never as a matrix.
+    through the neighbour rows, never as a matrix, and the walk runs on the
+    projection of y onto the mean-zero space, taken again before each step.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -350,6 +351,10 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
     z = y
     acc = np.zeros_like(y)
     for _ in range(l):
+        # A keeps the mean-zero space, but the ones-component that the 1e-9
+        # tolerance lets in (and each step's rounding) grows like d^l and
+        # would overflow; projecting every step keeps it at rounding level
+        z = z - z.mean()
         z = z[g.adj] @ ones  # (A z)_v: the sum of z over the neighbours of v
         acc += z
     value = float(acc @ acc)

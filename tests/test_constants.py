@@ -232,6 +232,19 @@ def test_invalid_parameter_is_named(name, kw, param):
         eval_constant(name, **kw)
 
 
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("OS_bound_i", dict(q=1e306, C=1, d=3, lambda2=0.0)),
+        ("Gamma", dict(GAMMA, alpha=LogScalar.from_ln(-1.3e307))),
+    ],
+)
+def test_a_log_outside_the_double_range_raises(name, kw):
+    # valid, finite parameters whose closed form overflows: no silent exp(inf)
+    with pytest.raises(OverflowError, match=rf"^the log of {name} "):
+        eval_constant(name, **kw)
+
+
 def test_non_real_parameter_is_named():
     with pytest.raises(TypeError, match=r"^q must be finite and > 0: must be real number"):
         eval_constant("Gamma", **dict(GAMMA, q="2"))

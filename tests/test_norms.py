@@ -97,6 +97,44 @@ def test_eval_pow_on_extreme_rows():
         assert nm.eval_pow(small, 64)[0] == 0.0
 
 
+def test_powers_match_pow_at_integer_q():
+    a = make_rng(8).uniform(0, 10, size=10_000)
+    a[0] = 0.0
+    for q in range(1, 65):
+        want = a**q
+        assert np.all(np.abs(norms._powers(a, q) - want) <= 1e-13 * want), q
+        assert np.all(np.abs(norms._powers(a, float(q)) - want) <= 1e-13 * want), q
+
+
+@pytest.mark.parametrize("q", [1.5, 2.5])
+def test_powers_at_fractional_q_are_pow(q):
+    a = make_rng(9).uniform(0, 10, size=10_000)
+    assert norms._powers(a, q).tobytes() == (a**q).tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 16, 31, 32, 33, 64, 2.5])
+def test_power_sums_overflow_and_underflow_where_pow_does(q):
+    # every decade of the double range, subnormals and the largest double included
+    a = np.concatenate([[0.0, 5e-324], np.logspace(-323, 308, 20_000), [1.7e308]])
+    with np.errstate(over="ignore", under="ignore"):
+        want = a**q
+    got = norms._power_sums(a[:, None], q)  # a RuntimeWarning here fails the test
+    assert np.array_equal(got == math.inf, want == math.inf)
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+def test_powers_return_a_new_array_in_the_input_layout():
+    a = make_rng(10).uniform(0, 10, size=(3, 50, 2)).transpose(1, 2, 0)
+    for q in (1, 2, 4, 5):
+        out = norms._powers(a, q)
+        assert not np.shares_memory(out, a)
+        assert out.strides == np.empty_like(a).strides
+        assert np.allclose(out, a**q, rtol=1e-13, atol=0)
+    out = norms._powers(a, 1)
+    out[...] = -1.0
+    assert (a >= 0).all()
+
+
 @pytest.mark.parametrize(
     "nm",
     [Lq(1), Lq(2), Lq(3.5), Lq(math.inf), WeightedLq(3, (0.5, 2.0, 1.0, 4.0)),

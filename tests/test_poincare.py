@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -25,7 +26,7 @@ from specgap.poincare import (
     poincare_ratio,
     uc_experiment,
 )
-from specgap.rand import make_rng
+from specgap.rand import as_rng, make_rng
 from specgap.sampling import sample_simple_regular
 
 
@@ -291,6 +292,119 @@ def test_gamma_search_reports_its_fields_ratio():
         again.p,
     )
     assert 0 < rep.evaluations <= 400 and again.evaluations == 0
+
+
+def reference_gamma_search(g, norm, p, k, budget, rng):
+    """The row-major search with four eval_pow calls per move, kept as the
+    oracle of the coordinate-major table that replaced it."""
+    poincare._check_p(p)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    rng = as_rng(rng)
+    n = g.n
+    nbr = g.adj
+    probes = 4
+    best_ratio, best_field = -math.inf, None
+    evals = 0
+    per_restart = max(1, budget // poincare._SEARCH_RESTARTS)
+
+    def full_parts(F):
+        return poincare._pair_sum(F, norm, p), poincare._edge_sum(F, g, norm, p)
+
+    scale = g.num_edges() / float(n * n)
+    for r in range(poincare._SEARCH_RESTARTS):
+        F = rng.normal(size=(n, k))
+        num, den = full_parts(F)
+        if den <= 0:
+            continue
+        if num / den * scale > best_ratio:
+            best_ratio, best_field = num / den * scale, F.copy()
+        step, fails = 1.0, 0
+        budget_end = min(budget, (r + 1) * per_restart)
+        while evals < budget_end:
+            v = int(rng.integers(n))
+            dirs = rng.normal(size=(probes, k))
+            ts = step * np.array([1.0, 0.3, 3.0, 0.1])
+            cands = F[v] + dirs * ts[:, None]
+            diffs = cands[:, None, :] - F[None, :, :]
+            nn = norm.eval_pow(diffs.reshape(-1, k), p).reshape(probes, n)
+            nn[:, v] = 0.0
+            old_pair = float(np.sum(norm.eval_pow(F[v] - F, p)))
+            cnum = num - 2 * old_pair + 2 * nn.sum(axis=1)
+            edge_old = float(np.sum(norm.eval_pow(F[v] - F[nbr[v]], p)))
+            ediffs = cands[:, None, :] - F[nbr[v]][None, :, :]
+            dd = norm.eval_pow(ediffs.reshape(-1, k), p).reshape(probes, -1)
+            cden = den - edge_old + dd.sum(axis=1)
+            evals += probes
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(cden > 0, cnum / cden, -math.inf)
+            i = int(np.argmax(ratios))
+            if ratios[i] > (num / den) * (1 + 1e-12):
+                F = F.copy()
+                F[v] = cands[i]
+                num, den = float(cnum[i]), float(cden[i])
+                fails = 0
+                if num / den * scale > best_ratio:
+                    best_ratio, best_field = num / den * scale, F.copy()
+            else:
+                fails += 1
+                if fails > 2 * n:
+                    step *= 0.5
+                    fails = 0
+                    if step < 1e-9:
+                        break
+    return replace(poincare_ratio(g, best_field, norm, p), evaluations=evals)
+
+
+SEARCH_CASES = [
+    (Lq(1), 1, 2),
+    (Lq(2), 2, 1),
+    (Lq(4), 4, 2),
+    (Lq(32), 32, 2),
+    (Lq(3), 1.5, 2),  # p != q: the root-then-power path
+    (Lq(math.inf), 2, 2),
+    (WeightedLq(3, (1, 2)), 3, 2),
+    (lift_l1(Lq(4), 2, 2), 4, 4),
+]
+
+
+@pytest.fixture(scope="module")
+def search_graphs():
+    sampled, _ = sample_simple_regular(60, 4, make_rng(21))
+    return {"petersen": petersen_graph(), "sampled_60_4": sampled}
+
+
+@pytest.mark.parametrize("graph", ["petersen", "sampled_60_4"])
+@pytest.mark.parametrize("nm, p, k", SEARCH_CASES)
+def test_gamma_search_matches_row_major_reference(search_graphs, graph, nm, p, k):
+    g = search_graphs[graph]
+    got = gamma_search(g, nm, p, k, budget=400, rng=make_rng(31))
+    want = reference_gamma_search(g, nm, p, k, budget=400, rng=make_rng(31))
+    assert got.evaluations == want.evaluations
+    assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
+    np.testing.assert_allclose(got.field, want.field, rtol=1e-12, atol=0)
+
+
+def test_gamma_search_makes_one_norm_call_per_move(monkeypatch):
+    # Lq(4) at p = 4 is separable, so the pair sums make no norm calls and
+    # every eval_pow call is a move or a full edge sum
+    g = sample_simple_regular(60, 4, make_rng(22))[0]
+    calls = []
+    eval_pow = Lq.eval_pow
+
+    def counted(self, ys, p):
+        calls.append(np.shape(ys))
+        return eval_pow(self, ys, p)
+
+    monkeypatch.setattr(Lq, "eval_pow", counted)
+    rep = gamma_search(g, Lq(4), 4, k=2, budget=400, rng=make_rng(32))
+    moves = rep.evaluations // 4  # four candidates per move
+    edge_sums = poincare._SEARCH_RESTARTS + 1  # one per restart, one in the recheck
+    assert rep.evaluations == 400
+    assert len(calls) == moves + edge_sums
+    assert calls.count((5, g.n, 2)) == moves  # the current row and four candidates
 
 
 def test_gamma_search_k4_l1_matches_brute_force_grid():

@@ -191,6 +191,27 @@ def test_walk_sum_refuses_l_past_the_double_range():
             walk_sum_bound_check(g, y, l)
 
 
+def test_walk_sum_projects_away_the_tolerated_mean():
+    # the shift keeps sum(y) = 2e-10 inside the 1e-9 n tolerance, but A
+    # multiplies that ones-component by d = 10 per step: unprojected, the walk
+    # overflowed to inf at l = 192 and reported the bound violated
+    g, _ = sample_simple_regular(200, 10, 1)
+    y0 = np.random.default_rng(0).normal(size=200)
+    y0 -= y0.mean()
+    y0 /= np.linalg.norm(y0)
+    y = y0 + 2e-10 / 200
+    rep = walk_sum_bound_check(g, y, 192)
+    assert rep["ok"] and 0 < rep["value"] <= rep["bound"]
+    assert rep["value"] == pytest.approx(walk_sum_bound_check(g, y0, 192)["value"], rel=1e-6)
+    # at small l the projection changes nothing visible: dense oracle on y itself
+    a = adjacency_matrix(g)
+    z, acc = y.copy(), np.zeros(200)
+    for _ in range(8):
+        z = a @ z
+        acc += z
+    assert walk_sum_bound_check(g, y, 8)["value"] == pytest.approx(acc @ acc, rel=1e-9)
+
+
 def test_walk_sum_preconditions():
     g = complete_graph(4)
     with pytest.raises(ValueError, match="unit"):
