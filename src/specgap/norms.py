@@ -64,7 +64,8 @@ class UncondNorm:
         raise NotImplementedError
 
     def eval_pow(self, ys: np.ndarray, p: float) -> np.ndarray:
-        """||y||^p for each row; Lq skips the root when p equals its q."""
+        """||y||^p for each row; Lq and WeightedLq take it from the power sum
+        in one pow pass, none at all when p equals their q."""
         return self.eval_many(ys) ** p
 
     def __call__(self, y) -> float:
@@ -74,8 +75,22 @@ class UncondNorm:
         return float(self.eval_many(y)[0])
 
 
+class _QNorm(UncondNorm):
+    """A q-norm of the entries ``_entries(ys)`` >= 0: eval_pow at p = q is
+    the power sum itself, and at any other p one power of it."""
+
+    def eval_many(self, ys):
+        return _lq_norms(self._entries(ys), self.q)
+
+    def eval_pow(self, ys, p):
+        a = self._entries(ys)
+        if p == self.q and not math.isinf(p):
+            return _power_sums(a, p)
+        return _lq_norms(a, self.q, p)
+
+
 @dataclass(frozen=True)
-class Lq(UncondNorm):
+class Lq(_QNorm):
     """The q-norm, q in [1, inf]; dim=None accepts any dimension."""
 
     q: float
@@ -85,17 +100,12 @@ class Lq(UncondNorm):
         if not (self.q >= 1):
             raise ValueError("q must be >= 1 (math.inf for the sup norm)")
 
-    def eval_many(self, ys):
-        return _lq_norms(np.abs(np.asarray(ys, dtype=float)), self.q)
-
-    def eval_pow(self, ys, p):
-        if p == self.q and not math.isinf(p):
-            return _power_sums(np.abs(np.asarray(ys, dtype=float)), p)
-        return super().eval_pow(ys, p)
+    def _entries(self, ys):
+        return np.abs(np.asarray(ys, dtype=float))
 
 
 @dataclass(frozen=True)
-class WeightedLq(UncondNorm):
+class WeightedLq(_QNorm):
     """q-norm after positive coordinate weights: ||(w_j y_j)_j||_q."""
 
     q: float
@@ -113,15 +123,7 @@ class WeightedLq(UncondNorm):
     def dim(self):
         return len(self.weights)
 
-    def eval_many(self, ys):
-        return _lq_norms(self._weighted(ys), self.q)
-
-    def eval_pow(self, ys, p):
-        if p == self.q and not math.isinf(p):
-            return _power_sums(self._weighted(ys), p)
-        return super().eval_pow(ys, p)
-
-    def _weighted(self, ys):
+    def _entries(self, ys):
         return np.abs(np.asarray(ys, dtype=float)) * np.asarray(self.weights)
 
 
@@ -184,29 +186,33 @@ def _power_sums(a: np.ndarray, q: float) -> np.ndarray:
         return _row_sums(_powers(a, q))
 
 
-def _lq_norms(a: np.ndarray, q: float) -> np.ndarray:
-    """||a||_q over the last axis of a >= 0.
+def _lq_norms(a: np.ndarray, q: float, p: float = 1.0) -> np.ndarray:
+    """||a||_q^p over the last axis of a >= 0: the power sum s, then s^(p/q),
+    one pow pass.  Over- and underflow of the p-th power are silent.
 
     A row whose power sum overflowed or fell below the smallest normal double
-    is recomputed as m * ||a / m||_q with m its largest entry, so
+    is recomputed as m^p * ||a / m||_q^p with m its largest entry, so
     Lq(32)([1e10, 1]) is 1e10 and Lq(64)([1e-6, 0]) is 1e-6 rather than inf
     and 0.  Every other row pays only that range check.
     """
-    if q == 1:
-        return _row_sums(a)
-    if math.isinf(q):
-        return a.max(axis=-1)
+    if q == 1 or math.isinf(q):
+        out = _row_sums(a) if q == 1 else a.max(axis=-1)
+        if p == 1:
+            return out
+        with np.errstate(over="ignore", under="ignore"):
+            return out**p
     if a.ndim == 1:
-        return _lq_norms(a[None], q)[0]
+        return _lq_norms(a[None], q, p)[0]
     s = _power_sums(a, q)
-    out = s ** (1.0 / q)
-    bad = np.nonzero((s == math.inf) | (s < _SMALLEST_NORMAL))
-    if bad[0].size:
-        rows = a[bad]
-        m = rows.max(axis=-1)
-        fix = (m > 0) & (m < math.inf)  # zero rows are exact; inf entries stay inf
-        m = m[fix, None]
-        out[tuple(i[fix] for i in bad)] = m[:, 0] * _power_sums(rows[fix] / m, q) ** (1.0 / q)
+    with np.errstate(over="ignore", under="ignore"):
+        out = s ** (p / q)
+        bad = np.nonzero((s == math.inf) | (s < _SMALLEST_NORMAL))
+        if bad[0].size:
+            rows = a[bad]
+            m = rows.max(axis=-1)
+            fix = (m > 0) & (m < math.inf)  # zero rows are exact; inf entries stay inf
+            m = m[fix, None]
+            out[tuple(i[fix] for i in bad)] = m[:, 0] ** p * _power_sums(rows[fix] / m, q) ** (p / q)
     return out
 
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RegularGraph, bfs_distances
+from .graphs import RegularGraph, bfs_distances, complete_graph
 from .rand import as_rng
 
 __all__ = [
@@ -117,7 +117,11 @@ def sample_simple_regular(n: int, d: int, rng, max_rejects: int | None = None):
 
     Returns (graph, restarts).  Raises RuntimeError when ``max_rejects``
     restarts do not yield a graph (the caller sets the compute budget; the
-    default is ``default_max_rejects(d)``).
+    default is ``default_max_rejects(d)``).  At n = d + 1 the only d-regular
+    graph is K_n: with the default budget it is returned at once, with 0
+    restarts and nothing drawn, since plain rejection there accepts about
+    exp(-(d^2 - 1)/4) of its pairings.  An explicit ``max_rejects`` runs the
+    pairing model as at any other n.
     """
     if n <= d or d < 3:
         # a simple d-regular graph needs d + 1 vertices at least
@@ -126,6 +130,8 @@ def sample_simple_regular(n: int, d: int, rng, max_rejects: int | None = None):
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = as_rng(rng)
     if max_rejects is None:
+        if n == d + 1:
+            return complete_graph(n), 0
         max_rejects = default_max_rejects(d)
     limits = _switch_limits(n, d)
     restarts = 0

@@ -1,8 +1,12 @@
 """Adjacency spectra, Cheeger constants, and the spectral certificates.
 
-The eigensolver contract: dense symmetric decomposition (LAPACK through
-numpy) up to n = DENSE_LIMIT = 4096, iterative extremal pairs (ARPACK through
-scipy) above, each certified to the residual ARPACK_TOL = 1e-8.  ARPACK is the
+The eigensolver contract: up to n = DENSE_LIMIT = 4096 every eigenvalue from
+LAPACK through numpy's ``eigvalsh``, then the lambda_2 vector alone by
+inverse iteration at the known lambda_2 (one LU solve, as a rule), so the
+n x n eigenvector matrix is never formed; above the limit, iterative
+extremal pairs (ARPACK through scipy).  Every vector handed out has the
+residual ||A v - lambda v||_2 <= ARPACK_TOL = 1e-8, and the dense vector's
+sign makes its first entry of largest magnitude positive.  ARPACK is the
 only use of scipy in the package, and scipy is imported on that path alone,
 which builds its CSR matrix from the neighbour rows; the walk-sum bound
 multiplies by A through those rows, at any n.  ``friedman_check`` makes
@@ -46,8 +50,14 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
-ARPACK_TOL = 1e-8  # certified residual ||A v - lambda v||_2 of each ARPACK pair
+ARPACK_TOL = 1e-8  # certified residual ||A v - lambda v||_2 of every eigenvector handed out
 CHEEGER_EXACT_LIMIT = 24  # one limit for every exhaustive subset scan of a graph
+# The dense lambda_2 vector's inverse-iteration shift above lambda_2, per unit
+# of d: above eigvalsh's error (about 1e-15 d), so A - sigma I stays
+# nonsingular, and far below the gaps of the graphs solved, so one solve
+# leaves little but lambda_2's eigenspace
+_SHIFT = 1e-12
+_SOLVES = 3  # solves before the dense lambda_2 vector gives up
 
 
 def adjacency_matrix(g: RegularGraph):
@@ -93,7 +103,11 @@ def eigen_summary(g: RegularGraph) -> SpectralSummary:
 def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     """The graph's cached (summary, lambda_2 eigenvector), solving on a miss.
 
-    The vector is the cache's own array: callers that hand it on copy it.
+    Dense mode is ``eigvalsh`` for the eigenvalues plus ``_lambda2_vector``,
+    a unit mean-zero vector certified to ARPACK_TOL whose first entry of
+    largest magnitude is positive; iterative mode is ARPACK's pairs, certified
+    to the same residual.  The vector is the cache's own array: callers that
+    hand it on copy it.
     """
     mode = "dense" if g.n <= DENSE_LIMIT else "iterative"
     if g._spectra is None:
@@ -105,7 +119,8 @@ def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
 
 
 def _dense_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
-    evals, vecs = np.linalg.eigh(adjacency_matrix(g))
+    a = adjacency_matrix(g)
+    evals = np.linalg.eigvalsh(a)
     lam2 = float(evals[-2])
     lam_min = float(evals[0])
     summary = SpectralSummary(
@@ -118,7 +133,35 @@ def _dense_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
         lam=max(abs(lam2), abs(lam_min)),
         eigenvalues=tuple(float(x) for x in evals),
     )
-    return summary, vecs[:, -2].copy()  # the copy lets the n x n matrix go
+    return summary, _lambda2_vector(g, a, lam2)
+
+
+def _lambda2_vector(g: RegularGraph, a: np.ndarray, lam2: float) -> np.ndarray:
+    """A unit mean-zero vector with ||A v - lam2 v||_2 <= ARPACK_TOL, by
+    inverse iteration on A - sigma I, sigma = lam2 + _SHIFT d; ``a`` is A and
+    is shifted in place.
+
+    Each step projects out the mean before and after its one solve: the ones
+    vector is lambda_1's eigenvector, so a disconnected graph, where
+    lambda_2 = lambda_1 = d, still gets a vector of lambda_2 = d orthogonal to
+    it.  The start is a fixed-seed normal vector, the residual is taken
+    through the neighbour rows, and the sign makes the first entry of
+    largest magnitude positive.  Raises RuntimeError after _SOLVES solves.
+    """
+    a[np.diag_indices_from(a)] -= lam2 + _SHIFT * g.d
+    v = np.random.default_rng(0).standard_normal(g.n)
+    ones = np.ones(g.d)
+    for _ in range(_SOLVES):
+        v = np.linalg.solve(a, v - v.mean())
+        v -= v.mean()
+        v /= np.linalg.norm(v)
+        residual = float(np.linalg.norm(v[g.adj] @ ones - lam2 * v))
+        if residual <= ARPACK_TOL:
+            return v if v[np.argmax(np.abs(v))] > 0 else -v
+    raise RuntimeError(
+        f"lambda_2 eigenvector residual {residual:.3e} exceeds tol {ARPACK_TOL:.3e} "
+        f"after {_SOLVES} solves"
+    )
 
 
 def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:

@@ -146,6 +146,18 @@ def test_eval_pow_matches_eval_many_power(nm, p):
     assert nm.eval_pow(ys, p) == pytest.approx(nm.eval_many(ys) ** p, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "nm", [Lq(32), Lq(64), WeightedLq(32, (1.0, 2.0)), WeightedLq(64, (3.0, 1.0))]
+)
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+def test_eval_pow_off_q_matches_eval_many_power_on_rescued_rows(nm, p):
+    # [1e10, 1] overflows the power sum at q = 32 and 64, [1e-6, 0] and
+    # [1e-6, 1e-6] underflow it at q = 64: those rows take the rescue
+    rows = np.array([[1e10, 1.0], [3.0, -4.0], [0.0, 0.0], [1e-6, 0.0], [1e-6, 1e-6], [-2.0, 1.0]])
+    ys = np.stack([rows, rows[::-1]])
+    assert nm.eval_pow(ys, p) == pytest.approx(nm.eval_many(ys) ** p, rel=1e-12)
+
+
 def test_json_roundtrip():
     norms = [
         Lq(2),

@@ -194,6 +194,15 @@ def test_sample_simple_regular_valid_and_deterministic():
     assert (g1.n, g1.d) == (100, 3)
 
 
+def test_complete_graph_returns_at_once():
+    # K30 is the only 29-regular graph on 30 vertices; plain rejection accepts
+    # about exp(-210) of its pairings and never returned
+    rng = make_rng(0)
+    assert sample_simple_regular(30, 29, rng) == (complete_graph(30), 0)
+    assert rng.random() == make_rng(0).random()  # nothing drawn
+    assert sample_simple_regular(4, 3, 1) == (complete_graph(4), 0)
+
+
 def test_sample_simple_regular_budget_error():
     with pytest.raises(RuntimeError, match="budget"):
         # forcing zero budget makes the first rejection fatal with high

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from specgap.graphs import (
     complete_bipartite,
     complete_graph,
     disjoint_union,
+    load_edge_list,
     petersen_graph,
 )
 from specgap.poincare import gamma_scalar_l2_exact
@@ -282,11 +285,11 @@ def test_cheeger_exact_matches_per_edge_scan():
 def reference_cheeger_upper(g):
     """The per-step sweep: one Fraction and one frozenset per prefix.
 
-    Dense graphs only: the eigh call is the one the library's spectrum makes,
-    so both sweeps start from the same vector.
+    It sweeps the library's own lambda_2 vector: K4, the Petersen graph and
+    the disjoint unions have a repeated lambda_2, so no independent solve
+    would give the same vector.  The sweep arithmetic is checked exactly.
     """
-    _, vecs = np.linalg.eigh(adjacency_matrix(g))
-    order = np.argsort(vecs[:, -2])
+    order = np.argsort(spectral._spectrum(g)[1])
     best = None
     in_s = set()
     cut = 0
@@ -344,6 +347,57 @@ def test_cheeger_upper_matches_per_step_sweep():
         assert all(type(v) is int for v in res.witness)
 
 
+# -- the dense lambda_2 vector -----------------------------------------------------
+
+
+def test_dense_lambda2_vector_is_certified():
+    for g in _oracle_graphs():
+        summary, v = spectral._spectrum(g)
+        assert summary.mode == "dense"
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert abs(v.sum()) <= 1e-12 * g.n
+        residual = np.linalg.norm(adjacency_matrix(g) @ v - summary.lambda2 * v)
+        assert residual <= spectral.ARPACK_TOL, (g.n, g.d)
+        i = int(np.argmax(np.abs(v)))
+        assert v[i] > 0 and np.all(np.abs(v[:i]) < v[i])  # first largest entry positive
+        evals, vecs = np.linalg.eigh(adjacency_matrix(g))
+        near = np.abs(evals - summary.lambda2) <= 1e-6
+        if near.sum() == 1:  # a simple lambda_2: the vector is eigh's, up to sign
+            ref = vecs[:, -2]
+            assert min(np.abs(v - ref).max(), np.abs(v + ref).max()) <= 1e-8, (g.n, g.d)
+        else:  # repeated: the vector lies in lambda_2's eigenspace
+            basis = vecs[:, near]
+            assert np.linalg.norm(v - basis @ (basis.T @ v)) <= 1e-8, (g.n, g.d)
+
+
+def test_dense_lambda2_vector_keeps_the_stored_cheeger_witnesses():
+    # the sign rule reproduces the vector that pinned these references; the
+    # file is read, never written
+    data = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
+    refs = json.loads((data / "references.json").read_text())
+    for name, value in (("small_n16_d3", Fraction(1, 2)), ("small_n14_d4", Fraction(8, 7))):
+        g = load_edge_list((data / f"{name}.edges").read_text())
+        pinned = refs[f"{name}/cheeger_upper"]
+        res = cheeger_upper(g)
+        assert res.value == value == Fraction(pinned["value"])
+        assert res.witness == frozenset(pinned["witness"])
+
+
+def test_dense_failed_solve_is_not_cached(monkeypatch):
+    g = petersen_graph()
+
+    def off_by_1e_6(a, b):  # every solve misses in a fixed direction
+        x = np.linalg.inv(a) @ b
+        return x + 1e-6 * np.linalg.norm(x) * np.arange(len(b))
+
+    monkeypatch.setattr(np.linalg, "solve", off_by_1e_6)
+    with pytest.raises(RuntimeError, match="after 3 solves"):
+        eigen_summary(g)
+    assert "dense" not in (g._spectra or {})
+    monkeypatch.undo()
+    assert eigen_summary(g).mode == "dense"
+
+
 # -- one eigensolve per graph -----------------------------------------------------
 
 
@@ -364,7 +418,7 @@ def test_certificates_share_one_eigensolve(monkeypatch, dense_limit):
     g, _ = sample_simple_regular(200, 4, make_rng(11))
     summary = eigen_summary(g)
     solves = list(calls)
-    assert solves == (["eigh"] if dense_limit >= g.n else ["eigsh", "eigsh"])
+    assert solves == (["eigvalsh"] if dense_limit >= g.n else ["eigsh", "eigsh"])
     assert summary.mode == ("dense" if dense_limit >= g.n else "iterative")
 
     y = make_rng(12).normal(size=g.n)
@@ -376,7 +430,7 @@ def test_certificates_share_one_eigensolve(monkeypatch, dense_limit):
     assert cheeger_sandwich_check(g)["ok"]
     ub = cheeger_upper(g)
     l2 = gamma_scalar_l2_exact(g)
-    assert calls == solves
+    assert calls == solves and "eigh" not in calls
     assert eigen_summary(g) is summary
     assert l2.lambda2 == summary.lambda2
     assert float(ub.value) >= summary.spectral_gap / 2 - 1e-9  # h_ub >= h
