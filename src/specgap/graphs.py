@@ -26,9 +26,7 @@ import numpy as np
 __all__ = [
     "RegularGraph",
     "dist",
-    "dist_to_set",
     "ball",
-    "boundary",
     "bfs_distances",
     "distance_rows",
     "distance_sum",
@@ -189,29 +187,12 @@ def dist(g: RegularGraph, v: int, w: int) -> float:
     return float(bfs_distances(g, [v])[w])
 
 
-def dist_to_set(g: RegularGraph, v: int, s) -> float:
-    """min over w in s of dist(v, w); s must be nonempty."""
-    s = set(s)
-    if not s:
-        raise ValueError("distance to the empty set is undefined")
-    (v,) = _vertices(g, (v,))
-    return float(bfs_distances(g, s)[v])
-
-
 def ball(g: RegularGraph, s, radius) -> frozenset:
     """{v : dist(v, s) <= radius}; empty for empty s or negative radius."""
     s = set(s)
     if not s or radius < 0:
         return frozenset()
     return frozenset(np.flatnonzero(bfs_distances(g, s) <= radius).tolist())
-
-
-def boundary(g: RegularGraph, s, radius) -> frozenset:
-    """ball(s, radius) minus ball(s, radius - 1)."""
-    s = set(s)
-    if not s or radius < 0:
-        return frozenset()
-    return frozenset(np.flatnonzero(bfs_distances(g, s) == radius).tolist())
 
 
 # -- per-source distances -----------------------------------------------------

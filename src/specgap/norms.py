@@ -1,15 +1,15 @@
 """Composable 1-unconditional norms and their cotype-type constants.
 
-The norm family is a small expression tree: Lq(q) for q in [1, inf],
-WeightedLq with positive weights, and BlockNorm composing an outer norm over
-the values of inner norms on consecutive blocks.  Every member satisfies
+The norm family is a small expression tree: Lq(q) for q in [1, inf] and
+BlockNorm composing an outer norm over the values of inner norms on
+consecutive blocks of positive width.  Every member satisfies
 ||y|| = || |y| || and is monotone on the positive cone, which the rest of
 the package leans on (binary encodings compare coordinatewise).
 
 Rademacher expectations are exact full enumerations up to the stated
-budgets; the Monte Carlo fallbacks are flagged estimates and are never used
-by the acceptance suite.  The restricted-cotype check and constant read one
-table over every subfamily bitmask A of m <= RESTRICTED_EXACT_LIMIT vectors:
+budgets, past which they refuse.  The restricted-cotype check and constant
+read one table over every subfamily bitmask A of m <= RESTRICTED_EXACT_LIMIT
+vectors:
 E[A] = E_r ||sum_{i in A} r_i x_i||^q and R[A] = sum_{i in A} ||x_i||^q,
 built one subset size at a time, (3^m - 1) / 2 norm evaluations in all.
 Families must be nonempty with finite entries.  Every constant is
@@ -22,25 +22,19 @@ near its largest entry.
 from __future__ import annotations
 
 import functools
-import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rand import as_rng
-
 __all__ = [
     "UncondNorm",
     "Lq",
-    "WeightedLq",
     "BlockNorm",
     "lift_l1",
-    "norm_to_json",
-    "norm_from_json",
     "sign_patterns",
     "cotype_constant_exact",
-    "cotype_constant_mc",
     "restricted_cotype_check",
     "restricted_cotype_constant",
     "OverlapFamily",
@@ -64,8 +58,8 @@ class UncondNorm:
         raise NotImplementedError
 
     def eval_pow(self, ys: np.ndarray, p: float) -> np.ndarray:
-        """||y||^p for each row; Lq and WeightedLq take it from the power sum
-        in one pow pass, none at all when p equals their q."""
+        """||y||^p for each row; Lq takes it from the power sum in one pow
+        pass, none at all when p equals its q."""
         return self.eval_many(ys) ** p
 
     def __call__(self, y) -> float:
@@ -75,23 +69,11 @@ class UncondNorm:
         return float(self.eval_many(y)[0])
 
 
-class _QNorm(UncondNorm):
-    """A q-norm of the entries ``_entries(ys)`` >= 0: eval_pow at p = q is
-    the power sum itself, and at any other p one power of it."""
-
-    def eval_many(self, ys):
-        return _lq_norms(self._entries(ys), self.q)
-
-    def eval_pow(self, ys, p):
-        a = self._entries(ys)
-        if p == self.q and not math.isinf(p):
-            return _power_sums(a, p)
-        return _lq_norms(a, self.q, p)
-
-
 @dataclass(frozen=True)
-class Lq(_QNorm):
-    """The q-norm, q in [1, inf]; dim=None accepts any dimension."""
+class Lq(UncondNorm):
+    """The q-norm, q in [1, inf]; dim=None accepts any dimension, else dim is
+    a positive integer.  eval_pow at p = q is the power sum itself, and at
+    any other p one power of it."""
 
     q: float
     dim: int | None = None
@@ -99,32 +81,25 @@ class Lq(_QNorm):
     def __post_init__(self):
         if not (self.q >= 1):
             raise ValueError("q must be >= 1 (math.inf for the sup norm)")
+        if self.dim is not None:
+            object.__setattr__(self, "dim", _positive_dim(self.dim, "Lq dim"))
 
-    def _entries(self, ys):
-        return np.abs(np.asarray(ys, dtype=float))
+    def eval_many(self, ys):
+        return _lq_norms(np.abs(np.asarray(ys, dtype=float)), self.q)
+
+    def eval_pow(self, ys, p):
+        a = np.abs(np.asarray(ys, dtype=float))
+        if p == self.q and not math.isinf(p):
+            return _power_sums(a, p)
+        return _lq_norms(a, self.q, p)
 
 
-@dataclass(frozen=True)
-class WeightedLq(_QNorm):
-    """q-norm after positive coordinate weights: ||(w_j y_j)_j||_q."""
-
-    q: float
-    weights: tuple
-
-    def __post_init__(self):
-        if not (self.q >= 1):
-            raise ValueError("q must be >= 1")
-        weights = tuple(float(w) for w in self.weights)
-        if not weights or not all(0 < w < math.inf for w in weights):
-            raise ValueError(f"weights must be finite, positive and nonempty, got {weights}")
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def dim(self):
-        return len(self.weights)
-
-    def _entries(self, ys):
-        return np.abs(np.asarray(ys, dtype=float)) * np.asarray(self.weights)
+def _positive_dim(dim, what: str) -> int:
+    """dim as an int; ValueError naming it unless it is a positive integer."""
+    k = operator.index(dim)
+    if k < 1:
+        raise ValueError(f"{what} must be a positive integer, got {dim!r}")
+    return k
 
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
@@ -224,9 +199,13 @@ class BlockNorm(UncondNorm):
     inner: tuple  # of (norm, block_dim) with norm.dim compatible
 
     def __post_init__(self):
-        for nm, bd in self.inner:
+        if not self.inner:
+            raise ValueError("BlockNorm needs at least one block")
+        inner = tuple((nm, _positive_dim(bd, "block dimension")) for nm, bd in self.inner)
+        for nm, bd in inner:
             if nm.dim is not None and nm.dim != bd:
                 raise ValueError("inner norm dimension mismatch")
+        object.__setattr__(self, "inner", inner)
         if self.outer.dim is not None and self.outer.dim != len(self.inner):
             raise ValueError("outer norm dimension mismatch")
 
@@ -255,47 +234,6 @@ class BlockNorm(UncondNorm):
 def lift_l1(base: UncondNorm, k: int, m: int) -> BlockNorm:
     """The lifted norm on R^(k*m): base norm of the blockwise l1 masses."""
     return BlockNorm(outer=base, inner=tuple((Lq(1.0, m), m) for _ in range(k)))
-
-
-# -- JSON expression trees -------------------------------------------------------
-
-
-def norm_to_json(nm: UncondNorm) -> dict:
-    if isinstance(nm, WeightedLq):
-        return {"type": "weighted_lq", "q": _q_out(nm.q), "weights": list(nm.weights)}
-    if isinstance(nm, Lq):
-        return {"type": "lq", "q": _q_out(nm.q), "dim": nm.dim}
-    if isinstance(nm, BlockNorm):
-        return {
-            "type": "block",
-            "outer": norm_to_json(nm.outer),
-            "inner": [{"norm": norm_to_json(x), "dim": bd} for x, bd in nm.inner],
-        }
-    raise TypeError(f"cannot serialize {type(nm).__name__}")
-
-
-def norm_from_json(obj) -> UncondNorm:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    t = obj.get("type")
-    if t == "lq":
-        return Lq(_q_in(obj["q"]), obj.get("dim"))
-    if t == "weighted_lq":
-        return WeightedLq(_q_in(obj["q"]), tuple(obj["weights"]))
-    if t == "block":
-        inner = tuple(
-            (norm_from_json(x["norm"]), int(x["dim"])) for x in obj["inner"]
-        )
-        return BlockNorm(norm_from_json(obj["outer"]), inner)
-    raise ValueError(f"unknown norm type {t!r}")
-
-
-def _q_out(q):
-    return "inf" if math.isinf(q) else q
-
-
-def _q_in(q):
-    return math.inf if q in ("inf", "Infinity", None) else float(q)
 
 
 # -- Rademacher machinery --------------------------------------------------------
@@ -330,7 +268,8 @@ def cotype_constant_exact(nm: UncondNorm, vectors, q: float) -> float:
     if m > COTYPE_EXACT_LIMIT:
         raise ValueError(
             f"exact sign enumeration is limited to m <= {COTYPE_EXACT_LIMIT} "
-            f"(got m={m}); use cotype_constant_mc for a flagged estimate"
+            f"(got m={m}); there is no sampled estimate, since a Monte Carlo mean "
+            "of the ratio bounds the constant on neither side"
         )
     if q < 2:
         raise ValueError("cotype exponent q must be >= 2")
@@ -338,25 +277,12 @@ def cotype_constant_exact(nm: UncondNorm, vectors, q: float) -> float:
     return _moment_ratio(nm, x, sign_patterns(m - 1) @ x[:-1] + x[-1], q)
 
 
-def cotype_constant_mc(nm: UncondNorm, vectors, q: float, trials: int, rng) -> dict:
-    """Monte Carlo estimate of the cotype constant; flagged, never exact."""
-    x = _as_matrix(vectors)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = as_rng(rng)
-    signs = rng.choice((-1.0, 1.0), size=(trials, x.shape[0]))
-    return {"estimate": _moment_ratio(nm, x, signs @ x, q), "exact": False, "trials": trials}
-
-
 def _moment_ratio(nm: UncondNorm, x: np.ndarray, sums: np.ndarray, q: float) -> float:
     """(sum_i ||x_i||^q / mean_j ||sums_j||^q)^(1/q), a ratio of power means."""
     rhs = _power_mean(nm.eval_many(x), q)
     if rhs == 0:
         raise ValueError("family of zero vectors has no cotype constant")
-    lhs = _power_mean(nm.eval_many(sums), q)
-    if lhs == 0:  # only sampled signs can all cancel
-        raise ValueError("every sampled sign sum is zero; draw more trials")
-    return len(x) ** (1.0 / q) * rhs / lhs
+    return len(x) ** (1.0 / q) * rhs / _power_mean(nm.eval_many(sums), q)
 
 
 def _power_mean(v: np.ndarray, q: float) -> float:

@@ -15,12 +15,11 @@ zero); the convention is fixed here and used consistently on both sides.
 
 Cost of the all-pairs kernels, for an (n, k) field:
 
-- pair sum, norm Lq(q) or WeightedLq with finite q and p = q: the sum splits
-  by coordinate (a WeightedLq coordinate carries the factor w_j^q).  q = 2 is
-  2n sum_j sum_v (x_vj - mean_j)^2, O(nk); q = 1 is a sort plus gap weights,
-  O(nk log n); any other q sorts each column and sums max(gap, 0)^q over the
-  upper triangle in blocks of rows, O(n^2 k) elementwise but with no norm
-  evaluation.
+- pair sum, norm Lq(q) with finite q and p = q: the sum splits by
+  coordinate.  q = 2 is 2n sum_j sum_v (x_vj - mean_j)^2, O(nk); q = 1 is a
+  sort plus gap weights, O(nk log n); any other q sorts each column and sums
+  max(gap, 0)^q over the upper triangle in blocks of rows, O(n^2 k)
+  elementwise but with no norm evaluation.
 - pair sum, every other (norm, p), q = inf and BlockNorm included: the pairs
   v < w in blocks of rows through ``norm.eval_pow``, doubled; n^2/2 norm
   evaluations.  Each block's differences are formed from x.T as a (k, rows,
@@ -34,9 +33,9 @@ Cost of the all-pairs kernels, for an (n, k) field:
   the same table, so a move costs (1 + probes) n norm evaluations.
 - all-pairs distances: one bit-parallel BFS sweep over ``g.adj`` per block
   of sources, each vertex holding a bitset of the sources that reached it.
-  ``average_pairwise_distance`` counts the bits per level
-  (``graphs.distance_sum``) and builds no rows; the embedding's table reads
-  the float rows of ``graphs.distance_rows``.
+  ``uc_experiment`` counts the bits per level (``graphs.distance_sum``) and
+  builds no rows; the embedding's table reads the float rows of
+  ``graphs.distance_rows``.
 
 Each block holds about 2^22 (source, vertex) entries (32 MiB of floats) or
 fewer; only the embedding keeps a whole n x n table, and only for
@@ -51,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import RegularGraph, bfs_distances, distance_rows, distance_sum
-from .norms import Lq, UncondNorm, WeightedLq, _powers
+from .norms import Lq, UncondNorm, _powers
 from .rand import as_rng
 from . import spectral
 
@@ -63,7 +62,6 @@ __all__ = [
     "gamma_search",
     "EmbeddingReport",
     "bourgain_style_embedding",
-    "average_pairwise_distance",
     "uc_experiment",
 ]
 
@@ -104,18 +102,6 @@ def _triangle_rows(n: int, width: int) -> int:
     return max(1, min(_TRIANGLE_ROWS, _CHUNK_ENTRIES // max(n * width, 1)))
 
 
-def _coordinate_factors(nm: UncondNorm, p: float, k: int) -> np.ndarray | None:
-    """c with ||y||^p = sum_j c_j |y_j|^p for all y in R^k, or None.
-
-    Only Lq(q) and WeightedLq with finite q = p split this way.
-    """
-    if not isinstance(nm, (Lq, WeightedLq)) or p != nm.q or math.isinf(p):
-        return None
-    if isinstance(nm, WeightedLq):
-        return np.asarray(nm.weights) ** p
-    return np.ones(k)
-
-
 def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
     """Per column j, sum over v < w of |x_vj - x_wj|^q (finite q)."""
     n = x.shape[0]
@@ -141,13 +127,13 @@ def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
 def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
     """sum over ordered pairs (v, w) of ||x_v - x_w||^p: twice the v < w sum.
 
-    Separable (norm, p), see ``_coordinate_factors``, go column by column;
-    every other norm evaluates the pairs v < w in blocks of rows.
+    Lq(q) at p = q splits by coordinate and goes column by column (p is
+    finite, so q is); every other norm evaluates the pairs v < w in blocks
+    of rows.
     """
     n, k = x.shape
-    factors = _coordinate_factors(nm, p, k)
-    if factors is not None:
-        return 2.0 * float(factors @ _column_pair_sums(x, p))
+    if isinstance(nm, Lq) and p == nm.q:
+        return 2.0 * float(_column_pair_sums(x, p).sum())
     xt = np.ascontiguousarray(x.T)  # (k, n): coordinate-major, see gamma_search
     total = 0.0
     rows = _triangle_rows(n, k)
@@ -202,13 +188,14 @@ class ScalarGapResult:
 def gamma_scalar_l2_exact(g: RegularGraph) -> ScalarGapResult:
     """Closed form for scalar fields, Euclidean norm, p = 2.
 
-    Certified value d/(d - lambda2), achieved by the second eigenvector;
-    infinite for disconnected graphs.  lambda2 and the extremizer come from
-    the graph's shared spectrum (dense up to spectral.DENSE_LIMIT, ARPACK
-    above); the extremizer is a copy.
+    Certified value d/(d - lambda2), achieved by the second eigenvector.  A
+    disconnected graph has lambda2 = d exactly, reported as such with gamma
+    = inf and no extremizer, before any eigensolve.  Otherwise lambda2 and
+    the extremizer come from the graph's shared spectrum (dense up to
+    spectral.DENSE_LIMIT, ARPACK above); the extremizer is a copy.
     """
     if np.isinf(bfs_distances(g, [0])).any():
-        return ScalarGapResult(math.inf, float("nan"), None)
+        return ScalarGapResult(math.inf, float(g.d), None)
     summary, vec = spectral._spectrum(g)
     lam2 = summary.lambda2
     gamma = g.d / (g.d - lam2)
@@ -232,8 +219,11 @@ def gamma_search(
     Norm-agnostic (no smoothness assumed): each move proposes a few scaled
     random perturbations of one vertex row, keeps the best if it improves,
     and halves the step scale after a streak of failures.  Monotone in the
-    best-so-far; deterministic given the seed; ``budget`` caps the number of
-    candidate evaluations.
+    best-so-far; deterministic given the seed.  A move evaluates four
+    candidates, and no move starts that would take the count past
+    ``budget``, so ``evaluations`` is a multiple of four and at most
+    ``budget``; below four no move is made, and the result is the best
+    random start.
 
     A move is one ``norm.eval_pow`` call: the current row and the candidates
     against all n rows, read from a coordinate-major copy of the field kept
@@ -268,7 +258,7 @@ def gamma_search(
             best_ratio, best_field = num / den * scale, F.copy()
         step, fails = 1.0, 0
         budget_end = min(budget, (r + 1) * per_restart)
-        while evals < budget_end:
+        while evals < budget_end and evals + probes <= budget:
             v = int(rng.integers(n))
             dirs = rng.normal(size=(probes, k))
             ts = step * np.array([1.0, 0.3, 3.0, 0.1])
@@ -405,19 +395,6 @@ def bourgain_style_embedding(g: RegularGraph, q: float, rng=0) -> EmbeddingRepor
 # -- distance sweeps ---------------------------------------------------------------
 
 
-def average_pairwise_distance(g: RegularGraph) -> dict:
-    """Exact BFS distance averages; infinite for disconnected graphs.
-
-    The sum comes from ``graphs.distance_sum``, so memory stays
-    O(block * n / 64) words and no distance row is built.
-    """
-    total = distance_sum(g)
-    return {
-        "all_pairs": total / (g.n * g.n),
-        "distinct_pairs": total / (g.n * (g.n - 1)),
-    }
-
-
 def uc_experiment(graphs) -> list[dict]:
     """Distance-growth rows for a family of graphs: per graph, the exact
     average pairwise distance over ordered pairs and over distinct pairs.
@@ -425,13 +402,13 @@ def uc_experiment(graphs) -> list[dict]:
     """
     rows = []
     for g in graphs:
-        avg = average_pairwise_distance(g)
+        total = distance_sum(g)  # per level, so no distance row is built
         rows.append(
             {
                 "n": g.n,
                 "d": g.d,
-                "avg_distance": avg["all_pairs"],
-                "avg_distance_distinct": avg["distinct_pairs"],
+                "avg_distance": total / (g.n * g.n),
+                "avg_distance_distinct": total / (g.n * (g.n - 1)),
             }
         )
     return rows

@@ -16,20 +16,18 @@ from specgap.graphs import (
     RegularGraph,
     ball,
     bfs_distances,
-    boundary,
     circular_ladder,
     complete_bipartite,
     complete_graph,
     disjoint_union,
     dist,
-    dist_to_set,
     distance_rows,
     distance_sum,
     load_edge_list,
     petersen_graph,
     save_edge_list,
 )
-from specgap.poincare import average_pairwise_distance
+from specgap.poincare import uc_experiment
 from specgap.rand import make_rng
 from specgap.sampling import sample_simple_regular
 
@@ -180,9 +178,9 @@ def test_dist_vertex_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         dist(g, 0, 7)
     with pytest.raises(ValueError, match="vertex -1 out of range"):
-        dist_to_set(g, -1, [0])
+        dist(g, -1, 0)
     with pytest.raises(ValueError, match="vertex 4 out of range"):
-        dist_to_set(g, 0, [1, 4])
+        bfs_distances(g, [1, 4])
     with pytest.raises(ValueError, match="vertex 9 out of range"):
         bfs_distances(g, np.array([0, 9]))
 
@@ -201,12 +199,10 @@ def test_vertices_must_be_integers():
 def test_dist_to_set_and_edge():
     g = petersen_graph()
     # vertex 0 is adjacent to 1; edge (1, 2) has endpoint 1
-    assert dist_to_set(g, 0, (1, 2)) == 1
-    assert dist_to_set(g, 1, (1, 2)) == 0
-    assert dist_to_set(g, 8, (1, 2)) == 2  # 8-6-1 and 8-3-2
-    assert dist_to_set(g, 3, range(10)) == 0
-    with pytest.raises(ValueError, match="empty"):
-        dist_to_set(g, 0, [])
+    to_edge = bfs_distances(g, (1, 2))
+    assert (to_edge[0], to_edge[1], to_edge[8]) == (1, 0, 2)  # 8-6-1 and 8-3-2
+    assert not bfs_distances(g, range(10)).any()
+    assert (bfs_distances(g, []) == INF).all()  # the empty set reaches nothing
 
 
 def test_ball_basics():
@@ -215,7 +211,6 @@ def test_ball_basics():
     assert ball(g, {1, 2}, 0) == frozenset({1, 2})
     assert ball(g, set(), 3) == frozenset()
     assert ball(g, {1}, -1) == frozenset()
-    assert boundary(g, {0}, 1) == frozenset({1, 2, 3})
 
 
 def test_ball_monotone_and_growth_cap():
@@ -452,12 +447,13 @@ def test_distance_rows_match_csgraph(g, length, block_rows, data):
         assert np.array_equal(np.vstack(list(distance_rows(g))), every)
         total = float(every.sum())
         assert distance_sum(g) == total
-        avg = average_pairwise_distance(g)
+        (row,) = uc_experiment([g])
     rows = block_rows or max(1, graphs.DISTANCE_CHUNK_ENTRIES // g.n)
     assert [len(b) for b in blocks] == [min(rows, length - i) for i in range(0, length, rows)]
     assert all(b.dtype == float and b.shape[1] == g.n for b in blocks)
     assert np.array_equal(np.vstack(blocks), want)
-    assert avg == {"all_pairs": total / g.n**2, "distinct_pairs": total / (g.n * (g.n - 1))}
+    assert row["avg_distance"] == total / g.n**2
+    assert row["avg_distance_distinct"] == total / (g.n * (g.n - 1))
 
 
 def test_distance_rows_source_out_of_range():

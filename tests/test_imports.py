@@ -3,8 +3,10 @@ importing it costs more than the rest of the package.  The dense-path
 pipeline below includes a walk-sum bound at n > 512, which multiplies by the
 adjacency through the neighbour rows, not through a scipy matrix."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -55,3 +57,11 @@ def test_scipy_stays_unimported_on_the_dense_path():
     assert {"graphs", "spectral", "poincare", "norms", "expansion"} <= set(got["modules"])
     assert got["after_import"] == []
     assert got["after_pipeline"] == []
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module but left in its __all__ breaks star imports
+    for mod in pkgutil.iter_modules(specgap.__path__):
+        module = importlib.import_module(f"specgap.{mod.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (mod.name, missing)

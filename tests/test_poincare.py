@@ -17,9 +17,8 @@ from specgap.graphs import (
 )
 import specgap.poincare as poincare
 import specgap.spectral as spectral
-from specgap.norms import Lq, WeightedLq, lift_l1
+from specgap.norms import BlockNorm, Lq, lift_l1
 from specgap.poincare import (
-    average_pairwise_distance,
     bourgain_style_embedding,
     gamma_scalar_l2_exact,
     gamma_search,
@@ -83,13 +82,12 @@ def _ordered_pair_sum(x, nm, p):
     return total
 
 
-WEIGHTS = (0.5, 2.0, 1.25, 1.0)
 PAIR_SUM_CASES = (
     [(Lq(q), q) for q in (1, 1.5, 2, 3, 4, 32)]
     + [(Lq(q), p) for q, p in ((1, 2), (1.5, 1), (2, 1), (3, 2), (4, 1.5), (32, 4))]
     + [(Lq(math.inf), 1), (Lq(math.inf), 3)]
-    + [(WeightedLq(q, WEIGHTS), q) for q in (1, 2, 3)]
-    + [(WeightedLq(3, WEIGHTS), 2), (WeightedLq(math.inf, WEIGHTS), 2)]
+    + [(lift_l1(Lq(q), 2, 2), q) for q in (1, 2, 3)]
+    + [(lift_l1(Lq(3), 2, 2), 2), (lift_l1(Lq(math.inf), 2, 2), 2)]
     + [(lift_l1(Lq(4), 2, 2), 4), (lift_l1(Lq(4), 2, 2), 2)]
 )
 
@@ -116,7 +114,7 @@ def test_pair_sum_matches_ordered_pair_reference(monkeypatch, nm, p, rows):
         assert poincare._pair_sum(x, nm, p) == pytest.approx(want, rel=1e-9), name
 
 
-@pytest.mark.parametrize("nm", [Lq(1), Lq(2), Lq(3.5), Lq(32), WeightedLq(3, WEIGHTS)])
+@pytest.mark.parametrize("nm", [Lq(1), Lq(2), Lq(3.5), Lq(32), Lq(3, dim=4)])
 def test_pair_sum_separable_case_never_evaluates_the_norm(monkeypatch, nm):
     x = _pair_sum_fields()["ties_n37"]
     want = _ordered_pair_sum(x, nm, nm.q)
@@ -149,7 +147,7 @@ RATIO_CASES = [
     (Lq(32), 32),
     (Lq(2), 1),
     (Lq(math.inf), 2),
-    (WeightedLq(4, WEIGHTS), 4),
+    (BlockNorm(Lq(3), ((Lq(4), 1), (Lq(1), 3))), 4),
     (lift_l1(Lq(4), 2, 2), 4),
 ]
 
@@ -232,8 +230,11 @@ def test_scalar_closed_form_matches_eigenvector_ratio():
 
 
 def test_scalar_closed_form_disconnected():
+    # two components: lambda2 = d exactly, with the eigenvector +-1 on each
     g = disjoint_union(complete_graph(4), complete_graph(4))
-    assert gamma_scalar_l2_exact(g).gamma == math.inf
+    res = gamma_scalar_l2_exact(g)
+    assert (res.gamma, res.lambda2, res.extremizer) == (math.inf, 3.0, None)
+    assert type(res.lambda2) is float
 
 
 def test_scalar_closed_form_iterative_above_dense_limit(monkeypatch):
@@ -268,6 +269,15 @@ def test_gamma_search_monotone_and_budgeted():
     r2 = gamma_search(g, Lq(2), 2, k=1, budget=40_000, rng=3)
     assert r2.ratio >= r1.ratio - 1e-12
     assert r1.evaluations <= 400
+
+
+def test_gamma_search_never_exceeds_its_budget():
+    # four candidates per move, so a move that would overrun the budget is not made
+    g = petersen_graph()
+    for budget in range(1, 21):
+        rep = gamma_search(g, Lq(2), 2, k=1, budget=budget, rng=make_rng(budget))
+        assert rep.evaluations <= budget and rep.evaluations % 4 == 0, budget
+        assert rep.evaluations >= budget - 3, budget  # every move that fits is made
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
@@ -323,7 +333,7 @@ def reference_gamma_search(g, norm, p, k, budget, rng):
             best_ratio, best_field = num / den * scale, F.copy()
         step, fails = 1.0, 0
         budget_end = min(budget, (r + 1) * per_restart)
-        while evals < budget_end:
+        while evals < budget_end and evals + probes <= budget:
             v = int(rng.integers(n))
             dirs = rng.normal(size=(probes, k))
             ts = step * np.array([1.0, 0.3, 3.0, 0.1])
@@ -365,7 +375,7 @@ SEARCH_CASES = [
     (Lq(32), 32, 2),
     (Lq(3), 1.5, 2),  # p != q: the root-then-power path
     (Lq(math.inf), 2, 2),
-    (WeightedLq(3, (1, 2)), 3, 2),
+    (BlockNorm(Lq(3), ((Lq(1), 1), (Lq(2), 1))), 3, 2),
     (lift_l1(Lq(4), 2, 2), 4, 4),
 ]
 
@@ -456,7 +466,7 @@ def test_embedding_petersen_many_seeds(seed):
 def test_embedding_gamma_lower_bound_inequality():
     g, _ = sample_simple_regular(64, 6, make_rng(2))
     rep = bourgain_style_embedding(g, q=2, rng=9)
-    avg = average_pairwise_distance(g)["all_pairs"]
+    avg = uc_experiment([g])[0]["avg_distance"]
     edges = g.edges()
     stretch = max(
         float(np.linalg.norm(rep.field[u] - rep.field[v])) for u, v in edges
@@ -491,11 +501,10 @@ def test_embedding_rejects_disconnected():
 
 
 def test_average_distance_named_graphs():
-    k4 = average_pairwise_distance(complete_graph(4))
-    assert k4["distinct_pairs"] == pytest.approx(1.0)
-    pet = average_pairwise_distance(petersen_graph())
-    assert pet["all_pairs"] == pytest.approx(1.5)
-    assert pet["distinct_pairs"] == pytest.approx(15.0 / 9.0)
+    k4, pet = uc_experiment([complete_graph(4), petersen_graph()])
+    assert k4["avg_distance_distinct"] == pytest.approx(1.0)
+    assert pet["avg_distance"] == pytest.approx(1.5)
+    assert pet["avg_distance_distinct"] == pytest.approx(15.0 / 9.0)
 
 
 def _bfs_double_loop_average(g):
@@ -512,10 +521,10 @@ def _bfs_double_loop_average(g):
 )
 def test_average_distance_matches_bfs_double_loop(seed, size):
     g, _ = sample_simple_regular(*size, make_rng(seed))
-    avg = average_pairwise_distance(g)
-    assert avg["all_pairs"] == _bfs_double_loop_average(g)
-    if avg["all_pairs"] < math.inf:
-        assert avg["distinct_pairs"] == pytest.approx(avg["all_pairs"] * g.n / (g.n - 1))
+    (row,) = uc_experiment([g])
+    assert row["avg_distance"] == _bfs_double_loop_average(g)
+    if row["avg_distance"] < math.inf:
+        assert row["avg_distance_distinct"] == pytest.approx(row["avg_distance"] * g.n / (g.n - 1))
 
 
 @pytest.mark.parametrize("block_entries", [1 << 22, 3 * 14])
@@ -523,8 +532,8 @@ def test_average_distance_disjoint_union_is_infinite(monkeypatch, block_entries)
     # 3 * 14 entries: the 14 distance rows come in blocks of three
     monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", block_entries)
     g = disjoint_union(complete_graph(4), petersen_graph())
-    avg = average_pairwise_distance(g)
-    assert avg == {"all_pairs": math.inf, "distinct_pairs": math.inf}
+    (row,) = uc_experiment([g])
+    assert (row["avg_distance"], row["avg_distance_distinct"]) == (math.inf, math.inf)
 
 
 def test_uc_experiment_rows_and_monotone_trend():
