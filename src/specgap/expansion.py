@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import PAPER_EPS, eval_constant
-from .graphs import RegularGraph, _level_sets, ball, bfs_distances, distance_rows
+from .graphs import RegularGraph, _level_sets, bfs_distances, distance_rows
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
 from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary, friedman_check
@@ -277,18 +277,19 @@ def fit_growth_alpha(g: RegularGraph) -> LogScalar:
     return LogScalar.from_ln(best)
 
 
-def _sample_subset(g: RegularGraph, rng) -> frozenset:
-    """Witness-hunting mix: 25% singletons, 25% BFS balls, 50% random subsets."""
+def _sample_subset(g: RegularGraph, rng) -> np.ndarray:
+    """Witness-hunting mix: 25% singletons, 25% BFS balls, 50% random
+    subsets; the vertices as a sorted int64 array without repeats."""
     n = g.n
     mode = rng.random()
     if mode < 0.25:
-        return frozenset({int(rng.integers(n))})
+        return np.array([rng.integers(n)], dtype=np.int64)
     if mode < 0.5:
         v = int(rng.integers(n))
         radius = int(rng.integers(0, max(2, n // 3)))
-        return frozenset(ball(g, {v}, radius))
+        return np.flatnonzero(bfs_distances(g, [v]) <= radius)
     size = int(rng.integers(1, n + 1))
-    return frozenset(int(x) for x in rng.choice(n, size=size, replace=False))
+    return np.sort(rng.choice(n, size=size, replace=False))
 
 
 def growth_check_sampled(g: RegularGraph, alpha, trials: int, rng) -> ExpanVerdict:
@@ -312,7 +313,7 @@ def growth_check_sampled(g: RegularGraph, alpha, trials: int, rng) -> ExpanVerdi
                 mode="sampled",
                 status="fail",
                 witness={
-                    "S": tuple(sorted(subset)),
+                    "S": tuple(subset.tolist()),
                     "l": l,
                     "ball_size": bsize,
                     "required": required,

@@ -311,7 +311,55 @@ def distance_sum(g: RegularGraph) -> float:
 
 
 def load_edge_list(text: str) -> RegularGraph:
-    rows = []  # (lineno, a, b)
+    """The graph of an edge-list text, in the format above.
+
+    One numpy parse reads a well-formed text; only a text it refuses is read
+    again line by line, by ``_edge_rows``, which names the offending line.
+    """
+    rows = _bulk_rows(text)
+    if rows is None:
+        rows = _edge_rows(text)
+
+    def build(n, pairs):
+        try:
+            return RegularGraph.from_edges(n, pairs)
+        except ValueError as exc:
+            raise ValueError(f"invalid edge list: {exc}") from None
+
+    # The first line may be a header "n d".  It counts as one exactly when
+    # reading the remaining lines as edges yields a regular graph matching it;
+    # otherwise every line is an edge and n is inferred from the labels.
+    head_n, head_d = int(rows[0][0]), int(rows[0][1])
+    if len(rows) - 1 == head_n * head_d // 2:
+        try:
+            g = build(head_n, rows[1:])
+            if g.d == head_d:
+                return g
+        except ValueError:
+            pass
+    return build(int(np.max(rows)) + 1, rows)
+
+
+def _bulk_rows(text: str) -> np.ndarray | None:
+    """The data lines as an int64 (k, 2) array, k >= 1, or None wherever
+    ``_edge_rows`` would raise or read what numpy's integer parser does not
+    (such as "1_000" or digits outside ASCII).
+
+    ``np.loadtxt`` strips "#" comments, skips blank lines and splits on the
+    whitespace that ``str.split`` splits on.  The leading "0 0" row fixes the
+    width at two columns and keeps it from warning on a text with no data.
+    """
+    try:
+        rows = np.loadtxt(["0 0", *text.splitlines()], dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    return rows[1:] if len(rows) > 1 and rows.shape[1] == 2 else None
+
+
+def _edge_rows(text: str) -> list[tuple[int, int]]:
+    """The data lines as (a, b) pairs, one line at a time; ValueError naming
+    the first line that is not two integers, or on a text with no data."""
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -320,32 +368,12 @@ def load_edge_list(text: str) -> RegularGraph:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            rows.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
-        rows.append((lineno, a, b))
     if not rows:
         raise ValueError("empty edge list")
-
-    def build(n, pairs):
-        try:
-            return RegularGraph.from_edges(n, [(a, b) for _, a, b in pairs])
-        except ValueError as exc:
-            raise ValueError(f"invalid edge list: {exc}") from None
-
-    # The first line may be a header "n d".  It counts as one exactly when
-    # reading the remaining lines as edges yields a regular graph matching it;
-    # otherwise every line is an edge and n is inferred from the labels.
-    head_n, head_d = rows[0][1], rows[0][2]
-    if len(rows) - 1 == head_n * head_d // 2:
-        try:
-            g = build(head_n, rows[1:])
-            if g.d == head_d:
-                return g
-        except ValueError:
-            pass
-    n_inferred = max(max(a, b) for _, a, b in rows) + 1
-    return build(n_inferred, rows)
+    return rows
 
 
 def save_edge_list(g: RegularGraph) -> str:

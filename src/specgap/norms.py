@@ -85,13 +85,21 @@ class Lq(UncondNorm):
             object.__setattr__(self, "dim", _positive_dim(self.dim, "Lq dim"))
 
     def eval_many(self, ys):
-        return _lq_norms(np.abs(np.asarray(ys, dtype=float)), self.q)
+        return _lq_norms(self._magnitudes(ys), self.q)
 
     def eval_pow(self, ys, p):
-        a = np.abs(np.asarray(ys, dtype=float))
+        a = self._magnitudes(ys)
         if p == self.q and not math.isinf(p):
             return _power_sums(a, p)
         return _lq_norms(a, self.q, p)
+
+    def _magnitudes(self, ys) -> np.ndarray:
+        """|ys| as floats; ValueError naming both widths if the last axis is
+        not dim wide."""
+        a = np.abs(np.asarray(ys, dtype=float))
+        if self.dim is not None and a.shape[-1] != self.dim:
+            raise ValueError(f"Lq of dimension {self.dim} got vectors of width {a.shape[-1]}")
+        return a
 
 
 def _positive_dim(dim, what: str) -> int:

@@ -39,7 +39,7 @@ Cost of the all-pairs kernels, for an (n, k) field:
 
 Each block holds about 2^22 (source, vertex) entries (32 MiB of floats) or
 fewer; only the embedding keeps a whole n x n table, and only for
-n <= spectral.DENSE_LIMIT.
+n <= _EMBEDDING_LIMIT = 4096 (128 MiB of floats).
 """
 
 from __future__ import annotations
@@ -307,6 +307,8 @@ class EmbeddingReport:
 
 # Random subsets drawn per scale, as a multiple of ln n; see the docstring.
 EMBEDDING_TRIALS_PER_LN_N = 8
+# The largest n embedded: the all-pairs distance table is n x n floats.
+_EMBEDDING_LIMIT = 4096
 
 
 def bourgain_style_embedding(g: RegularGraph, q: float, rng=0) -> EmbeddingReport:
@@ -329,14 +331,14 @@ def bourgain_style_embedding(g: RegularGraph, q: float, rng=0) -> EmbeddingRepor
     equality somewhere; the reported distortion is then the worst stretch,
     max ||f(v)-f(w)||_q / dist(v, w).  If a draw still collapses a pair,
     single-source distance columns are appended until every pair is
-    separated.  Connected graphs only, and n <= spectral.DENSE_LIMIT: the
+    separated.  Connected graphs only, and n <= _EMBEDDING_LIMIT = 4096: the
     all-pairs distance table is n x n.
     """
     n = g.n
-    if n > spectral.DENSE_LIMIT:
+    if n > _EMBEDDING_LIMIT:
         raise ValueError(
             f"bourgain_style_embedding builds an n x n distance table and is "
-            f"limited to n <= DENSE_LIMIT = {spectral.DENSE_LIMIT} (got n={n})"
+            f"limited to n <= {_EMBEDDING_LIMIT} (got n={n})"
         )
     rng = as_rng(rng)
     all_dist = np.vstack(list(distance_rows(g)))

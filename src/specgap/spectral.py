@@ -1,19 +1,22 @@
 """Adjacency spectra, Cheeger constants, and the spectral certificates.
 
-The eigensolver contract: up to n = DENSE_LIMIT = 4096 every eigenvalue from
+The eigensolver contract: up to n = DENSE_LIMIT = 256 every eigenvalue from
 LAPACK through numpy's ``eigvalsh``, then the lambda_2 vector alone by
 inverse iteration at the known lambda_2 (one LU solve, as a rule), so the
-n x n eigenvector matrix is never formed; above the limit, iterative
-extremal pairs (ARPACK through scipy).  Every vector handed out has the
-residual ||A v - lambda v||_2 <= ARPACK_TOL = 1e-8, and the dense vector's
-sign makes its first entry of largest magnitude positive.  ARPACK is the
-only use of scipy in the package, and scipy is imported on that path alone,
-which builds its CSR matrix from the neighbour rows; the walk-sum bound
-multiplies by A through those rows, at any n.  ``friedman_check`` makes
-the one comparison of lam(G) with 2.1 sqrt(d-1).  Cheeger constants
-are exact rationals up to n = 24, read from one int16 table of the cut size
-of every subset (2^n entries, 32 MiB at n = 24) built by doubling; beyond
-that only heuristic upper bounds are produced, never the lower inequality.
+n x n eigenvector matrix is never formed; above the limit, the extremal
+pairs alone by restarted Lanczos (ARPACK through scipy), started from the
+same fixed-seed vector as the inverse iteration, so a solve is repeatable.
+In both modes the lambda_2 vector handed out is unit and mean-zero, has the
+residual ||A v - lambda_2 v||_2 <= ARPACK_TOL = 1e-8, and its first entry of
+largest magnitude is positive; ARPACK's other pairs are certified to the
+same residual.  ARPACK is the only use of scipy in the package, and scipy
+is imported on that path alone, which builds its CSR matrix from the
+neighbour rows; the walk-sum bound multiplies by A through those rows, at
+any n.  ``friedman_check`` makes the one comparison of lam(G) with
+2.1 sqrt(d-1).  Cheeger constants are exact rationals up to n = 24, read
+from one int16 table of the cut size of every subset (2^n entries, 32 MiB
+at n = 24) built by doubling; beyond that only heuristic upper bounds are
+produced, never the lower inequality.
 
 Each graph is solved once: the first call that needs its spectrum stores the
 ``SpectralSummary`` and the lambda_2 eigenvector (n floats, never the n x n
@@ -49,7 +52,14 @@ __all__ = [
     "CHEEGER_EXACT_LIMIT",
 ]
 
-DENSE_LIMIT = 4096
+# The largest n solved dense.  Every certificate needs only lambda_2, lambda_min
+# and lambda_2's vector, and the O(n^3) eigvalsh plus the lambda_2 solve
+# overtakes ARPACK between n = 200 and 400 at d = 3, 4, 6 and 10 (one BLAS
+# thread, dense against ARPACK: d = 6 at n = 200, 5.2 vs 9.7 ms; n = 400,
+# 18.6 vs 13.9 ms; n = 1000, 160 vs 16.6 ms; d = 3 at n = 400, 19.1 vs
+# 20.2 ms; n = 1000, 181 vs 42 ms; n = 2000, 1233 vs 48 ms), so the limit is
+# the largest power of two below the crossover.
+DENSE_LIMIT = 256
 ARPACK_TOL = 1e-8  # certified residual ||A v - lambda v||_2 of every eigenvector handed out
 CHEEGER_EXACT_LIMIT = 24  # one limit for every exhaustive subset scan of a graph
 # The dense lambda_2 vector's inverse-iteration shift above lambda_2, per unit
@@ -93,9 +103,10 @@ class SpectralSummary:
 def eigen_summary(g: RegularGraph) -> SpectralSummary:
     """Eigenvalue summary; dense for n <= DENSE_LIMIT, else iterative extremes.
 
-    Iterative mode certifies ||A v - lambda v||_2 <= ARPACK_TOL for each
-    reported extremal pair and raises RuntimeError when ARPACK cannot reach
-    that.  Solved once per graph and mode; see the module docstring.
+    Iterative mode certifies ||A v - lambda v||_2 <= ARPACK_TOL for lambda_1,
+    lambda_min and the lambda_2 vector handed out, and raises RuntimeError
+    when ARPACK cannot reach that.  Solved once per graph and mode; see the
+    module docstring.
     """
     return _spectrum(g)[0]
 
@@ -103,11 +114,11 @@ def eigen_summary(g: RegularGraph) -> SpectralSummary:
 def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     """The graph's cached (summary, lambda_2 eigenvector), solving on a miss.
 
-    Dense mode is ``eigvalsh`` for the eigenvalues plus ``_lambda2_vector``,
-    a unit mean-zero vector certified to ARPACK_TOL whose first entry of
-    largest magnitude is positive; iterative mode is ARPACK's pairs, certified
-    to the same residual.  The vector is the cache's own array: callers that
-    hand it on copy it.
+    Dense mode is ``eigvalsh`` for the eigenvalues plus ``_lambda2_vector``;
+    iterative mode is ARPACK's extremal pairs plus ``_ones_free`` of its two
+    top Ritz vectors.  Either way the vector is unit and mean-zero, certified
+    to ARPACK_TOL, and its first entry of largest magnitude is positive.  The
+    vector is the cache's own array: callers that hand it on copy it.
     """
     mode = "dense" if g.n <= DENSE_LIMIT else "iterative"
     if g._spectra is None:
@@ -144,24 +155,38 @@ def _lambda2_vector(g: RegularGraph, a: np.ndarray, lam2: float) -> np.ndarray:
     Each step projects out the mean before and after its one solve: the ones
     vector is lambda_1's eigenvector, so a disconnected graph, where
     lambda_2 = lambda_1 = d, still gets a vector of lambda_2 = d orthogonal to
-    it.  The start is a fixed-seed normal vector, the residual is taken
-    through the neighbour rows, and the sign makes the first entry of
-    largest magnitude positive.  Raises RuntimeError after _SOLVES solves.
+    it.  The start is ``_start_vector``, the residual is taken through the
+    neighbour rows, and ``_sign_rule`` fixes the sign.  Raises RuntimeError
+    after _SOLVES solves.
     """
     a[np.diag_indices_from(a)] -= lam2 + _SHIFT * g.d
-    v = np.random.default_rng(0).standard_normal(g.n)
-    ones = np.ones(g.d)
+    v = _start_vector(g.n)
     for _ in range(_SOLVES):
         v = np.linalg.solve(a, v - v.mean())
         v -= v.mean()
         v /= np.linalg.norm(v)
-        residual = float(np.linalg.norm(v[g.adj] @ ones - lam2 * v))
+        residual = _residual(g, v, lam2)
         if residual <= ARPACK_TOL:
-            return v if v[np.argmax(np.abs(v))] > 0 else -v
+            return _sign_rule(v)
     raise RuntimeError(
         f"lambda_2 eigenvector residual {residual:.3e} exceeds tol {ARPACK_TOL:.3e} "
         f"after {_SOLVES} solves"
     )
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed-seed normal vector both solvers start from."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _residual(g: RegularGraph, v: np.ndarray, lam: float) -> float:
+    """||A v - lam v||_2, with A applied through the neighbour rows."""
+    return float(np.linalg.norm(v[g.adj] @ np.ones(g.d) - lam * v))
+
+
+def _sign_rule(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its first entry of largest magnitude positive."""
+    return v if v[np.argmax(np.abs(v))] > 0 else -v
 
 
 def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
@@ -170,24 +195,26 @@ def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
 
     indptr = np.arange(0, g.n * g.d + 1, g.d)  # one CSR row per neighbour list
     a = sp.csr_matrix((np.ones(g.n * g.d), g.adj.ravel(), indptr), shape=(g.n, g.n))
+    v0 = _start_vector(g.n)
     try:
-        top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=ARPACK_TOL / 10)
-        bot_vals, bot_vecs = spla.eigsh(a, k=1, which="SA", tol=ARPACK_TOL / 10)
+        top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=ARPACK_TOL / 10, v0=v0)
+        bot_vals, bot_vecs = spla.eigsh(a, k=1, which="SA", tol=ARPACK_TOL / 10, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(top_vals)
     top_vals, top_vecs = top_vals[order], top_vecs[:, order]
-    residual = 0.0
-    for vals, vecs in ((top_vals, top_vecs), (bot_vals, bot_vecs)):
-        for i in range(len(vals)):
-            v = vecs[:, i]
-            residual = max(residual, float(np.linalg.norm(a @ v - vals[i] * v)))
-    if residual > ARPACK_TOL:
+    lam2 = float(top_vals[0])
+    lam_min = float(bot_vals[0])
+    v = _ones_free(top_vecs)
+    residual = max(
+        _residual(g, top_vecs[:, 1], top_vals[1]),
+        _residual(g, bot_vecs[:, 0], lam_min),
+        _residual(g, v, lam2),
+    )
+    if not residual <= ARPACK_TOL:  # a nan residual fails too
         raise RuntimeError(
             f"eigensolver residual {residual:.3e} exceeds tol {ARPACK_TOL:.3e}"
         )
-    lam2 = float(top_vals[0])
-    lam_min = float(bot_vals[0])
     summary = SpectralSummary(
         n=g.n,
         d=g.d,
@@ -198,7 +225,23 @@ def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
         lam=max(abs(lam2), abs(lam_min)),
         residual=residual,
     )
-    return summary, top_vecs[:, 0].copy()
+    return summary, _sign_rule(v)
+
+
+def _ones_free(vecs: np.ndarray) -> np.ndarray:
+    """The unit vector in the span of the two orthonormal Ritz vectors
+    ``vecs`` (lambda_2's, then lambda_1's) orthogonal to the ones vector.
+
+    On a connected graph lambda_1's vector is the ones vector up to the
+    solver's error, and this is lambda_2's vector with that error projected
+    out.  On a disconnected graph both lie in the lambda = d eigenspace in an
+    arbitrary basis, and this is the one eigenvector of the span with mean
+    zero.
+    """
+    s = vecs.sum(axis=0)
+    v = vecs @ np.array([s[1], -s[0]])
+    v -= v.mean()
+    return v / np.linalg.norm(v)
 
 
 # -- Cheeger constant ----------------------------------------------------------

@@ -147,6 +147,23 @@ def test_growth_sampled_zero_trials_and_agreement():
     assert growth_check_sampled(g, 1.0, 100, make_rng(0)).status == "not_falsified"
 
 
+def test_growth_sampled_pinned_witnesses():
+    # one seed per kind of sample: a singleton, a random subset and a ball
+    g = circular_ladder(30)
+    pinned = {
+        0: ((1,), 5, 20, 32.0),
+        4: ((0, 31, 34), 3, 20, 24.0),
+        10: ((7, 8, 9, 10, 11, 12, 13, 36, 37, 38, 39, 40, 41, 42, 43, 44), 1, 20, 32.0),
+    }
+    for seed, (subset, l, size, required) in pinned.items():
+        verdict = growth_check_sampled(g, 1.0, 10, make_rng(seed))
+        assert (verdict.status, verdict.mode) == ("fail", "sampled")
+        w = verdict.witness
+        assert (w["S"], w["l"], w["ball_size"]) == (subset, l, size)
+        assert all(type(v) is int for v in w["S"])
+        assert w["required"] == pytest.approx(required, rel=1e-12)
+
+
 def reference_growth_check_sampled(g, alpha, trials, rng):
     """The sampled falsifier with the radius scan over every l in 1..n."""
     rng = make_rng(rng)

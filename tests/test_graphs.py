@@ -264,6 +264,102 @@ def test_edge_list_errors_carry_line_numbers():
         load_edge_list("# nothing\n\n")
 
 
+def reference_load_edge_list(text):
+    """The line-by-line reader that the one numpy parse replaced."""
+    rows = []  # (lineno, a, b)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
+        rows.append((lineno, a, b))
+    if not rows:
+        raise ValueError("empty edge list")
+
+    def build(n, pairs):
+        try:
+            return RegularGraph.from_edges(n, [(a, b) for _, a, b in pairs])
+        except ValueError as exc:
+            raise ValueError(f"invalid edge list: {exc}") from None
+
+    head_n, head_d = rows[0][1], rows[0][2]
+    if len(rows) - 1 == head_n * head_d // 2:
+        try:
+            g = build(head_n, rows[1:])
+            if g.d == head_d:
+                return g
+        except ValueError:
+            pass
+    n_inferred = max(max(a, b) for _, a, b in rows) + 1
+    return build(n_inferred, rows)
+
+
+def outcome(load, text):
+    """The graph read, or the type and message of the error raised."""
+    try:
+        return load(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+K4_LINES = [f"{u} {v}" for u, v in complete_graph(4).edges()]
+EDGE_LIST_TEXTS = [
+    "4 3\n" + "\n".join(K4_LINES),
+    "\n".join(K4_LINES),
+    "# K4\n\n4 3  # header\n" + "\n\n".join(K4_LINES) + "\n# end",
+    "\r\n".join(K4_LINES) + "\r\n",
+    "\x0c".join(K4_LINES),
+    "\n".join(line.replace(" ", "\t\x1f ") for line in K4_LINES),
+    "\n".join(line.replace(" ", "\xa0") for line in K4_LINES),
+    "\n".join(f" +{line}# x" for line in K4_LINES),
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2 3 4",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2\n3",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2 3.0",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2 0x3",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2 3 # x 4",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2#x 3",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2 3\x00",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2 0_3",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n\uff12 \u0663",
+    "4 3\n" + "\n".join(K4_LINES[:-1]) + "\n2 99999999999999999999",
+    "4 3\n" + "\n".join(K4_LINES),
+    "5 3\n" + "\n".join(K4_LINES),
+    "4 2\n0 1\n1 2\n2 3\n3 0",
+    "-1 -2\n-2 -1",
+    "0 5",
+    "",
+    "   \n# nothing\n\t",
+    "0 1 # comment",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_LIST_TEXTS)
+def test_load_edge_list_matches_line_reader(text):
+    assert outcome(load_edge_list, text) == outcome(reference_load_edge_list, text)
+
+
+def test_load_edge_list_reads_well_formed_texts_in_one_parse(monkeypatch):
+    def no_line_reader(text):
+        raise AssertionError("line reader called on a well-formed text")
+
+    monkeypatch.setattr(graphs, "_edge_rows", no_line_reader)
+    for text in EDGE_LIST_TEXTS[:8]:
+        assert load_edge_list(text) == complete_graph(4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(K4_LINES + ["4 3", "", "#", "1", "1 2 3", " 0 2 ", "2\t3", "x y", "1.5 2"]), max_size=9))
+def test_load_edge_list_matches_line_reader_on_drawn_texts(lines):
+    text = "\n".join(lines)
+    assert outcome(load_edge_list, text) == outcome(reference_load_edge_list, text)
+
+
 def test_named_graphs():
     assert complete_bipartite(3, 3).d == 3
     assert petersen_graph().d == 3

@@ -1,7 +1,7 @@
 """scipy stays out of the process unless the ARPACK path asks for it:
 importing it costs more than the rest of the package.  The dense-path
-pipeline below includes a walk-sum bound at n > 512, which multiplies by the
-adjacency through the neighbour rows, not through a scipy matrix."""
+pipeline below includes a walk-sum bound at n = DENSE_LIMIT, which multiplies
+by the adjacency through the neighbour rows, not through a scipy matrix."""
 
 import importlib
 import json
@@ -34,7 +34,7 @@ field = make_rng(1).normal(size=(g.n, 2))
 poincare.poincare_ratio(g, field, norms.Lq(2), 2.0)
 poincare.gamma_search(g, norms.Lq(4), 4.0, 2, 60, make_rng(2))
 constants.baseline_comparison([2, 4, 8], g.d, summary.lambda2)
-big, _ = sample_simple_regular(600, 6, make_rng(3))
+big, _ = sample_simple_regular(spectral.DENSE_LIMIT, 6, make_rng(3))
 assert spectral.friedman_check(big).passed_21
 y = make_rng(4).normal(size=big.n)
 y -= y.mean()

@@ -38,6 +38,22 @@ def test_eval_validation():
         Lq(0.5)
 
 
+def test_lq_batch_methods_check_dim():
+    nm = Lq(2, dim=3)
+    msg = "Lq of dimension 3 got vectors of width 5"
+    with pytest.raises(ValueError, match=msg):
+        nm.eval_many(np.ones((1, 5)))
+    for p in (2, 3):  # the power-sum path and the root-then-power path
+        with pytest.raises(ValueError, match=msg):
+            nm.eval_pow(np.ones((4, 2, 5)), p)
+    assert nm.eval_many(np.ones((2, 3))) == pytest.approx([math.sqrt(3)] * 2)
+    assert nm.eval_pow(np.ones((2, 3)), 2) == pytest.approx([3.0, 3.0])
+    assert Lq(2).eval_many(np.ones((1, 5))) == pytest.approx([math.sqrt(5)])
+    # BlockNorm hands each inner Lq its own block's width
+    block = BlockNorm(Lq(1), ((Lq(2, dim=2), 2), (Lq(1, dim=1), 1)))
+    assert block.eval_pow(np.array([[3.0, 4.0, -2.0]]), 1) == pytest.approx([7.0])
+
+
 def test_dimensions_must_be_positive_integers():
     # each is refused by name, not by a wrong dim or a numpy reduction error
     with pytest.raises(ValueError, match="block dimension must be a positive integer, got -1"):

@@ -168,6 +168,15 @@ def test_ratio_invariant_under_translation_and_positive_scaling(data):
     assert poincare_ratio(g, c * f, nm, p).ratio == pytest.approx(base, rel=1e-9)
 
 
+def test_ratio_rejects_field_wider_than_the_norm():
+    g = petersen_graph()
+    f = make_rng(0).normal(size=(g.n, 2))
+    for p in (2.0, 3.0):  # p = q skips eval_pow in the pair sum, not the edge sum
+        with pytest.raises(ValueError, match="Lq of dimension 3 got vectors of width 2"):
+            poincare_ratio(g, f, Lq(2, dim=3), p)
+    assert poincare_ratio(g, f, Lq(2, dim=2), 2.0).ratio > 0
+
+
 def test_ratio_rejects_constant_field():
     g = complete_graph(4)
     with pytest.raises(ValueError, match="constant"):
@@ -239,7 +248,9 @@ def test_scalar_closed_form_disconnected():
 
 def test_scalar_closed_form_iterative_above_dense_limit(monkeypatch):
     g, _ = sample_simple_regular(400, 3, make_rng(8))
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 400)
     dense = gamma_scalar_l2_exact(g)
+    assert spectral.eigen_summary(g).mode == "dense"
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
 
     def no_dense(*args, **kwargs):
@@ -475,22 +486,24 @@ def test_embedding_gamma_lower_bound_inequality():
 
 
 def test_embedding_refuses_n_above_dense_limit(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 9)
-    with pytest.raises(ValueError, match=r"DENSE_LIMIT = 9 \(got n=10\)"):
+    # the embedding's cap is its own, not the eigensolver's DENSE_LIMIT
+    assert poincare._EMBEDDING_LIMIT == 4096 > spectral.DENSE_LIMIT
+    monkeypatch.setattr(poincare, "_EMBEDDING_LIMIT", 9)
+    with pytest.raises(ValueError, match=r"limited to n <= 9 \(got n=10\)"):
         bourgain_style_embedding(petersen_graph(), q=2, rng=0)
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 10)
+    monkeypatch.setattr(poincare, "_EMBEDDING_LIMIT", 10)
     rep = bourgain_style_embedding(petersen_graph(), q=2, rng=0)
     assert rep.field.shape[0] == 10
 
 
 def test_embedding_size_check_precedes_distance_rows(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    monkeypatch.setattr(poincare, "_EMBEDDING_LIMIT", 8)
 
     def no_distances(*args, **kwargs):
         raise AssertionError("distance table built before the size check")
 
     monkeypatch.setattr(poincare, "distance_rows", no_distances)
-    with pytest.raises(ValueError, match="DENSE_LIMIT = 8"):
+    with pytest.raises(ValueError, match=r"limited to n <= 8 \(got n=10\)"):
         bourgain_style_embedding(petersen_graph(), q=2, rng=0)
 
 

@@ -68,18 +68,13 @@ def test_spectrum_invariants_on_random_graphs():
         assert np.all(np.abs(evals) <= g.d + 1e-9)
 
 
-def test_iterative_agrees_with_dense():
+def test_iterative_agrees_with_dense(monkeypatch):
     g, _ = sample_simple_regular(400, 3, make_rng(8))
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 400)
     dense = eigen_summary(g)
-    import specgap.spectral as spectral
-
-    old = spectral.DENSE_LIMIT
-    spectral.DENSE_LIMIT = 100
-    try:
-        it = eigen_summary(g)
-    finally:
-        spectral.DENSE_LIMIT = old
-    assert it.mode == "iterative"
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
+    it = eigen_summary(g)
+    assert (dense.mode, it.mode) == ("dense", "iterative")
     assert it.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
     assert it.lam == pytest.approx(dense.lam, abs=1e-7)
 
@@ -350,16 +345,26 @@ def test_cheeger_upper_matches_per_step_sweep():
 # -- the dense lambda_2 vector -----------------------------------------------------
 
 
+def assert_lambda2_vector_contract(g, summary, v):
+    """Unit, mean-zero, certified residual, first largest entry positive."""
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert abs(v.sum()) <= 1e-12 * g.n
+    residual = np.linalg.norm(v[g.adj].sum(axis=1) - summary.lambda2 * v)  # no n x n A
+    assert residual <= spectral.ARPACK_TOL, (g.n, g.d)
+    i = int(np.argmax(np.abs(v)))
+    assert v[i] > 0 and np.all(np.abs(v[:i]) < v[i])
+
+
 def test_dense_lambda2_vector_is_certified():
+    """The contract in both modes; the dense vectors also against eigh."""
+    modes = set()
     for g in _oracle_graphs():
         summary, v = spectral._spectrum(g)
-        assert summary.mode == "dense"
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert abs(v.sum()) <= 1e-12 * g.n
-        residual = np.linalg.norm(adjacency_matrix(g) @ v - summary.lambda2 * v)
-        assert residual <= spectral.ARPACK_TOL, (g.n, g.d)
-        i = int(np.argmax(np.abs(v)))
-        assert v[i] > 0 and np.all(np.abs(v[:i]) < v[i])  # first largest entry positive
+        assert summary.mode == ("dense" if g.n <= spectral.DENSE_LIMIT else "iterative")
+        modes.add(summary.mode)
+        assert_lambda2_vector_contract(g, summary, v)
+        if summary.mode == "iterative":
+            continue
         evals, vecs = np.linalg.eigh(adjacency_matrix(g))
         near = np.abs(evals - summary.lambda2) <= 1e-6
         if near.sum() == 1:  # a simple lambda_2: the vector is eigh's, up to sign
@@ -368,6 +373,7 @@ def test_dense_lambda2_vector_is_certified():
         else:  # repeated: the vector lies in lambda_2's eigenspace
             basis = vecs[:, near]
             assert np.linalg.norm(v - basis @ (basis.T @ v)) <= 1e-8, (g.n, g.d)
+    assert modes == {"dense", "iterative"}
 
 
 def test_dense_lambda2_vector_keeps_the_stored_cheeger_witnesses():
@@ -401,9 +407,9 @@ def test_dense_failed_solve_is_not_cached(monkeypatch):
 # -- one eigensolve per graph -----------------------------------------------------
 
 
-@pytest.mark.parametrize("dense_limit", [spectral.DENSE_LIMIT, 100])
-def test_certificates_share_one_eigensolve(monkeypatch, dense_limit):
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+@pytest.mark.parametrize("n", [spectral.DENSE_LIMIT, spectral.DENSE_LIMIT + 1])
+def test_certificates_share_one_eigensolve(monkeypatch, n):
+    """One solve per graph, dense up to DENSE_LIMIT and ARPACK one above it."""
     calls = []
 
     def counted(name, fn):
@@ -415,11 +421,12 @@ def test_certificates_share_one_eigensolve(monkeypatch, dense_limit):
 
     for mod, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (spla, "eigsh")):
         monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    g, _ = sample_simple_regular(200, 4, make_rng(11))
+    g, _ = sample_simple_regular(n, 4, make_rng(11))
     summary = eigen_summary(g)
     solves = list(calls)
-    assert solves == (["eigvalsh"] if dense_limit >= g.n else ["eigsh", "eigsh"])
-    assert summary.mode == ("dense" if dense_limit >= g.n else "iterative")
+    dense = n <= spectral.DENSE_LIMIT
+    assert solves == (["eigvalsh"] if dense else ["eigsh", "eigsh"])
+    assert summary.mode == ("dense" if dense else "iterative")
 
     y = make_rng(12).normal(size=g.n)
     y -= y.mean()
@@ -467,3 +474,47 @@ def test_failed_solve_is_not_cached(monkeypatch):
     assert "iterative" not in (g._spectra or {})
     monkeypatch.setattr(spla, "eigsh", eigsh)
     assert eigen_summary(g).mode == "iterative"
+
+
+# -- the iterative lambda_2 vector --------------------------------------------------
+
+
+def _union(components):
+    g = components[0]
+    for c in components[1:]:
+        g = disjoint_union(g, c)
+    return g
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        [sample_simple_regular(300, 3, make_rng(60 + i))[0] for i in range(2)],
+        [sample_simple_regular(60, 3, make_rng(70 + i))[0] for i in range(5)],
+        [complete_graph(4)] * 100,
+    ],
+    ids=["2", "5", "100"],
+)
+def test_iterative_vector_on_disconnected_graph_is_mean_zero(components):
+    # ARPACK's two top Ritz vectors span part of the lambda = d eigenspace in
+    # an arbitrary basis; the vector handed out is the one orthogonal to ones
+    g = _union(components)
+    assert g.n > spectral.DENSE_LIMIT
+    summary, v = spectral._spectrum(g)
+    assert summary.mode == "iterative"
+    assert summary.lambda1 == pytest.approx(g.d, abs=1e-8)
+    assert summary.lambda2 == pytest.approx(g.d, abs=1e-8)
+    assert_lambda2_vector_contract(g, summary, v)
+
+
+def test_iterative_solve_is_repeatable():
+    # ARPACK starts from the fixed-seed vector, not from a random state that
+    # the whole process shares, so two solves of one graph agree bitwise
+    data = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
+    text = (data / "sparse_n5000_d3.edges").read_text()
+    first, second = load_edge_list(text), load_edge_list(text)
+    (s1, v1), (s2, v2) = spectral._spectrum(first), spectral._spectrum(second)
+    assert s1.mode == "iterative"
+    assert s1 == s2
+    assert np.array_equal(v1, v2)
+    assert_lambda2_vector_contract(first, s1, v1)
