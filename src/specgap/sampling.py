@@ -122,6 +122,11 @@ def sample_simple_regular(n: int, d: int, rng, max_rejects: int | None = None):
     restarts and nothing drawn, since plain rejection there accepts about
     exp(-(d^2 - 1)/4) of its pairings.  An explicit ``max_rejects`` runs the
     pairing model as at any other n.
+
+    The cost has a cliff in d.  At n = 1000 with ``make_rng(5)`` (one core):
+    d = 14 takes 0.08 s and 65 restarts, d = 16 takes 6.6 s and 8655
+    restarts, and d = 20 had not finished after 10 minutes.  The default
+    budget at d = 20 is 100 e^99.75, so it never runs out in practice.
     """
     if n <= d or d < 3:
         # a simple d-regular graph needs d + 1 vertices at least

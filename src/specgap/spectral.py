@@ -3,16 +3,17 @@
 The eigensolver contract: up to n = DENSE_LIMIT = 256 every eigenvalue from
 LAPACK through numpy's ``eigvalsh``, then the lambda_2 vector alone by
 inverse iteration at the known lambda_2 (one LU solve, as a rule), so the
-n x n eigenvector matrix is never formed; above the limit, the extremal
-pairs alone by restarted Lanczos (ARPACK through scipy), started from the
-same fixed-seed vector as the inverse iteration, so a solve is repeatable.
-In both modes the lambda_2 vector handed out is unit and mean-zero, has the
-residual ||A v - lambda_2 v||_2 <= ARPACK_TOL = 1e-8, and its first entry of
-largest magnitude is positive; ARPACK's other pairs are certified to the
-same residual.  ARPACK is the only use of scipy in the package, and scipy
-is imported on that path alone, which builds its CSR matrix from the
-neighbour rows; the walk-sum bound multiplies by A through those rows, at
-any n.  ``friedman_check`` makes the one comparison of lam(G) with
+n x n eigenvector matrix is never formed; above the limit, the three
+extremal pairs (lambda_1, lambda_2 and lambda_min) alone by one restarted
+Lanczos run at both ends of the spectrum (ARPACK through scipy), started
+from the same fixed-seed vector as the inverse iteration, so a solve is
+repeatable.  In both modes the lambda_2 vector handed out is unit and
+mean-zero, has the residual ||A v - lambda_2 v||_2 <= ARPACK_TOL = 1e-8,
+and its first entry of largest magnitude is positive; ARPACK's other pairs
+are certified to the same residual.  ARPACK is the only use of scipy in the
+package, and scipy is imported on that path alone, which builds its CSR
+matrix from the neighbour rows; the walk-sum bound multiplies by A through
+those rows, at any n.  ``friedman_check`` makes the one comparison of lam(G) with
 2.1 sqrt(d-1).  Cheeger constants are exact rationals up to n = 24, read
 from one int16 table of the cut size of every subset (2^n entries, 32 MiB
 at n = 24) built by doubling; beyond that only heuristic upper bounds are
@@ -54,11 +55,12 @@ __all__ = [
 
 # The largest n solved dense.  Every certificate needs only lambda_2, lambda_min
 # and lambda_2's vector, and the O(n^3) eigvalsh plus the lambda_2 solve
-# overtakes ARPACK between n = 200 and 400 at d = 3, 4, 6 and 10 (one BLAS
-# thread, dense against ARPACK: d = 6 at n = 200, 5.2 vs 9.7 ms; n = 400,
-# 18.6 vs 13.9 ms; n = 1000, 160 vs 16.6 ms; d = 3 at n = 400, 19.1 vs
-# 20.2 ms; n = 1000, 181 vs 42 ms; n = 2000, 1233 vs 48 ms), so the limit is
-# the largest power of two below the crossover.
+# overtakes the one ARPACK run between n = 200 and 320 at d = 3, 6 and 10
+# (one BLAS thread, dense against ARPACK: d = 3 at n = 256, 6.2 vs 10.9 ms;
+# n = 320, 9.6 vs 7.8 ms; n = 1000, 152 vs 13.4 ms; d = 6 at n = 256, 5.5 vs
+# 6.9 ms; n = 320, 8.7 vs 5.3 ms; d = 10 at n = 200, 3.6 vs 4.7 ms; n = 256,
+# 5.8 vs 4.9 ms; n = 320, 8.9 vs 7.8 ms), so the limit is the largest power of
+# two below the crossover.
 DENSE_LIMIT = 256
 ARPACK_TOL = 1e-8  # certified residual ||A v - lambda v||_2 of every eigenvector handed out
 CHEEGER_EXACT_LIMIT = 24  # one limit for every exhaustive subset scan of a graph
@@ -103,10 +105,10 @@ class SpectralSummary:
 def eigen_summary(g: RegularGraph) -> SpectralSummary:
     """Eigenvalue summary; dense for n <= DENSE_LIMIT, else iterative extremes.
 
-    Iterative mode certifies ||A v - lambda v||_2 <= ARPACK_TOL for lambda_1,
-    lambda_min and the lambda_2 vector handed out, and raises RuntimeError
-    when ARPACK cannot reach that.  Solved once per graph and mode; see the
-    module docstring.
+    Iterative mode is one ARPACK run; it certifies
+    ||A v - lambda v||_2 <= ARPACK_TOL for lambda_1, lambda_min and the
+    lambda_2 vector handed out, and raises RuntimeError when ARPACK cannot
+    reach that.  Solved once per graph and mode; see the module docstring.
     """
     return _spectrum(g)[0]
 
@@ -115,10 +117,11 @@ def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     """The graph's cached (summary, lambda_2 eigenvector), solving on a miss.
 
     Dense mode is ``eigvalsh`` for the eigenvalues plus ``_lambda2_vector``;
-    iterative mode is ARPACK's extremal pairs plus ``_ones_free`` of its two
-    top Ritz vectors.  Either way the vector is unit and mean-zero, certified
-    to ARPACK_TOL, and its first entry of largest magnitude is positive.  The
-    vector is the cache's own array: callers that hand it on copy it.
+    iterative mode is one ARPACK run for the two top pairs and the bottom one,
+    plus ``_ones_free`` of its two top Ritz vectors.  Either way the vector is
+    unit and mean-zero, certified to ARPACK_TOL, and its first entry of
+    largest magnitude is positive.  The vector is the cache's own array:
+    callers that hand it on copy it.
     """
     mode = "dense" if g.n <= DENSE_LIMIT else "iterative"
     if g._spectra is None:
@@ -195,20 +198,22 @@ def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
 
     indptr = np.arange(0, g.n * g.d + 1, g.d)  # one CSR row per neighbour list
     a = sp.csr_matrix((np.ones(g.n * g.d), g.adj.ravel(), indptr), shape=(g.n, g.n))
-    v0 = _start_vector(g.n)
+    # ARPACK stops at ||r|| <= tol |theta| and |theta| <= d, so this tol puts
+    # every Ritz residual at ARPACK_TOL / 2 or below
+    tol = ARPACK_TOL / (2 * g.d)
     try:
-        top_vals, top_vecs = spla.eigsh(a, k=2, which="LA", tol=ARPACK_TOL / 10, v0=v0)
-        bot_vals, bot_vecs = spla.eigsh(a, k=1, which="SA", tol=ARPACK_TOL / 10, v0=v0)
+        # k = 3 at both ends: lambda_1 and lambda_2 from the top, lambda_min
+        # from the bottom, all from one Krylov space
+        vals, vecs = spla.eigsh(a, k=3, which="BE", tol=tol, v0=_start_vector(g.n))
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(top_vals)
-    top_vals, top_vecs = top_vals[order], top_vecs[:, order]
-    lam2 = float(top_vals[0])
-    lam_min = float(bot_vals[0])
-    v = _ones_free(top_vecs)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    lam_min, lam2, lam1 = (float(x) for x in vals)
+    v = _ones_free(vecs[:, 1:])
     residual = max(
-        _residual(g, top_vecs[:, 1], top_vals[1]),
-        _residual(g, bot_vecs[:, 0], lam_min),
+        _residual(g, vecs[:, 2], lam1),
+        _residual(g, vecs[:, 0], lam_min),
         _residual(g, v, lam2),
     )
     if not residual <= ARPACK_TOL:  # a nan residual fails too
@@ -219,7 +224,7 @@ def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
         n=g.n,
         d=g.d,
         mode="iterative",
-        lambda1=float(top_vals[1]),
+        lambda1=lam1,
         lambda2=lam2,
         lambda_min=lam_min,
         lam=max(abs(lam2), abs(lam_min)),

@@ -12,6 +12,7 @@ import scipy.sparse.linalg as spla
 import specgap.spectral as spectral
 from specgap.expansion import spectral_sufficient_check
 from specgap.graphs import (
+    RegularGraph,
     bfs_distances,
     circular_ladder,
     complete_bipartite,
@@ -69,14 +70,30 @@ def test_spectrum_invariants_on_random_graphs():
 
 
 def test_iterative_agrees_with_dense(monkeypatch):
-    g, _ = sample_simple_regular(400, 3, make_rng(8))
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 400)
-    dense = eigen_summary(g)
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
-    it = eigen_summary(g)
-    assert (dense.mode, it.mode) == ("dense", "iterative")
-    assert it.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
-    assert it.lam == pytest.approx(dense.lam, abs=1e-7)
+    # random draws at three degrees, a bipartite graph of tiny gap (lambda_min
+    # = -3), one of a 298-fold lambda_2 = 0, and a disconnected one (lambda_2 = d)
+    graphs = {
+        f"G(400, {d})": sample_simple_regular(400, d, make_rng(8))[0] for d in (3, 6, 10)
+    }
+    graphs["circular_ladder(200)"] = circular_ladder(200)
+    graphs["K_150,150"] = complete_bipartite(150, 150)
+    graphs["2 x G(150, 3)"] = _union(
+        [sample_simple_regular(150, 3, make_rng(80 + i))[0] for i in range(2)]
+    )
+    for name, g in graphs.items():
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", g.n)
+        dense = eigen_summary(g)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
+        it = eigen_summary(g)
+        assert (dense.mode, it.mode) == ("dense", "iterative"), name
+        for field in ("lambda1", "lambda2", "lambda_min", "lam"):
+            assert getattr(it, field) == pytest.approx(getattr(dense, field), abs=1e-7), (
+                name,
+                field,
+            )
+        assert it.residual <= spectral.ARPACK_TOL, name
+    assert eigen_summary(graphs["circular_ladder(200)"]).lambda_min == pytest.approx(-3)
+    assert eigen_summary(graphs["2 x G(150, 3)"]).lambda2 == pytest.approx(3)
 
 
 def test_cheeger_k4():
@@ -409,12 +426,16 @@ def test_dense_failed_solve_is_not_cached(monkeypatch):
 
 @pytest.mark.parametrize("n", [spectral.DENSE_LIMIT, spectral.DENSE_LIMIT + 1])
 def test_certificates_share_one_eigensolve(monkeypatch, n):
-    """One solve per graph, dense up to DENSE_LIMIT and ARPACK one above it."""
+    """One solve per graph, dense up to DENSE_LIMIT and one ARPACK run at both
+    ends of the spectrum above it."""
     calls = []
+    eigsh_kwargs = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls.append(name)
+            if name == "eigsh":
+                eigsh_kwargs.append(kwargs)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -425,7 +446,8 @@ def test_certificates_share_one_eigensolve(monkeypatch, n):
     summary = eigen_summary(g)
     solves = list(calls)
     dense = n <= spectral.DENSE_LIMIT
-    assert solves == (["eigvalsh"] if dense else ["eigsh", "eigsh"])
+    assert solves == (["eigvalsh"] if dense else ["eigsh"])
+    assert all((kw["k"], kw["which"]) == (3, "BE") for kw in eigsh_kwargs)
     assert summary.mode == ("dense" if dense else "iterative")
 
     y = make_rng(12).normal(size=g.n)
@@ -504,6 +526,23 @@ def test_iterative_vector_on_disconnected_graph_is_mean_zero(components):
     assert summary.mode == "iterative"
     assert summary.lambda1 == pytest.approx(g.d, abs=1e-8)
     assert summary.lambda2 == pytest.approx(g.d, abs=1e-8)
+    assert_lambda2_vector_contract(g, summary, v)
+
+
+@pytest.mark.parametrize("n, d", [(2000, 64), (1000, 100)])
+def test_iterative_solve_certifies_large_degree(n, d):
+    # a random circulant on Z_n: offsets +-s for d/2 seeded s < n/2.  Its
+    # eigenvalues are sum_s cos(2 pi j s / n); at these degrees a tolerance
+    # fixed at ARPACK_TOL / 10 stopped with residuals of 1.8e-8 and 1.4e-8
+    half = np.random.default_rng(0).choice(np.arange(1, n // 2), d // 2, replace=False)
+    offsets = np.concatenate([half, -half])
+    g = RegularGraph(n, d, np.sort((np.arange(n)[:, None] + offsets) % n, axis=1))
+    closed = np.cos(2 * np.pi * np.outer(np.arange(1, n), offsets) / n).sum(axis=1)
+    summary, v = spectral._spectrum(g)
+    assert summary.mode == "iterative"
+    assert summary.lambda2 == pytest.approx(closed.max(), abs=1e-9)
+    assert summary.lambda_min == pytest.approx(closed.min(), abs=1e-9)
+    assert summary.residual <= spectral.ARPACK_TOL
     assert_lambda2_vector_contract(g, summary, v)
 
 
