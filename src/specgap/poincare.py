@@ -16,10 +16,15 @@ zero); the convention is fixed here and used consistently on both sides.
 Cost of the all-pairs kernels, for an (n, k) field:
 
 - pair sum, norm Lq(q) with finite q and p = q: the sum splits by
-  coordinate.  q = 2 is 2n sum_j sum_v (x_vj - mean_j)^2, O(nk); q = 1 is a
-  sort plus gap weights, O(nk log n); any other q sorts each column and sums
-  max(gap, 0)^q over the upper triangle in blocks of rows, O(n^2 k)
-  elementwise but with no norm evaluation.
+  coordinate, and no norm is evaluated.  q = 2 is 2n sum_j sum_v (x_vj -
+  mean_j)^2, O(nk); q = 1 is a sort plus gap weights, O(nk log n).  An
+  integer 3 <= q <= 64 sorts each column and splits it in halves down to
+  runs of 32: the pairs across a split are a binomial sum of power sums
+  about a pivot between the halves, every term >= 0, so the relative error
+  stays O((q + log n) u).  That is O(nk (32 + q log n)): at n = 1000, k = 2
+  and q = 4 / 32, 0.6 / 1.2 ms against 3.5 / 4.5 ms for the O(n^2 k) loop
+  (one core of a 2-vCPU Xeon).  Any other q sums max(gap, 0)^q over the
+  upper triangle of the sorted column in blocks of rows, O(n^2 k).
 - pair sum, every other (norm, p), q = inf and BlockNorm included: the pairs
   v < w in blocks of rows through ``norm.eval_pow``, doubled; n^2/2 norm
   evaluations.  Each block's differences are formed from x.T as a (k, rows,
@@ -50,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import RegularGraph, bfs_distances, distance_rows, distance_sum
-from .norms import Lq, UncondNorm, _powers
+from .norms import _SQUARING_MAX, Lq, UncondNorm, _powers
 from .rand import as_rng
 from . import spectral
 
@@ -102,8 +107,23 @@ def _triangle_rows(n: int, width: int) -> int:
     return max(1, min(_TRIANGLE_ROWS, _CHUNK_ENTRIES // max(n * width, 1)))
 
 
+def _gap_powers(lo: np.ndarray, hi: np.ndarray, q: float) -> np.ndarray:
+    """max(hi_w - lo_v, 0)^q for every v of lo's last axis (axis -2 of the
+    result) and w of hi's (axis -1); leading axes broadcast."""
+    gaps = hi[..., None, :] - lo[..., :, None]
+    np.maximum(gaps, 0.0, out=gaps)
+    return _powers(gaps, q)
+
+
 def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
-    """Per column j, sum over v < w of |x_vj - x_wj|^q (finite q)."""
+    """Per column j, sum over v < w of |x_vj - x_wj|^q (finite q).
+
+    q = 2 is the variance and q = 1 the gap weights of the sorted column,
+    both O(nk) after the sort.  An integer q in [3, _SQUARING_MAX] goes by
+    halves of the sorted column (``_split_pair_sums``), O(nk (_LEAF_RUN +
+    q log n)).  Every other q sums max(gap, 0)^q over the upper triangle of
+    the sorted column in blocks of rows, O(n^2 k).
+    """
     n = x.shape[0]
     if q == 2:
         dev = x - x.mean(axis=0)
@@ -114,14 +134,101 @@ def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
         t = np.arange(n - 1)
         return ((t + 1) * (n - 1 - t)) @ np.diff(s, axis=0)
     s = np.ascontiguousarray(s.T)  # (k, n): one contiguous row per column
+    if float(q).is_integer() and 3 <= q <= _SQUARING_MAX:
+        return _split_pair_sums(s, int(q))
     total = np.zeros(x.shape[1])
     rows = _triangle_rows(n, x.shape[1])
     for start in range(0, n, rows):
         # sorted columns: the gaps are >= 0 above the diagonal, <= 0 below it
-        gaps = s[:, None, start:] - s[:, start : start + rows, None]
-        np.maximum(gaps, 0.0, out=gaps)
-        total += _powers(gaps, q).sum(axis=(1, 2))
+        total += _gap_powers(s[:, start : start + rows], s[:, start:], q).sum(axis=(1, 2))
     return total
+
+
+# Runs of the sorted column this long (a power of two) are summed pair by pair.
+_LEAF_RUN = 32
+
+
+def _split_pair_sums(s: np.ndarray, q: int) -> np.ndarray:
+    """Per row of the sorted (k, n) array s, sum over v < w of (s_w - s_v)^q
+    for an integer q >= 1.
+
+    The row is cut into aligned runs of _LEAF_RUN entries; the pairs inside a
+    run are summed directly (``_leaf_pair_sums``).  Then, for width = _LEAF_RUN,
+    2 _LEAF_RUN, ... < n, each run of 2 width entries is a left run L and a
+    right run R of width entries each (R may be short or empty at the end).
+    With the pivot c = max(L), every pair across splits as s_w - s_v =
+    (s_w - c) + (c - s_v) with both parts >= 0, so
+
+        sum_{v in L, w in R} (s_w - s_v)^q = sum_j C(q, j) P_j Q_{q-j},
+        P_j = sum_{v in L} (c - s_v)^j,   Q_j = sum_{w in R} (s_w - c)^j.
+
+    Every term is >= 0, so nothing cancels: each power is at most about q
+    ulps off, the run sums are numpy's pairwise sums, and the relative error
+    is O((q + log n) u), as for the direct sum.  Each level costs O(nkq), and
+    there are log2(n / _LEAF_RUN) of them.
+
+    The sum is q-homogeneous, so each row is first scaled by the power of two
+    that takes its range into [1, 2): exact, and no difference, power or
+    product below leaves the double range.  The one scale back at the end
+    overflows or underflows where the sum itself does.  The power tables are
+    built in slices of at most _CHUNK_ENTRIES entries.
+    """
+    k, n = s.shape
+    with np.errstate(over="ignore", under="ignore"):
+        _, e = np.frexp(s[:, -1] / 2 - s[:, 0] / 2)  # half the range, which may overflow
+        s = np.ldexp(s, -e[:, None])
+        total = _leaf_pair_sums(s, q)
+        binom = np.array([math.comb(q, j) for j in range(q + 1)], dtype=float)
+        # a power of two, so a slice lies inside one run or holds whole runs
+        rows = 1 << (max(1, _CHUNK_ENTRIES // (k * (q + 1))).bit_length() - 1)
+        width = _LEAF_RUN
+        while width < n:
+            sums = np.zeros((k, q + 1, -(-n // width)))  # [:, j, r]: sum over run r of d^j
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                cuts = np.arange(start, stop, width)  # run starts, or just start
+                table = _pivot_powers(s, start, stop, width, q)
+                sums[:, :, cuts // width] += np.add.reduceat(table, cuts - start, axis=2)
+            pairs = sums.shape[2] // 2  # an unpaired last left run has no cross pairs
+            left, right = sums[:, :, 0 : 2 * pairs : 2], sums[:, ::-1, 1 : 2 * pairs : 2]
+            total += (binom[:, None] * left * right).sum(axis=(1, 2))
+            width *= 2
+        return np.ldexp(total, q * e)
+
+
+def _leaf_pair_sums(s: np.ndarray, q: int) -> np.ndarray:
+    """Per row of the sorted (k, n) array s, the sum of (s_w - s_v)^q over the
+    pairs v < w inside each aligned run of _LEAF_RUN entries, in slices of at
+    most _CHUNK_ENTRIES gaps (or one run)."""
+    k, n = s.shape
+    full = n - n % _LEAF_RUN
+    runs = s[:, :full].reshape(k, -1, _LEAF_RUN)
+    tail = s[:, None, full:]  # the short last run, perhaps empty
+    total = _gap_powers(tail, tail, q).sum(axis=(1, 2, 3))
+    step = max(1, _CHUNK_ENTRIES // (k * _LEAF_RUN * _LEAF_RUN))
+    for start in range(0, runs.shape[1], step):
+        block = runs[:, start : start + step]
+        total += _gap_powers(block, block, q).sum(axis=(1, 2, 3))
+    return total
+
+
+def _pivot_powers(s: np.ndarray, start: int, stop: int, width: int, q: int) -> np.ndarray:
+    """The (k, q + 1, stop - start) table of d^j, j = 0..q, for the entries
+    start..stop-1 of the sorted rows s, where d >= 0 is an entry's distance to
+    the pivot of its run of 2 width: the last entry of the left half (entry
+    n - 1 for an unpaired last left run, whose sums go unused)."""
+    n = s.shape[1]
+    idx = np.arange(start, stop)
+    pivots = np.minimum(idx // (2 * width) * (2 * width) + width - 1, n - 1)
+    table = np.empty((s.shape[0], q + 1, stop - start))
+    table[:, 0] = 1.0
+    np.abs(s[:, start:stop] - s[:, pivots], out=table[:, 1])
+    done = 1  # d^0..d^done are filled; d^(done + i) = d^i d^done fills up to 2 done
+    while done < q:
+        top = min(2 * done, q)
+        np.multiply(table[:, 1 : top - done + 1], table[:, done : done + 1], out=table[:, done + 1 : top + 1])
+        done = top
+    return table
 
 
 def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:

@@ -17,7 +17,7 @@ from specgap.graphs import (
 )
 import specgap.poincare as poincare
 import specgap.spectral as spectral
-from specgap.norms import BlockNorm, Lq, lift_l1
+from specgap.norms import BlockNorm, Lq, _powers, lift_l1
 from specgap.poincare import (
     bourgain_style_embedding,
     gamma_scalar_l2_exact,
@@ -70,15 +70,32 @@ def test_ratio_translation_and_scaling_invariance():
 
 
 def _ordered_pair_sum(x, nm, p):
-    """Reference: ||x_v - x_w||^p over every ordered pair, in row chunks."""
+    """Reference: ||x_v - x_w||^p over every ordered pair, in row chunks.
+    A p-th power past the double range is inf, as in the kernels."""
     n = x.shape[0]
     total = 0.0
     chunk = max(1, (1 << 22) // max(n * x.shape[1], 1))
     for start in range(0, n, chunk):
         block = x[start : start + chunk]
         diffs = block[:, None, :] - x[None, :, :]
-        vals = nm.eval_many(diffs.reshape(-1, x.shape[1])) ** p
+        with np.errstate(over="ignore"):
+            vals = nm.eval_many(diffs.reshape(-1, x.shape[1])) ** p
         total += float(vals.sum())
+    return total
+
+
+def reference_column_pair_sums(x, q):
+    """The blocked gap loop, O(n^2 k): per column, max(gap, 0)^q over the
+    upper triangle of the sorted column in blocks of rows.  Kept as the
+    oracle of the split sums that replaced it at integer q."""
+    n = x.shape[0]
+    s = np.ascontiguousarray(np.sort(x, axis=0).T)
+    total = np.zeros(x.shape[1])
+    rows = poincare._triangle_rows(n, x.shape[1])
+    for start in range(0, n, rows):
+        gaps = s[:, None, start:] - s[:, start : start + rows, None]
+        np.maximum(gaps, 0.0, out=gaps)
+        total += _powers(gaps, q).sum(axis=(1, 2))
     return total
 
 
@@ -89,6 +106,7 @@ PAIR_SUM_CASES = (
     + [(lift_l1(Lq(q), 2, 2), q) for q in (1, 2, 3)]
     + [(lift_l1(Lq(3), 2, 2), 2), (lift_l1(Lq(math.inf), 2, 2), 2)]
     + [(lift_l1(Lq(4), 2, 2), 4), (lift_l1(Lq(4), 2, 2), 2)]
+    + [(Lq(q), q) for q in (7, 64, 4.0, 4.5)]  # 4.0: the float; 4.5: the blocked loop
 )
 
 
@@ -96,12 +114,20 @@ def _pair_sum_fields():
     rng = make_rng(17)
     ties = rng.integers(-2, 3, size=(37, 4)).astype(float)  # many tied entries
     ties[:, 2] = 1.5  # one column tied throughout
-    return {
+    fields = {
         "normal_n37": rng.normal(size=(37, 4)),
         "ties_n37": ties,
         "normal_n150": rng.normal(size=(150, 4)) * 2.0,
         "ties_n150": rng.integers(-3, 4, size=(150, 4)).astype(float),
     }
+    for n in (1, 2, 31, 32, 33):  # around the leaf run of the split sums
+        fields[f"normal_n{n}"] = rng.normal(size=(n, 4))
+    fields["normal_n33"][:, 1] = -0.75  # a column of identical values
+    outlier = np.full((70, 4), 2.0)  # a tied cluster, one row 1e6 away
+    outlier[:, 3] = rng.integers(-1, 2, size=70)
+    outlier[5] += [1e6, -1e6, 0.0, 1e6]
+    fields["outlier_n70"] = outlier
+    return fields
 
 
 @pytest.mark.parametrize("rows", [8, 64])
@@ -112,6 +138,29 @@ def test_pair_sum_matches_ordered_pair_reference(monkeypatch, nm, p, rows):
     for name, x in _pair_sum_fields().items():
         want = _ordered_pair_sum(x, nm, p)
         assert poincare._pair_sum(x, nm, p) == pytest.approx(want, rel=1e-9), name
+        if isinstance(nm, Lq) and p == nm.q:
+            got = poincare._column_pair_sums(x, p)
+            np.testing.assert_allclose(got, reference_column_pair_sums(x, p), rtol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("chunk", [1, 200, 5000])
+def test_column_pair_sums_in_small_slices(monkeypatch, chunk):
+    # every power or gap table stays within _CHUNK_ENTRIES, or one leaf run
+    x = make_rng(18).normal(size=(300, 3))
+    want = {q: poincare._column_pair_sums(x, q) for q in (3, 8, 32, 4.5)}
+    sizes = []
+    for name in ("_gap_powers", "_pivot_powers"):
+
+        def spy(*args, table=getattr(poincare, name)):
+            out = table(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(poincare, name, spy)
+    monkeypatch.setattr(poincare, "_CHUNK_ENTRIES", chunk)
+    for q, w in want.items():
+        np.testing.assert_allclose(poincare._column_pair_sums(x, q), w, rtol=1e-12, err_msg=str(q))
+    assert max(sizes) <= max(chunk, 3 * poincare._LEAF_RUN**2)
 
 
 @pytest.mark.parametrize("nm", [Lq(1), Lq(2), Lq(3.5), Lq(32), Lq(3, dim=4)])
@@ -220,6 +269,19 @@ def test_ratio_refuses_sums_outside_double_range():
         assert poincare_ratio(g, scale * field, Lq(1), 1).ratio == pytest.approx(base[1], rel=1e-12)
     # subnormal squares lose digits but stay in range
     assert poincare_ratio(g, 1e-160 * field, Lq(2), 2).ratio == pytest.approx(base[2], rel=0.1)
+    # integer q >= 3; n = 100 is past the leaf run, so the split sums run
+    big = sample_simple_regular(100, 3, make_rng(8))[0]
+    wide = make_rng(1).standard_normal((100, 2))
+    for h, f in ((g, field), (big, wide)):
+        for q in (4, 32):
+            # the last two have finite entries whose differences overflow
+            for bad in (1e150 * f, 1e-150 * f, 1.7e308 * np.tanh(f), 1.7e308 * np.sign(f)):
+                with pytest.raises(ValueError, match="p-th-power sums.*rescale the field"):
+                    poincare_ratio(h, bad, Lq(q), q)
+        # near either end of the range every digit stays
+        for scale, q in [(1e70, 4), (1e-70, 4), (1e8, 32), (1e-8, 32)]:
+            want = poincare_ratio(h, f, Lq(q), q).ratio
+            assert poincare_ratio(h, scale * f, Lq(q), q).ratio == pytest.approx(want, rel=1e-12)
 
 
 def test_scalar_closed_form_named_graphs():
@@ -406,6 +468,19 @@ def test_gamma_search_matches_row_major_reference(search_graphs, graph, nm, p, k
     assert got.evaluations == want.evaluations
     assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
     np.testing.assert_allclose(got.field, want.field, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("q", [4, 32])
+def test_gamma_search_path_independent_of_pair_sum_kernel(monkeypatch, q):
+    # the split sums and the blocked gap loop differ in the last digits only,
+    # which moves no decision of the search
+    g = sample_simple_regular(300, 6, make_rng(23))[0]
+    got = gamma_search(g, Lq(q), q, k=2, budget=400, rng=make_rng(33))
+    monkeypatch.setattr(poincare, "_column_pair_sums", reference_column_pair_sums)
+    want = gamma_search(g, Lq(q), q, k=2, budget=400, rng=make_rng(33))
+    assert got.evaluations == want.evaluations
+    np.testing.assert_array_equal(got.field, want.field)
+    assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
 
 
 def test_gamma_search_makes_one_norm_call_per_move(monkeypatch):
