@@ -6,6 +6,19 @@ consecutive blocks of positive width.  Every member satisfies
 ||y|| = || |y| || and is monotone on the positive cone, which the rest of
 the package leans on (binary encodings compare coordinatewise).
 
+Every norm is evaluated by one private kernel, ``_pow_kernel``, over axis 0
+of a coordinate-major (k, ...) array that the caller lets it overwrite.  Lq
+takes |a| in place, raises it to the q-th power by squaring in place (the
+products of ``_powers``, in the same order) and adds the k slabs in
+coordinate order; BlockNorm writes each block's inner value into one
+(blocks, ...) array and hands that to the outer kernel.  So every numpy pass
+runs over whole contiguous slabs, where a row-major (..., k) layout makes
+each reduction run over k = 2 to 6 entries.  ``eval_many`` and ``eval_pow``
+are adapters: one coordinate-major copy of their rows, then the kernel;
+``poincare`` calls the kernel on buffers of its own.  On one core of a
+2-vCPU Xeon, lift_l1(Lq(4), 3, 2).eval_pow on (32768, 6) rows takes 0.62 to
+0.68 ms, against 1.57 to 1.60 ms by row-major evaluation.
+
 Rademacher expectations are exact full enumerations up to the stated
 budgets, past which they refuse.  The restricted-cotype check and constant
 read one table over every subfamily bitmask A of m <= RESTRICTED_EXACT_LIMIT
@@ -21,7 +34,6 @@ near its largest entry.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,23 +62,43 @@ _MOMENT_BLOCK = 1 << 22  # sum-vector entries per eval_pow call in _subfamily_mo
 
 
 class UncondNorm:
-    """Base class: a 1-unconditional norm on R^dim (dim may be None = any)."""
+    """Base class: a 1-unconditional norm on R^dim (dim may be None = any);
+    a subclass supplies ``_pow_kernel``."""
 
     dim: int | None = None
 
-    def eval_many(self, ys: np.ndarray) -> np.ndarray:
+    def _pow_kernel(self, a: np.ndarray, p: float) -> np.ndarray:
+        """||a[:, i]||^p for every index i of a.shape[1:], where a is a
+        C-contiguous float array of shape (k, ...) with at least one axis
+        after the first; a may be overwritten, and the result may be a view
+        of it."""
         raise NotImplementedError
 
+    def eval_many(self, ys: np.ndarray) -> np.ndarray:
+        """||y|| for each row, the last axis of ys."""
+        return self.eval_pow(ys, 1.0)
+
     def eval_pow(self, ys: np.ndarray, p: float) -> np.ndarray:
-        """||y||^p for each row; Lq takes it from the power sum in one pow
+        """||y||^p for each row, the last axis of ys: one coordinate-major
+        copy, then the kernel.  Lq takes it from the power sum in one pow
         pass, none at all when p equals its q."""
-        return self.eval_many(ys) ** p
+        ys = np.asarray(ys, dtype=float)
+        a = np.array(np.moveaxis(ys, -1, 0), order="C")  # a copy, which the kernel overwrites
+        if ys.ndim == 1:
+            return self._pow_kernel(a[:, None], p)[0]
+        return self._pow_kernel(a, p)
 
     def __call__(self, y) -> float:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.dim is not None and y.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {y.shape[1]}")
         return float(self.eval_many(y)[0])
+
+
+def _check_width(nm: UncondNorm, width: int) -> None:
+    """ValueError naming both widths unless width is nm.dim (or dim is None)."""
+    if nm.dim is not None and width != nm.dim:
+        raise ValueError(f"{type(nm).__name__} of dimension {nm.dim} got vectors of width {width}")
 
 
 @dataclass(frozen=True)
@@ -84,22 +116,27 @@ class Lq(UncondNorm):
         if self.dim is not None:
             object.__setattr__(self, "dim", _positive_dim(self.dim, "Lq dim"))
 
-    def eval_many(self, ys):
-        return _lq_norms(self._magnitudes(ys), self.q)
-
-    def eval_pow(self, ys, p):
-        a = self._magnitudes(ys)
-        if p == self.q and not math.isinf(p):
-            return _power_sums(a, p)
-        return _lq_norms(a, self.q, p)
-
-    def _magnitudes(self, ys) -> np.ndarray:
-        """|ys| as floats; ValueError naming both widths if the last axis is
-        not dim wide."""
-        a = np.abs(np.asarray(ys, dtype=float))
-        if self.dim is not None and a.shape[-1] != self.dim:
-            raise ValueError(f"Lq of dimension {self.dim} got vectors of width {a.shape[-1]}")
-        return a
+    def _pow_kernel(self, a, p):
+        """|a| in place, then the k slabs of a summed in coordinate order:
+        a^q in place at p = q, the entries themselves (or their maximum) at
+        q = 1 (q = inf) before one power p, and ``_lq_norms`` at any other
+        (q, p).  One np.errstate covers the whole call."""
+        _check_width(self, a.shape[0])
+        if not len(a):
+            return np.zeros(a.shape[1:])  # the norm on R^0
+        q = self.q
+        with np.errstate(over="ignore", under="ignore"):
+            # an even power by squaring squares first, and (-t)^2 = t^2 exactly
+            if not (p == q and q % 2 == 0 and q <= _SQUARING_MAX):
+                np.abs(a, out=a)
+            if p == q and not math.isinf(q):
+                return _slab_sums(_raised(a, q, overwrite=True))
+            if q != 1 and not math.isinf(q):
+                return _lq_norms(a, q, p)
+            out = _slab_sums(a) if q == 1 else a.max(axis=0)
+            if p != 1:
+                out **= p
+            return out
 
 
 def _positive_dim(dim, what: str) -> int:
@@ -113,19 +150,13 @@ def _positive_dim(dim, what: str) -> int:
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over the last axis.  A product with a ones vector: numpy's
-    reduction over a short last axis is about 15x slower at widths 2 to 4."""
-    return a @ _ones(a.shape[-1])
-
-
-@functools.lru_cache(maxsize=64)
-def _ones(k: int) -> np.ndarray:
-    """A read-only ones vector, shared between calls: the Rademacher
-    enumerations make thousands of evaluations of a few rows each, and a
-    fresh allocation per call made them measurably slower."""
-    out = np.ones(k)
-    out.flags.writeable = False
+def _slab_sums(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... over axis 0, added in that order into a[0], which
+    is returned: one in-place pass per coordinate over contiguous slabs,
+    where numpy's reduction over a short axis is several times slower."""
+    out = a[0]
+    for slab in a[1:]:
+        out += slab
     return out
 
 
@@ -134,69 +165,70 @@ def _ones(k: int) -> np.ndarray:
 _SQUARING_MAX = 64
 
 
-def _powers(a: np.ndarray, q: float) -> np.ndarray:
-    """a^q elementwise for a >= 0, as a new array; over- and underflow give
-    inf and 0 without a warning.
+def _powers(a: np.ndarray, q: float, overwrite: bool = False) -> np.ndarray:
+    """a^q elementwise for a >= 0; over- and underflow give inf and 0
+    without a warning.  The result is a new array in a's layout, or with
+    overwrite=True a itself or a new array, a's values being then lost.
 
     An integer q <= _SQUARING_MAX goes by repeated squaring: numpy's pow has
     no fast path for exponents past 2, and one multiplication costs about a
     sixth of one pow.  Every other q is ``a**q``.
     """
     with np.errstate(over="ignore", under="ignore"):
-        if not (float(q).is_integer() and 1 <= q <= _SQUARING_MAX):
-            return a**q
-        # sq runs through a^(2^i); after its first product it is squared in
-        # place, so at most two arrays are allocated: fresh large arrays cost
-        # page faults that exceed the multiplications themselves
-        e, sq, out = int(q), a, None
-        while True:
-            if e & 1 and out is not None:
-                out *= sq
-            elif e & 1:  # take sq itself only if it is ours and not squared again
-                out = sq if sq is not a and e == 1 else sq.copy(order="K")
-            e >>= 1
-            if not e:
-                return out
-            sq = sq * sq if sq is a else np.multiply(sq, sq, out=sq)
+        return _raised(a, q, overwrite)
+
+
+def _raised(a: np.ndarray, q: float, overwrite: bool) -> np.ndarray:
+    """``_powers`` without its np.errstate, for callers already inside one."""
+    if not (float(q).is_integer() and 1 <= q <= _SQUARING_MAX):
+        return np.power(a, q, out=a) if overwrite else a**q
+    # sq runs through a^(2^i) and is squared in place once it is ours, so at
+    # most two arrays are allocated (one with overwrite, none at a power of
+    # two): fresh large arrays cost page faults that exceed the
+    # multiplications themselves
+    e, sq, out, ours = int(q), a, None, overwrite
+    while True:
+        if e & 1 and out is not None:
+            out *= sq
+        elif e & 1:  # take sq itself only if it is ours and not squared again
+            out = sq if ours and e == 1 else sq.copy(order="K")
+        e >>= 1
+        if not e:
+            return out
+        sq = np.multiply(sq, sq, out=sq) if ours else sq * sq
+        ours = True
 
 
 def _power_sums(a: np.ndarray, q: float) -> np.ndarray:
-    """sum_j a_j^q over the last axis of a >= 0, at any number of leading
-    axes and in any memory layout; the powers come from ``_powers``.  This is
+    """sum_j a_j^q over axis 0 of a coordinate-major array a >= 0, as a new
+    array, a being left as it is; the powers are those of ``_powers``.  This is
     ||a||_q^q itself, so it overflows or underflows only where that value
     leaves the double range, silently."""
     with np.errstate(over="ignore", under="ignore"):
-        return _row_sums(_powers(a, q))
+        return _slab_sums(_raised(a, q, overwrite=False))
 
 
-def _lq_norms(a: np.ndarray, q: float, p: float = 1.0) -> np.ndarray:
-    """||a||_q^p over the last axis of a >= 0: the power sum s, then s^(p/q),
-    one pow pass.  Over- and underflow of the p-th power are silent.
+def _lq_norms(a: np.ndarray, q: float, p: float) -> np.ndarray:
+    """||a||_q^p over axis 0 of a coordinate-major array a >= 0, for finite
+    q != 1: the power sum s, then s^(p/q), one pow pass.  Over- and
+    underflow of the p-th power are silent.
 
-    A row whose power sum overflowed or fell below the smallest normal double
-    is recomputed as m^p * ||a / m||_q^p with m its largest entry, so
+    A column whose power sum overflowed or fell below the smallest normal
+    double is recomputed as m^p * ||a / m||_q^p with m its largest entry, so
     Lq(32)([1e10, 1]) is 1e10 and Lq(64)([1e-6, 0]) is 1e-6 rather than inf
-    and 0.  Every other row pays only that range check.
+    and 0.  Every other column pays only that range check.
     """
-    if q == 1 or math.isinf(q):
-        out = _row_sums(a) if q == 1 else a.max(axis=-1)
-        if p == 1:
-            return out
-        with np.errstate(over="ignore", under="ignore"):
-            return out**p
-    if a.ndim == 1:
-        return _lq_norms(a[None], q, p)[0]
-    s = _power_sums(a, q)
     with np.errstate(over="ignore", under="ignore"):
-        out = s ** (p / q)
+        s = _power_sums(a, q)
         bad = np.nonzero((s == math.inf) | (s < _SMALLEST_NORMAL))
+        s **= p / q
         if bad[0].size:
-            rows = a[bad]
-            m = rows.max(axis=-1)
-            fix = (m > 0) & (m < math.inf)  # zero rows are exact; inf entries stay inf
-            m = m[fix, None]
-            out[tuple(i[fix] for i in bad)] = m[:, 0] ** p * _power_sums(rows[fix] / m, q) ** (p / q)
-    return out
+            cols = a[(slice(None),) + bad]
+            m = cols.max(axis=0)
+            fix = (m > 0) & (m < math.inf)  # zero columns are exact; inf entries stay inf
+            m = m[fix]
+            s[tuple(i[fix] for i in bad)] = m**p * _power_sums(cols[:, fix] / m, q) ** (p / q)
+    return s
 
 
 @dataclass(frozen=True)
@@ -221,22 +253,16 @@ class BlockNorm(UncondNorm):
     def dim(self):
         return sum(bd for _, bd in self.inner)
 
-    def eval_many(self, ys):
-        return self.outer.eval_many(self._inner_values(ys))
-
-    def eval_pow(self, ys, p):
-        return self.outer.eval_pow(self._inner_values(ys), p)
-
-    def _inner_values(self, ys):
-        ys = np.asarray(ys, dtype=float)
-        vals = np.empty(ys.shape[:-1] + (len(self.inner),))
+    def _pow_kernel(self, a, p):
+        """Each block's inner value into one (blocks, ...) array, then the
+        outer kernel on it; the width is checked first, as a whole."""
+        _check_width(self, a.shape[0])
+        vals = np.empty((len(self.inner),) + a.shape[1:])
         start = 0
         for i, (nm, bd) in enumerate(self.inner):
-            vals[..., i] = nm.eval_many(ys[..., start : start + bd])
+            vals[i] = nm._pow_kernel(a[start : start + bd], 1.0)
             start += bd
-        if start != ys.shape[-1]:
-            raise ValueError(f"expected dimension {start}, got {ys.shape[-1]}")
-        return vals
+        return self.outer._pow_kernel(vals, p)
 
 
 def lift_l1(base: UncondNorm, k: int, m: int) -> BlockNorm:
@@ -506,7 +532,7 @@ def q_concavity_constant(nm: UncondNorm, vectors, q: float) -> float:
     if q < 1:
         raise ValueError("q must be >= 1")
     x = _as_matrix(vectors)
-    lhs = nm(_lq_norms(np.abs(x).T, q))  # range-safe coordinatewise q-norms
+    lhs = nm(Lq(q)._pow_kernel(x.copy(), 1.0))  # range-safe coordinatewise q-norms
     rhs = len(x) ** (1.0 / q) * _power_mean(nm.eval_many(x), q)
     if lhs == 0:
         raise ValueError("family of zero vectors has no concavity constant")

@@ -26,16 +26,26 @@ Cost of the all-pairs kernels, for an (n, k) field:
   (one core of a 2-vCPU Xeon).  Any other q sums max(gap, 0)^q over the
   upper triangle of the sorted column in blocks of rows, O(n^2 k).
 - pair sum, every other (norm, p), q = inf and BlockNorm included: the pairs
-  v < w in blocks of rows through ``norm.eval_pow``, doubled; n^2/2 norm
-  evaluations.  Each block's differences are formed from x.T as a (k, rows,
-  n) array and handed to the norm as a (rows, n, k) view, so every numpy
-  pass runs over n contiguous entries rather than k = 2 to 4.
-- edge sum: one ``norm.eval_pow`` call over the edges, which for Lq at
-  p = q skips the root-then-power round trip.
-- a move of ``gamma_search``: one ``norm.eval_pow`` call on a (1 + probes,
-  n) table, the current row and the candidates against every row, laid out
-  coordinate-major like the pair-sum blocks.  The edge terms are columns of
-  the same table, so a move costs (1 + probes) n norm evaluations.
+  v < w in blocks of at most 64 rows, doubled; n^2/2 norm evaluations.
+  Each block's differences against the vertices from its first row on are
+  subtracted from x.T into one reused coordinate-major (k, rows, n) buffer,
+  which the norm's kernel (``norms.UncondNorm._pow_kernel``) overwrites, so
+  every numpy pass runs over a contiguous slab rather than rows of k = 2
+  to 4 entries; only the block's rows x rows diagonal square drops its
+  lower triangle.  On lift_l1(Lq(4), 2, 2) at n = 1000, k = 4 a pair sum
+  takes 11.1 to 12.0 ms, against 16.4 to 17.0 ms when each block went
+  through ``eval_pow`` as a (rows, n, k) view (one core of a 2-vCPU Xeon,
+  as below).
+- edge sum: one kernel call on the edge differences, gathered from a
+  coordinate-major copy of x; for Lq at p = q it skips the root-then-power
+  round trip.
+- a move of ``gamma_search``: one kernel call on a reused (k, 1 + probes,
+  n) buffer, the current row and the candidates against every row.  The
+  edge terms are columns of the same table, so a move costs (1 + probes) n
+  norm evaluations: at n = 1000, 75 to 98 us under Lq(q) for q = 1 to 32
+  with k = 2 (89 to 123 us by row-major evaluation) and 142 to 146 us
+  under lift_l1(Lq(4), 2, 2) with k = 4 (165 to 168 us).  The random draws
+  and the bookkeeping on the 5-entry candidate vectors are a large share.
 - all-pairs distances: one bit-parallel BFS sweep over ``g.adj`` per block
   of sources, each vertex holding a bitset of the sources that reached it.
   ``uc_experiment`` counts the bits per level (``graphs.distance_sum``) and
@@ -50,6 +60,7 @@ n <= _EMBEDDING_LIMIT = 4096 (128 MiB of floats).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,7 +123,7 @@ def _gap_powers(lo: np.ndarray, hi: np.ndarray, q: float) -> np.ndarray:
     result) and w of hi's (axis -1); leading axes broadcast."""
     gaps = hi[..., None, :] - lo[..., :, None]
     np.maximum(gaps, 0.0, out=gaps)
-    return _powers(gaps, q)
+    return _powers(gaps, q, overwrite=True)
 
 
 def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
@@ -236,25 +247,34 @@ def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
 
     Lq(q) at p = q splits by coordinate and goes column by column (p is
     finite, so q is); every other norm evaluates the pairs v < w in blocks
-    of rows.
+    of rows: each block's differences against the vertices from its first
+    row on go into one reused coordinate-major (k, rows, n) buffer, which
+    the norm's kernel overwrites, and only the block's rows x rows diagonal
+    square needs its lower triangle dropped.
     """
     n, k = x.shape
     if isinstance(nm, Lq) and p == nm.q:
         return 2.0 * float(_column_pair_sums(x, p).sum())
-    xt = np.ascontiguousarray(x.T)  # (k, n): coordinate-major, see gamma_search
+    xt = np.ascontiguousarray(x.T)  # (k, n): coordinate-major
     total = 0.0
     rows = _triangle_rows(n, k)
+    buf = np.empty(k * rows * n)
     for start in range(0, n, rows):
-        diffs = xt[:, start : start + rows, None] - xt[:, None, start:]
-        vals = nm.eval_pow(diffs.transpose(1, 2, 0), p)
-        total += float(np.triu(vals, 1).sum())  # column j is vertex start + j
+        r = min(rows, n - start)
+        diffs = buf[: k * r * (n - start)].reshape(k, r, n - start)
+        np.subtract(xt[:, start : start + r, None], xt[:, None, start:], out=diffs)
+        vals = nm._pow_kernel(diffs, p)  # column j is vertex start + j
+        vals[:, :r] = np.triu(vals[:, :r], 1)
+        total += float(vals.sum())
     return 2.0 * total
 
 
 def _edge_sum(x: np.ndarray, g: RegularGraph, nm: UncondNorm, p: float) -> float:
-    """sum over edges u < v of ||x_u - x_v||^p, in ``g.edges()`` order."""
+    """sum over edges u < v of ||x_u - x_v||^p, in ``g.edges()`` order,
+    gathered from a coordinate-major copy of x."""
     u, j = np.nonzero(g.adj > np.arange(g.n)[:, None])
-    return float(nm.eval_pow(x[u] - x[g.adj[u, j]], p).sum())
+    xt = np.ascontiguousarray(x.T)
+    return float(nm._pow_kernel(xt[:, u] - xt[:, g.adj[u, j]], p).sum())
 
 
 def _check_p(p: float) -> None:
@@ -332,12 +352,18 @@ def gamma_search(
     ``budget``; below four no move is made, and the result is the best
     random start.
 
-    A move is one ``norm.eval_pow`` call: the current row and the candidates
-    against all n rows, read from a coordinate-major copy of the field kept
-    beside it.  Row 0 of that table is the current row's pair term, and
-    the columns of v's neighbours are its edge terms, before and after.
+    A move is one call of the norm's kernel: the current row and the
+    candidates against all n rows, subtracted into one reused (k, 1 + 4, n)
+    buffer from a coordinate-major copy of the field kept beside it.  Row 0
+    of the table is the current row's pair term, and the columns of v's
+    neighbours are its edge terms, before and after.
+
+    k and budget are integers (``operator.index``).  When no random start
+    has its p-th-power sums inside the double range (a p so large that
+    every norm value's p-th power overflows), the search raises ValueError.
     """
     _check_p(p)
+    k, budget = operator.index(k), operator.index(budget)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if budget <= 0:
@@ -354,7 +380,9 @@ def gamma_search(
         return _pair_sum(F, norm, p), _edge_sum(F, g, norm, p)
 
     scale = g.num_edges() / float(n * n)
+    steps = np.array([1.0, 0.3, 3.0, 0.1])  # the candidates' step multiples
     rows = np.empty((k, 1 + probes))  # the current row, then the candidates
+    buf = np.empty((k, 1 + probes, n))  # rows against every vertex; the kernel overwrites it
     for r in range(_SEARCH_RESTARTS):
         F = rng.normal(size=(n, k))
         FT = np.ascontiguousarray(F.T)  # F coordinate-major, kept equal to F
@@ -365,38 +393,42 @@ def gamma_search(
             best_ratio, best_field = num / den * scale, F.copy()
         step, fails = 1.0, 0
         budget_end = min(budget, (r + 1) * per_restart)
-        while evals < budget_end and evals + probes <= budget:
-            v = int(rng.integers(n))
-            dirs = rng.normal(size=(probes, k))
-            ts = step * np.array([1.0, 0.3, 3.0, 0.1])
-            cands = F[v] + dirs * ts[:, None]
-            rows[:, 0] = F[v]
-            rows[:, 1:] = cands.T
-            # table[c, w] = ||rows_c - F[w]||^p; an edge term of v is a pair term
-            diffs = rows[:, :, None] - FT[:, None, :]
-            table = norm.eval_pow(diffs.transpose(1, 2, 0), p)
-            table[1:, v] = 0.0  # a candidate replaces row v: no pair with it
-            pair = table.sum(axis=1)
-            edge = table[:, nbr[v]].sum(axis=1)
-            cnum = num - 2 * float(pair[0]) + 2 * pair[1:]
-            cden = den - float(edge[0]) + edge[1:]
-            evals += probes
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            while evals < budget_end and evals + probes <= budget:
+                v = int(rng.integers(n))
+                dirs = rng.normal(size=(probes, k))
+                rows[:, 0] = FT[:, v]
+                np.multiply(dirs.T, step * steps, out=rows[:, 1:])
+                rows[:, 1:] += rows[:, :1]  # the candidates F[v] + t dirs
+                # table[c, w] = ||rows_c - F[w]||^p; an edge term of v is a pair term
+                np.subtract(rows[:, :, None], FT[:, None, :], out=buf)
+                table = norm._pow_kernel(buf, p)
+                table[1:, v] = 0.0  # a candidate replaces row v: no pair with it
+                pair = table.sum(axis=1)
+                edge = table[:, nbr[v]].sum(axis=1)
+                cnum = num - 2 * float(pair[0]) + 2 * pair[1:]
+                cden = den - float(edge[0]) + edge[1:]
+                evals += probes
                 ratios = np.where(cden > 0, cnum / cden, -math.inf)
-            i = int(np.argmax(ratios))
-            if ratios[i] > (num / den) * (1 + 1e-12):
-                F[v] = FT[:, v] = cands[i]
-                num, den = float(cnum[i]), float(cden[i])
-                fails = 0
-                if num / den * scale > best_ratio:
-                    best_ratio, best_field = num / den * scale, F.copy()
-            else:
-                fails += 1
-                if fails > 2 * n:
-                    step *= 0.5
+                i = int(np.argmax(ratios))
+                if ratios[i] > (num / den) * (1 + 1e-12):
+                    F[v] = FT[:, v] = rows[:, 1 + i]
+                    num, den = float(cnum[i]), float(cden[i])
                     fails = 0
-                    if step < 1e-9:
-                        break
+                    if num / den * scale > best_ratio:
+                        best_ratio, best_field = num / den * scale, F.copy()
+                else:
+                    fails += 1
+                    if fails > 2 * n:
+                        step *= 0.5
+                        fails = 0
+                        if step < 1e-9:
+                            break
+    if best_field is None:
+        raise ValueError(
+            f"at p = {p} every random start's p-th-power sums left the double range, "
+            "so the search has no field to report"
+        )
     return replace(poincare_ratio(g, best_field, norm, p), evaluations=evals)
 
 

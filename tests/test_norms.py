@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_power_sums_overflow_and_underflow_where_pow_does(q):
     a = np.concatenate([[0.0, 5e-324], np.logspace(-323, 308, 20_000), [1.7e308]])
     with np.errstate(over="ignore", under="ignore"):
         want = a**q
-    got = norms._power_sums(a[:, None], q)  # a RuntimeWarning here fails the test
+    got = norms._power_sums(a[None], q)  # a RuntimeWarning here fails the test
     assert np.array_equal(got == math.inf, want == math.inf)
     assert np.array_equal(got == 0.0, want == 0.0)
 
@@ -174,6 +175,78 @@ def test_eval_pow_off_q_matches_eval_many_power_on_rescued_rows(nm, p):
     rows = np.array([[1e10, 1.0], [3.0, -4.0], [0.0, 0.0], [1e-6, 0.0], [1e-6, 1e-6], [-2.0, 1.0]])
     ys = np.stack([rows, rows[::-1]])
     assert nm.eval_pow(ys, p) == pytest.approx(nm.eval_many(ys) ** p, rel=1e-12)
+
+
+def _oracle_norm(nm, y) -> float:
+    """||y|| for one row, in plain Python floats: each Lq value as m times
+    the q-norm of y / m, m the largest |entry|, each BlockNorm from its
+    blocks' values."""
+    if isinstance(nm, BlockNorm):
+        vals, start = [], 0
+        for inner, bd in nm.inner:
+            vals.append(_oracle_norm(inner, y[start : start + bd]))
+            start += bd
+        return _oracle_norm(nm.outer, vals)
+    mags = [abs(float(t)) for t in y]
+    m = max(mags)
+    if m == 0 or math.isinf(nm.q):
+        return m
+    return m * math.fsum((t / m) ** nm.q for t in mags) ** (1 / nm.q)
+
+
+def _oracle_pow(nm, ys, p) -> np.ndarray:
+    """||y||^p for each row (last axis) of ys, one row at a time."""
+    ys = np.asarray(ys, dtype=float)
+    flat = ys.reshape(-1, ys.shape[-1])
+    with np.errstate(over="ignore", under="ignore"):
+        vals = np.array([_oracle_norm(nm, row) for row in flat]) ** p
+    return vals.reshape(ys.shape[:-1])
+
+
+NESTED = BlockNorm(Lq(math.inf), ((BlockNorm(Lq(2), ((Lq(1), 1), (Lq(4), 1))), 2), (Lq(1.5), 1)))
+KERNEL_NORMS = [  # (norm, k): every k in {1, 2, 3, 5} and a block norm in a block norm
+    (Lq(1), 1), (Lq(2), 2), (Lq(3), 3), (Lq(3.5), 5), (Lq(32), 2), (Lq(math.inf), 3),
+    (Lq(4, dim=5), 5), (lift_l1(Lq(4), 1, 2), 2),
+    (BlockNorm(Lq(3), ((Lq(2), 1), (Lq(math.inf), 2), (Lq(1), 2))), 5), (NESTED, 3),
+]
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["scalar", "rows", "grid"])
+@pytest.mark.parametrize("nm, k", KERNEL_NORMS)
+def test_kernel_and_adapters_match_per_row_oracle(nm, k, lead):
+    # rows at 1, 1e200 and 1e-200, at p = q (finite q) and at p != q; every
+    # p-th power lies in the normal range or leaves the double range entirely
+    ys = make_rng(k + len(lead)).normal(size=lead + (k,))
+    ys *= np.resize([1.0, 1e200, 1e-200], lead + (1,))
+    ps = [1.0, 1.5, 2.0, 3.0] + ([nm.q] if isinstance(nm, Lq) and not math.isinf(nm.q) else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ps:
+            want = _oracle_pow(nm, ys, p)
+            got = {"eval_pow": nm.eval_pow(ys, p)}
+            if p == 1:
+                got["eval_many"] = nm.eval_many(ys)
+            if lead:  # the kernel needs one axis after the coordinates
+                a = np.array(np.moveaxis(ys, -1, 0), order="C")
+                got["kernel"] = nm._pow_kernel(a, p)
+            elif p == 1:
+                got["call"] = np.array(nm(ys))
+            for name, out in got.items():
+                assert np.shape(out) == lead, (name, p)
+                np.testing.assert_allclose(out, want, rtol=1e-12, atol=0, err_msg=f"{name} p={p}")
+
+
+def test_block_norm_names_both_widths():
+    # the whole width is checked before any block is cut from it
+    nm = lift_l1(Lq(4), 2, 2)
+    msg = "BlockNorm of dimension 4 got vectors of width 3"
+    for call in (lambda y: nm.eval_pow(y, 4), nm.eval_many, lambda y: nm.eval_pow(y, 1.5)):
+        with pytest.raises(ValueError, match=msg):
+            call(np.ones((5, 3)))
+    with pytest.raises(ValueError, match="BlockNorm of dimension 3 got vectors of width 4"):
+        NESTED.eval_pow(np.ones((2, 4)), 2)
+    with pytest.raises(ValueError, match="BlockNorm of dimension 2 got vectors of width 3"):
+        NESTED.inner[0][0]._pow_kernel(np.ones((3, 2)), 1.0)
 
 
 @settings(max_examples=60)

@@ -483,24 +483,80 @@ def test_gamma_search_path_independent_of_pair_sum_kernel(monkeypatch, q):
     assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
 
 
+# gamma_search on G(300, 6) at budget 400 for the benchmark's seven (norm, p, k)
+# triples, one seed each: evaluations, ratio and the field's sum, as given by
+# the row-major norm evaluations that the coordinate-major kernels replaced
+PINNED_SEARCHES = [
+    (Lq(1), 1, 2, 1.0378850327411204, 26.529756250355163),
+    (Lq(2), 2, 2, 1.0652423700558091, -7.272944871192481),
+    (Lq(4), 4, 2, 1.3568333731746511, 12.34020050859322),
+    (Lq(8), 8, 2, 3.2414839233859407, -8.30889233900349),
+    (Lq(16), 16, 2, 44.78813040954662, -2.8192039226098586),
+    (Lq(32), 32, 2, 65048.90459137399, -23.34483760020059),
+    (lift_l1(Lq(4), 2, 2), 4, 4, 1.3012184415264065, -27.033049260038133),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_graph():
+    return sample_simple_regular(300, 6, make_rng(23))[0]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_SEARCHES)))
+def test_gamma_search_matches_pinned_decisions(pinned_graph, case):
+    nm, p, k, ratio, field_sum = PINNED_SEARCHES[case]
+    rep = gamma_search(pinned_graph, nm, p, k, budget=400, rng=make_rng(34 + case))
+    assert rep.evaluations == 400
+    assert rep.ratio == pytest.approx(ratio, rel=1e-12)
+    assert float(rep.field.sum()) == pytest.approx(field_sum, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [900, 5000])
+def test_gamma_search_names_p_when_no_start_is_in_range(p):
+    # some pair and some edge of every normal start have a norm above 1, whose
+    # p-th power overflows: both sums are inf, and no start has a ratio
+    with pytest.raises(ValueError, match=f"at p = {p} every random start's p-th-power sums left the double range"):
+        gamma_search(petersen_graph(), Lq(2), p, 2, 40, 0)
+
+
+def test_gamma_search_names_both_widths_of_a_block_norm():
+    g = petersen_graph()
+    nm = lift_l1(Lq(4), 2, 2)
+    with pytest.raises(ValueError, match="BlockNorm of dimension 4 got vectors of width 3"):
+        gamma_search(g, nm, 4, k=3, budget=40, rng=0)
+    with pytest.raises(ValueError, match="BlockNorm of dimension 4 got vectors of width 3"):
+        poincare_ratio(g, make_rng(0).normal(size=(g.n, 3)), nm, 4)
+
+
+def test_gamma_search_takes_integer_k_and_budget():
+    g = petersen_graph()
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        gamma_search(g, Lq(2), 2, k=2.0, budget=40, rng=0)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        gamma_search(g, Lq(2), 2, k=2, budget=2.5, rng=0)
+    want = gamma_search(g, Lq(2), 2, k=2, budget=40, rng=0)
+    got = gamma_search(g, Lq(2), 2, k=np.int64(2), budget=np.int64(40), rng=0)
+    assert (got.evaluations, got.ratio) == (want.evaluations, want.ratio)
+
+
 def test_gamma_search_makes_one_norm_call_per_move(monkeypatch):
     # Lq(4) at p = 4 is separable, so the pair sums make no norm calls and
-    # every eval_pow call is a move or a full edge sum
+    # every kernel call is a move or a full edge sum
     g = sample_simple_regular(60, 4, make_rng(22))[0]
     calls = []
-    eval_pow = Lq.eval_pow
+    kernel = Lq._pow_kernel
 
-    def counted(self, ys, p):
-        calls.append(np.shape(ys))
-        return eval_pow(self, ys, p)
+    def counted(self, a, p):
+        calls.append(a.shape)
+        return kernel(self, a, p)
 
-    monkeypatch.setattr(Lq, "eval_pow", counted)
+    monkeypatch.setattr(Lq, "_pow_kernel", counted)
     rep = gamma_search(g, Lq(4), 4, k=2, budget=400, rng=make_rng(32))
     moves = rep.evaluations // 4  # four candidates per move
     edge_sums = poincare._SEARCH_RESTARTS + 1  # one per restart, one in the recheck
     assert rep.evaluations == 400
     assert len(calls) == moves + edge_sums
-    assert calls.count((5, g.n, 2)) == moves  # the current row and four candidates
+    assert calls.count((2, 5, g.n)) == moves  # the current row and four candidates
 
 
 def test_gamma_search_k4_l1_matches_brute_force_grid():
