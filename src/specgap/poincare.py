@@ -359,8 +359,8 @@ def gamma_search(
     neighbours are its edge terms, before and after.
 
     k and budget are integers (``operator.index``).  When no random start
-    has its p-th-power sums inside the double range (a p so large that
-    every norm value's p-th power overflows), the search raises ValueError.
+    has a ratio, its p-th-power sums having left the double range (at p in
+    the hundreds for a normal start), the search raises ValueError.
     """
     _check_p(p)
     k, budget = operator.index(k), operator.index(budget)
