@@ -35,7 +35,7 @@ Cost of the all-pairs kernels, for an (n, k) field:
   lower triangle.  On lift_l1(Lq(4), 2, 2) at n = 1000, k = 4 a pair sum
   takes 11.1 to 12.0 ms, against 16.4 to 17.0 ms when each block went
   through ``eval_pow`` as a (rows, n, k) view (one core of a 2-vCPU Xeon,
-  as below).
+  as for the move times below).
 - edge sum: one kernel call on the edge differences, gathered from a
   coordinate-major copy of x; for Lq at p = q it skips the root-then-power
   round trip.
