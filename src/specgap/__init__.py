@@ -8,7 +8,7 @@ sampling    pairing-model sampling and exploration statistics
 spectral    eigenvalues, Cheeger constants, spectral certificates
 expansion   long-range expansion checking, fitting, sufficient conditions
 norms       1-unconditional norm trees, cotype and concavity constants
-poincare    Poincare-ratio evaluation, search, embeddings, distance sweeps
+poincare    Poincare-ratio evaluation, search, distance sweeps
 constants   the named constants: one table of closed forms for their logs
 logspace    numbers >= 0 stored as their natural logs
 """

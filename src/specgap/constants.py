@@ -26,10 +26,8 @@ import numpy as np
 from .logspace import LogScalar, as_logscalar
 
 __all__ = [
-    "CONSTANT_IDS",
     "eval_constant",
     "PAPER_EPS",
-    "partial_a_sum",
     "identity_checks",
     "IdentityReport",
     "baseline_comparison",
@@ -140,23 +138,6 @@ def eval_constant(
             f"the log of {name} at these parameters is {ln!r}: it leaves the double range"
         )
     return LogScalar.from_ln(ln)
-
-
-def bigint_ln(name: str, *, q=None, C=None, K=None, d=None, L=None) -> float:
-    """Independent big-integer evaluation path for integer-exponent cases.
-
-    Only valid at alpha = eps = 1 and integer q, C, K, d, L; used to
-    cross-check the log path.
-    """
-    if name == "Gamma":
-        val = 2**115 * q**10 * C**2 * K**3 * d**25 * L**8
-    elif name == "Pi":
-        val = 2**113 * q**10 * C**2 * d**24 * L**8
-    elif name == "Ltilde":
-        val = 2 * (20 * d * L) ** 8
-    else:
-        raise ValueError(f"no big-integer path for {name}")
-    return math.log(val)
 
 
 # -- relations among the constants ----------------------------------------------

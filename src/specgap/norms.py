@@ -45,7 +45,6 @@ __all__ = [
     "Lq",
     "BlockNorm",
     "lift_l1",
-    "sign_patterns",
     "cotype_constant_exact",
     "restricted_cotype_check",
     "restricted_cotype_constant",
@@ -305,7 +304,7 @@ def cotype_constant_exact(nm: UncondNorm, vectors, q: float) -> float:
             f"(got m={m}); there is no sampled estimate, since a Monte Carlo mean "
             "of the ratio bounds the constant on neither side"
         )
-    if q < 2:
+    if not q >= 2:
         raise ValueError("cotype exponent q must be >= 2")
     # norms are even: the last vector keeps sign +1 and half the rows suffice
     return _moment_ratio(nm, x, sign_patterns(m - 1) @ x[:-1] + x[-1], q)
@@ -343,7 +342,7 @@ def _subfamily_moments(nm: UncondNorm, x: np.ndarray, q: float):
     m, k = x.shape
     if m > RESTRICTED_EXACT_LIMIT:
         raise ValueError(f"exact restricted cotype scan needs m <= {RESTRICTED_EXACT_LIMIT}")
-    if q < 2:
+    if not q >= 2:
         raise ValueError("cotype exponent q must be >= 2")
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # bits[A, i] = [i in A]
     top = np.abs(x).max(axis=1)
@@ -395,7 +394,7 @@ def restricted_cotype_check(nm: UncondNorm, vectors, q: float, C: float) -> dict
     A slack outside the double range raises OverflowError.
     """
     x = _as_matrix(vectors)
-    if C < 1:
+    if not C >= 1:
         raise ValueError("C must be >= 1")
     E, R, e = (a[1:] for a in _subfamily_moments(nm, x, q))  # nonempty masks in order
     rhs = C ** (-q) * R
@@ -489,7 +488,7 @@ def almost_disjoint_lower_bound_check(
     is exact, so verify_cotype=True refuses more than RESTRICTED_EXACT_LIMIT
     index sets rather than drop the precondition.
     """
-    if C < 1:
+    if not C >= 1:
         raise ValueError("C must be >= 1")
     m = len(fam.index_sets)
     if verify_cotype and m > RESTRICTED_EXACT_LIMIT:

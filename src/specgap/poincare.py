@@ -33,9 +33,8 @@ Cost of the all-pairs kernels, for an (n, k) field:
   every numpy pass runs over a contiguous slab rather than rows of k = 2
   to 4 entries; only the block's rows x rows diagonal square drops its
   lower triangle.  On lift_l1(Lq(4), 2, 2) at n = 1000, k = 4 a pair sum
-  takes 11.1 to 12.0 ms, against 16.4 to 17.0 ms when each block went
-  through ``eval_pow`` as a (rows, n, k) view (one core of a 2-vCPU Xeon,
-  as for the move times below).
+  takes 11.1 to 12.0 ms (one core of a 2-vCPU Xeon, as for the move times
+  below).
 - edge sum: one kernel call on the edge differences, gathered from a
   coordinate-major copy of x; for Lq at p = q it skips the root-then-power
   round trip.
@@ -43,18 +42,16 @@ Cost of the all-pairs kernels, for an (n, k) field:
   n) buffer, the current row and the candidates against every row.  The
   edge terms are columns of the same table, so a move costs (1 + probes) n
   norm evaluations: at n = 1000, 75 to 98 us under Lq(q) for q = 1 to 32
-  with k = 2 (89 to 123 us by row-major evaluation) and 142 to 146 us
-  under lift_l1(Lq(4), 2, 2) with k = 4 (165 to 168 us).  The random draws
-  and the bookkeeping on the 5-entry candidate vectors are a large share.
+  with k = 2 and 142 to 146 us under lift_l1(Lq(4), 2, 2) with k = 4.  The
+  random draws and the bookkeeping on the 5-entry candidate vectors are a
+  large share.
 - all-pairs distances: one bit-parallel BFS sweep over ``g.adj`` per block
   of sources, each vertex holding a bitset of the sources that reached it.
   ``uc_experiment`` counts the bits per level (``graphs.distance_sum``) and
-  builds no rows; the embedding's table reads the float rows of
-  ``graphs.distance_rows``.
+  builds no rows.
 
 Each block holds about 2^22 (source, vertex) entries (32 MiB of floats) or
-fewer; only the embedding keeps a whole n x n table, and only for
-n <= _EMBEDDING_LIMIT = 4096 (128 MiB of floats).
+fewer; no n x n table is kept.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import RegularGraph, bfs_distances, distance_rows, distance_sum
+from .graphs import RegularGraph, bfs_distances, distance_sum
 from .norms import _SQUARING_MAX, Lq, UncondNorm, _powers
 from .rand import as_rng
 from . import spectral
@@ -76,8 +73,6 @@ __all__ = [
     "ScalarGapResult",
     "gamma_scalar_l2_exact",
     "gamma_search",
-    "EmbeddingReport",
-    "bourgain_style_embedding",
     "uc_experiment",
 ]
 
@@ -358,9 +353,12 @@ def gamma_search(
     of the table is the current row's pair term, and the columns of v's
     neighbours are its edge terms, before and after.
 
-    k and budget are integers (``operator.index``).  When no random start
-    has a ratio, its p-th-power sums having left the double range (at p in
-    the hundreds for a normal start), the search raises ValueError.
+    k and budget are integers (``operator.index``).  A random start counts
+    only if its pair and edge sums both lie in (0, inf), and no move is
+    accepted whose ratio is not finite, so the best field always has a
+    ratio.  When no random start has one, its p-th-power sums having left
+    the double range (at p in the hundreds for a normal start), the search
+    raises ValueError.
     """
     _check_p(p)
     k, budget = operator.index(k), operator.index(budget)
@@ -387,7 +385,7 @@ def gamma_search(
         F = rng.normal(size=(n, k))
         FT = np.ascontiguousarray(F.T)  # F coordinate-major, kept equal to F
         num, den = full_parts(F)
-        if den <= 0:
+        if not (0 < num < math.inf and 0 < den < math.inf):
             continue
         if num / den * scale > best_ratio:
             best_ratio, best_field = num / den * scale, F.copy()
@@ -411,7 +409,7 @@ def gamma_search(
                 evals += probes
                 ratios = np.where(cden > 0, cnum / cden, -math.inf)
                 i = int(np.argmax(ratios))
-                if ratios[i] > (num / den) * (1 + 1e-12):
+                if math.inf > ratios[i] > (num / den) * (1 + 1e-12):
                     F[v] = FT[:, v] = rows[:, 1 + i]
                     num, den = float(cnum[i]), float(cden[i])
                     fails = 0
@@ -430,107 +428,6 @@ def gamma_search(
             "so the search has no field to report"
         )
     return replace(poincare_ratio(g, best_field, norm, p), evaluations=evals)
-
-
-# -- metric embeddings -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    field: np.ndarray          # rescaled so dist <= ||f(v)-f(w)|| on all pairs
-    distortion: float
-    q: float
-    n_coordinates: int
-    ratio_report: RatioReport  # poincare_ratio of the embedded field at p=1
-
-
-# Random subsets drawn per scale, as a multiple of ln n; see the docstring.
-EMBEDDING_TRIALS_PER_LN_N = 8
-# The largest n embedded: the all-pairs distance table is n x n floats.
-_EMBEDDING_LIMIT = 4096
-
-
-def bourgain_style_embedding(g: RegularGraph, q: float, rng=0) -> EmbeddingReport:
-    """Bourgain's random-subset embedding into l_q^k with truncated distances.
-
-    Coordinates are min(dist(v, A), 2^s) over ceil(c ln n) random subsets A
-    of density 2^-s at each scale s = 1..ceil(log2 n), with
-    c = EMBEDDING_TRIALS_PER_LN_N = 8 (Bourgain 1985; Linial-London-Rabinovich,
-    Combinatorica 1995).  The density runs from 1/2 down to about 1/n; the
-    scale s = 0 would put every vertex in A and give a zero column.
-
-    LLR fix only the order O(log n) of the trials per scale, so c is a design
-    choice.  On the Petersen graph with q = 2 over seeds 0-199 the share of
-    seeds with distortion above 3 was 41% for c = 1, 8% for c = 2, 1% for
-    c = 4 and 0% for c = 8 (worst 2.27); c = 8 is the smallest power of two
-    with no such seed.
-
-    The field is rescaled so the worst contraction is exactly 1, i.e. the
-    expansion side dist(v, w) <= ||f(v)-f(w)||_q holds on every pair with
-    equality somewhere; the reported distortion is then the worst stretch,
-    max ||f(v)-f(w)||_q / dist(v, w).  If a draw still collapses a pair,
-    single-source distance columns are appended until every pair is
-    separated.  Connected graphs only, and n <= _EMBEDDING_LIMIT = 4096: the
-    all-pairs distance table is n x n.
-    """
-    n = g.n
-    if n > _EMBEDDING_LIMIT:
-        raise ValueError(
-            f"bourgain_style_embedding builds an n x n distance table and is "
-            f"limited to n <= {_EMBEDDING_LIMIT} (got n={n})"
-        )
-    rng = as_rng(rng)
-    all_dist = np.vstack(list(distance_rows(g)))
-    if np.any(np.isinf(all_dist)):
-        raise ValueError("embedding needs a connected graph")
-    trials = max(1, math.ceil(EMBEDDING_TRIALS_PER_LN_N * math.log(n)))
-    cols = []
-    for s in range(1, max(1, math.ceil(math.log2(n))) + 1):
-        density = 2.0 ** (-s)
-        cap = float(2**s)
-        for _ in range(trials):
-            members = np.nonzero(rng.random(n) < density)[0]
-            if len(members) == 0:
-                members = np.array([int(rng.integers(n))])
-            col = np.minimum(all_dist[:, members].min(axis=1), cap)
-            cols.append(col)
-    field = np.stack(cols, axis=1)
-    nm = Lq(q)
-    idx = np.arange(n)
-
-    def min_max(fld):
-        """Extreme ratios ||f(v)-f(w)||_q / dist(v, w) over v < w, in row chunks."""
-        k = fld.shape[1]
-        lo, hi = math.inf, 0.0
-        chunk = max(1, _CHUNK_ENTRIES // max(n * k, 1))
-        for start in range(0, n, chunk):
-            block = fld[start : start + chunk]
-            norms = nm.eval_many((block[:, None, :] - fld[None, :, :]).reshape(-1, k))
-            upper = idx[None, :] > idx[start : start + chunk, None]
-            dist_block = all_dist[start : start + chunk]
-            ratios = norms.reshape(len(block), n)[upper] / dist_block[upper]
-            if ratios.size:
-                lo, hi = min(lo, float(ratios.min())), max(hi, float(ratios.max()))
-        return lo, hi
-
-    r_min, r_max = min_max(field)
-    # a degenerate draw can collapse a pair; single-source distance columns
-    # separate every pair, so appending them one at a time always terminates
-    v0 = 0
-    while r_min <= 0 and v0 < n:
-        field = np.concatenate([field, all_dist[:, [v0]]], axis=1)
-        r_min, r_max = min_max(field)
-        v0 += 1
-    field = field / r_min
-    distortion = r_max / r_min
-    rep = poincare_ratio(g, field, nm, 1.0)
-    return EmbeddingReport(
-        field=field,
-        distortion=distortion,
-        q=q,
-        n_coordinates=field.shape[1],
-        ratio_report=rep,
-    )
 
 
 # -- distance sweeps ---------------------------------------------------------------

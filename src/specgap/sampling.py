@@ -71,7 +71,6 @@ __all__ = [
     "explore",
     "frontier_unique_bound",
     "frontier_unique_montecarlo",
-    "default_max_rejects",
 ]
 
 
@@ -335,12 +334,6 @@ class ExplorationTrace:
 
     def ball_sizes(self):
         return [r[1] for r in self.rows]
-
-    def frontier_sizes(self):
-        return [r[2] for r in self.rows]
-
-    def unique_sizes(self):
-        return [r[3] for r in self.rows]
 
 
 def explore(g: RegularGraph, s, l_max: int) -> ExplorationTrace:

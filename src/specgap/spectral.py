@@ -40,7 +40,6 @@ from .graphs import RegularGraph, distance_rows
 
 __all__ = [
     "SpectralSummary",
-    "adjacency_matrix",
     "eigen_summary",
     "CheegerResult",
     "cheeger_exact",
@@ -414,10 +413,11 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
     """||sum_{k=1..l} A^k y||^2 <= 4 (4.41 (d-1))^l for unit mean-zero y.
 
     Preconditions (checked, the inputs first): 1 <= l with the bound below
-    the largest double, ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9 n, and
-    lam(G) <= 2.1 sqrt(d-1) as ``friedman_check`` decides it.  A is applied
-    through the neighbour rows, never as a matrix, and the walk runs on the
-    projection of y onto the mean-zero space, taken again before each step.
+    the largest double, y finite, ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9
+    n, and lam(G) <= 2.1 sqrt(d-1) as ``friedman_check`` decides it.  A is
+    applied through the neighbour rows, never as a matrix, and the walk runs
+    on the projection of y onto the mean-zero space, taken again before each
+    step.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -429,6 +429,8 @@ def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"y must have shape ({g.n},)")
+    if not np.isfinite(y).all():
+        raise ValueError("y entries must be finite")
     if abs(np.linalg.norm(y) - 1.0) > 1e-9:
         raise ValueError("y must be a unit vector (1e-9 tolerance)")
     if abs(float(np.sum(y))) > 1e-9 * g.n:

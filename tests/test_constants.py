@@ -7,7 +7,6 @@ from specgap.constants import (
     CONSTANT_IDS,
     L0_VALUE,
     baseline_comparison,
-    bigint_ln,
     PAPER_EPS,
     eval_constant,
     identity_checks,
@@ -72,6 +71,23 @@ def test_L0_and_eta_and_K():
     assert k6 >= LogScalar.from_float(3500.0)
     # K's leading factor needs d - 2.1 sqrt(d-1) > 0: fine for all d >= 3
     assert eval_constant("K", d=3).sign == 1
+
+
+def bigint_ln(name: str, *, q=None, C=None, K=None, d=None, L=None) -> float:
+    """Independent big-integer evaluation path for integer-exponent cases.
+
+    Only valid at alpha = eps = 1 and integer q, C, K, d, L; used to
+    cross-check the log path.
+    """
+    if name == "Gamma":
+        val = 2**115 * q**10 * C**2 * K**3 * d**25 * L**8
+    elif name == "Pi":
+        val = 2**113 * q**10 * C**2 * d**24 * L**8
+    elif name == "Ltilde":
+        val = 2 * (20 * d * L) ** 8
+    else:
+        raise ValueError(f"no big-integer path for {name}")
+    return math.log(val)
 
 
 def test_bigint_cross_check():

@@ -18,7 +18,9 @@ from specgap.norms import (
     restricted_cotype_constant,
     sign_patterns,
 )
+from specgap.graphs import complete_graph
 from specgap.rand import make_rng
+from specgap.spectral import walk_sum_bound_check
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -476,6 +478,28 @@ def test_families_must_be_nonempty_and_finite(call):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             call([[1.0, 0.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cotype_constant_exact(Lq(2), np.eye(3), math.nan), "q must be >= 2"),
+        (lambda: restricted_cotype_check(Lq(2), np.eye(3), 2, C=math.nan), "C must be >= 1"),
+        (lambda: restricted_cotype_check(Lq(2), np.eye(3), math.nan, C=1.0), "q must be >= 2"),
+        (
+            lambda: almost_disjoint_lower_bound_check(
+                Lq(1), OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({1})), 0.5), 2, C=math.nan
+            ),
+            "C must be >= 1",
+        ),
+        (lambda: walk_sum_bound_check(complete_graph(4), np.full(4, math.nan), 3), "y entries must be finite"),
+    ],
+    ids=["cotype q", "restricted C", "restricted q", "almost disjoint C", "walk sum y"],
+)
+def test_nan_parameters_are_refused(call, message):
+    # a guard written as q < 2 or C < 1 lets NaN through, into a NaN result
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_overlap_family_validation():

@@ -19,7 +19,6 @@ import specgap.poincare as poincare
 import specgap.spectral as spectral
 from specgap.norms import BlockNorm, Lq, _powers, lift_l1
 from specgap.poincare import (
-    bourgain_style_embedding,
     gamma_scalar_l2_exact,
     gamma_search,
     poincare_ratio,
@@ -519,6 +518,20 @@ def test_gamma_search_names_p_when_no_start_is_in_range(p):
         gamma_search(petersen_graph(), Lq(2), p, 2, 40, 0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_gamma_search_near_the_double_range_reports_a_rechecked_ratio(seed):
+    # at p = 400 some random starts' pair sums overflow; such a start, or a
+    # move to a ratio that is not finite, must never become the best field
+    g = petersen_graph()
+    try:
+        rep = gamma_search(g, Lq(2), 400, 2, 4, seed)
+    except ValueError as exc:
+        assert "every random start" in str(exc)
+        return
+    assert math.isfinite(rep.ratio)
+    assert rep.ratio == poincare_ratio(g, rep.field, Lq(2), 400).ratio
+
+
 def test_gamma_search_names_both_widths_of_a_block_norm():
     g = petersen_graph()
     nm = lift_l1(Lq(4), 2, 2)
@@ -568,80 +581,6 @@ def test_gamma_search_k4_l1_matches_brute_force_grid():
         best = max(best, poincare_ratio(g, np.array(f), Lq(1), 1).ratio)
     rep = gamma_search(g, Lq(1), 1, k=1, budget=60_000, rng=11)
     assert rep.ratio >= best - 1e-6
-
-
-def test_embedding_petersen():
-    g = petersen_graph()
-    rep = bourgain_style_embedding(g, q=2, rng=5)
-    # expansion side holds after rescaling, exhaustively
-    dist = {}
-    from specgap.graphs import dist as gdist
-
-    worst = 0.0
-    for v in range(10):
-        for w in range(v + 1, 10):
-            d_g = gdist(g, v, w)
-            d_f = float(np.linalg.norm(rep.field[v] - rep.field[w]))
-            assert d_f >= d_g - 1e-9
-            worst = max(worst, d_f / d_g)
-    assert rep.distortion == pytest.approx(worst, rel=1e-9)
-    assert rep.distortion <= 3.0
-
-
-@pytest.mark.parametrize("seed", range(50))
-def test_embedding_petersen_many_seeds(seed):
-    g = petersen_graph()
-    rep = bourgain_style_embedding(g, q=2, rng=seed)
-    from specgap.graphs import dist as gdist
-
-    worst = 0.0
-    for v in range(10):
-        for w in range(v + 1, 10):
-            d_g = gdist(g, v, w)
-            d_f = float(np.linalg.norm(rep.field[v] - rep.field[w]))
-            assert d_f >= d_g - 1e-9
-            worst = max(worst, d_f / d_g)
-    assert rep.distortion == pytest.approx(worst, rel=1e-9)
-    assert rep.distortion <= 3.0
-
-
-def test_embedding_gamma_lower_bound_inequality():
-    g, _ = sample_simple_regular(64, 6, make_rng(2))
-    rep = bourgain_style_embedding(g, q=2, rng=9)
-    avg = uc_experiment([g])[0]["avg_distance"]
-    edges = g.edges()
-    stretch = max(
-        float(np.linalg.norm(rep.field[u] - rep.field[v])) for u, v in edges
-    )
-    assert rep.ratio_report.ratio >= avg / stretch - 1e-9
-
-
-def test_embedding_refuses_n_above_dense_limit(monkeypatch):
-    # the embedding's cap is its own, not the eigensolver's DENSE_LIMIT
-    assert poincare._EMBEDDING_LIMIT == 4096 > spectral.DENSE_LIMIT
-    monkeypatch.setattr(poincare, "_EMBEDDING_LIMIT", 9)
-    with pytest.raises(ValueError, match=r"limited to n <= 9 \(got n=10\)"):
-        bourgain_style_embedding(petersen_graph(), q=2, rng=0)
-    monkeypatch.setattr(poincare, "_EMBEDDING_LIMIT", 10)
-    rep = bourgain_style_embedding(petersen_graph(), q=2, rng=0)
-    assert rep.field.shape[0] == 10
-
-
-def test_embedding_size_check_precedes_distance_rows(monkeypatch):
-    monkeypatch.setattr(poincare, "_EMBEDDING_LIMIT", 8)
-
-    def no_distances(*args, **kwargs):
-        raise AssertionError("distance table built before the size check")
-
-    monkeypatch.setattr(poincare, "distance_rows", no_distances)
-    with pytest.raises(ValueError, match=r"limited to n <= 8 \(got n=10\)"):
-        bourgain_style_embedding(petersen_graph(), q=2, rng=0)
-
-
-def test_embedding_rejects_disconnected():
-    g = disjoint_union(complete_graph(4), complete_graph(4))
-    with pytest.raises(ValueError, match="connected"):
-        bourgain_style_embedding(g, q=2, rng=0)
 
 
 def test_average_distance_named_graphs():
