@@ -583,6 +583,48 @@ def test_gamma_search_k4_l1_matches_brute_force_grid():
     assert rep.ratio >= best - 1e-6
 
 
+def test_embedding_petersen():
+    # The distance-row (Frechet) map is an isometry into l_inf and
+    # non-contracting into l_2, so its l_2 distortion D obeys the Poincare
+    # bound D^2 >= avg dist^2 / gamma, with gamma = 3 / (3 - 1) on Petersen.
+    g = petersen_graph()
+    field = np.vstack(list(graphs.distance_rows(g)))
+    from specgap.graphs import dist as gdist
+
+    worst = 0.0
+    for v in range(10):
+        for w in range(v + 1, 10):
+            d_g = gdist(g, v, w)
+            assert np.abs(field[v] - field[w]).max() == d_g
+            d_f = float(np.linalg.norm(field[v] - field[w]))
+            assert d_f >= d_g
+            worst = max(worst, d_f / d_g)
+    # per vertex: 3 vertices at distance 1 and 6 at distance 2
+    avg_d2 = (field**2).mean()
+    assert avg_d2 == pytest.approx(2.7)
+    gamma = gamma_scalar_l2_exact(g).gamma
+    assert gamma == pytest.approx(1.5)
+    rep = poincare_ratio(g, field, Lq(2), 2)
+    assert rep.numerator >= avg_d2 - 1e-12
+    assert rep.denominator <= worst**2 + 1e-12
+    assert rep.ratio <= gamma * (1 + 1e-12)
+    assert worst >= math.sqrt(avg_d2 / gamma)
+
+
+def test_embedding_gamma_lower_bound_inequality():
+    # A non-contracting field with edge stretch D has ratio at least
+    # avg dist / D at p = 1, and in l_2 at p = 2 the constant bounds D^2
+    # below by avg dist^2 / gamma.
+    g, _ = sample_simple_regular(64, 6, make_rng(2))
+    field = np.vstack(list(graphs.distance_rows(g)))
+    avg = uc_experiment([g])[0]["avg_distance"]
+    stretch = max(float(np.linalg.norm(field[u] - field[v])) for u, v in g.edges())
+    assert poincare_ratio(g, field, Lq(2), 1).ratio >= avg / stretch - 1e-9
+    gamma = gamma_scalar_l2_exact(g).gamma
+    assert poincare_ratio(g, field, Lq(2), 2).ratio <= gamma * (1 + 1e-9)
+    assert stretch**2 >= (field**2).mean() / gamma
+
+
 def test_average_distance_named_graphs():
     k4, pet = uc_experiment([complete_graph(4), petersen_graph()])
     assert k4["avg_distance_distinct"] == pytest.approx(1.0)
