@@ -1,5 +1,5 @@
-"""Regular graphs as (n, d) neighbour arrays, BFS distances and balls, and
-edge-list I/O.
+"""Regular graphs as (n, d) neighbour arrays, BFS distances, and edge-list
+I/O.
 
 A graph is ``RegularGraph``: its ``adj`` is a read-only int64 (n, d) array
 whose row v lists the neighbours of v in increasing order; every operation
@@ -25,8 +25,6 @@ import numpy as np
 
 __all__ = [
     "RegularGraph",
-    "dist",
-    "ball",
     "bfs_distances",
     "distance_rows",
     "distance_sum",
@@ -179,20 +177,6 @@ def bfs_distances(g: RegularGraph, sources) -> np.ndarray:
         dist[reached[dist[reached] == INF]] = level
         frontier = np.flatnonzero(dist == level)
     return dist
-
-
-def dist(g: RegularGraph, v: int, w: int) -> float:
-    """Shortest-path distance; inf when v, w lie in different components."""
-    v, w = _vertices(g, (v, w))
-    return float(bfs_distances(g, [v])[w])
-
-
-def ball(g: RegularGraph, s, radius) -> frozenset:
-    """{v : dist(v, s) <= radius}; empty for empty s or negative radius."""
-    s = set(s)
-    if not s or radius < 0:
-        return frozenset()
-    return frozenset(np.flatnonzero(bfs_distances(g, s) <= radius).tolist())
 
 
 # -- per-source distances -----------------------------------------------------

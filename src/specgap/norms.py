@@ -486,8 +486,11 @@ def almost_disjoint_lower_bound_check(
     the overlap bound holds (checked at construction), and optionally the
     projection family has restricted cotype q with constant C.  That check
     is exact, so verify_cotype=True refuses more than RESTRICTED_EXACT_LIMIT
-    index sets rather than drop the precondition.
+    index sets rather than drop the precondition.  q >= 2 and C >= 1 are
+    checked in both modes.
     """
+    if not q >= 2:
+        raise ValueError("cotype exponent q must be >= 2")
     if not C >= 1:
         raise ValueError("C must be >= 1")
     m = len(fam.index_sets)

@@ -1,19 +1,19 @@
 """Adjacency spectra, Cheeger constants, and the spectral certificates.
 
-The eigensolver contract: up to n = DENSE_LIMIT = 256 every eigenvalue from
-LAPACK through numpy's ``eigvalsh``, then the lambda_2 vector alone by
-inverse iteration at the known lambda_2 (one LU solve, as a rule), so the
-n x n eigenvector matrix is never formed; above the limit, the three
+The eigensolver contract: up to n = DENSE_LIMIT = 128 one LAPACK ``eigh``
+(every eigenvalue and eigenvector, through numpy); above the limit the three
 extremal pairs (lambda_1, lambda_2 and lambda_min) alone by one restarted
 Lanczos run at both ends of the spectrum (ARPACK through scipy), started
-from the same fixed-seed vector as the inverse iteration, so a solve is
-repeatable.  In both modes the lambda_2 vector handed out is unit and
-mean-zero, has the residual ||A v - lambda_2 v||_2 <= ARPACK_TOL = 1e-8,
-and its first entry of largest magnitude is positive; ARPACK's other pairs
-are certified to the same residual.  ARPACK is the only use of scipy in the
-package, and scipy is imported on that path alone, which builds its CSR
-matrix from the neighbour rows; the walk-sum bound multiplies by A through
-those rows, at any n.  ``friedman_check`` makes the one comparison of lam(G) with
+from a fixed-seed vector, so a solve is repeatable.  Either solver hands the
+pairs of lambda_min, lambda_2 and lambda_1 to one certificate: the lambda_2
+vector handed out is the unit mean-zero vector in the span of the top two,
+and it and the other two vectors must have the residual
+||A v - lambda v||_2 <= ARPACK_TOL = 1e-8; the summary's ``residual`` is
+the largest of the three, and the vector's first entry of largest magnitude
+is positive.  ARPACK is the only use of scipy in the package, and scipy is
+imported on that path alone, which builds its CSR matrix from the neighbour
+rows; the residuals and the walk-sum bound multiply by A through those
+rows, at any n.  ``friedman_check`` makes the one comparison of lam(G) with
 2.1 sqrt(d-1).  Cheeger constants are exact rationals up to n = 24, read
 from one int16 table of the cut size of every subset (2^n entries, 32 MiB
 at n = 24) built by doubling; beyond that only heuristic upper bounds are
@@ -53,22 +53,18 @@ __all__ = [
 ]
 
 # The largest n solved dense.  Every certificate needs only lambda_2, lambda_min
-# and lambda_2's vector, and the O(n^3) eigvalsh plus the lambda_2 solve
-# overtakes the one ARPACK run between n = 200 and 320 at d = 3, 6 and 10
-# (one BLAS thread, dense against ARPACK: d = 3 at n = 256, 6.2 vs 10.9 ms;
-# n = 320, 9.6 vs 7.8 ms; n = 1000, 152 vs 13.4 ms; d = 6 at n = 256, 5.5 vs
-# 6.9 ms; n = 320, 8.7 vs 5.3 ms; d = 10 at n = 200, 3.6 vs 4.7 ms; n = 256,
-# 5.8 vs 4.9 ms; n = 320, 8.9 vs 7.8 ms), so the limit is the largest power of
-# two below the crossover.
-DENSE_LIMIT = 256
+# and lambda_2's vector, and the O(n^3) eigh overtakes the one ARPACK run
+# between n = 128 and 192 at d = 3, 6 and 10 (one BLAS thread on a 2-vCPU
+# Xeon, medians over three graphs each, eigh against ARPACK, certificate
+# included: d = 3 at n = 128, 1.4-1.6 vs 2.2-2.9 ms; n = 160, 2.4 vs
+# 2.2-3.4 ms; n = 192, 3.6-3.8 vs 3.0-4.6 ms; n = 256, 6.8-7.6 vs 3.8-5.8 ms;
+# d = 6 at n = 128, 1.4-1.6 vs 2.1-2.7 ms; n = 192, 3.2-3.5 vs 2.6-3.1 ms;
+# d = 10 at n = 128, 1.4-2.1 vs 1.9-3.7 ms; n = 160, 3.2 vs 2.9-3.3 ms;
+# n = 192, 4.7 vs 3.8-4.8 ms), so the limit is the largest power of two
+# below the crossover.
+DENSE_LIMIT = 128
 ARPACK_TOL = 1e-8  # certified residual ||A v - lambda v||_2 of every eigenvector handed out
 CHEEGER_EXACT_LIMIT = 24  # one limit for every exhaustive subset scan of a graph
-# The dense lambda_2 vector's inverse-iteration shift above lambda_2, per unit
-# of d: above eigvalsh's error (about 1e-15 d), so A - sigma I stays
-# nonsingular, and far below the gaps of the graphs solved, so one solve
-# leaves little but lambda_2's eigenspace
-_SHIFT = 1e-12
-_SOLVES = 3  # solves before the dense lambda_2 vector gives up
 
 
 def adjacency_matrix(g: RegularGraph):
@@ -83,7 +79,8 @@ class SpectralSummary:
     """Sorted adjacency eigenvalues (dense mode) plus the derived scalars.
 
     lam is max(|lambda_2|, ..., |lambda_n|); lambda2 is the second largest
-    eigenvalue by value (not magnitude).
+    eigenvalue by value (not magnitude); residual is the measured largest
+    ||A v - lambda v||_2 of the three certified eigenvectors.
     """
 
     n: int
@@ -93,8 +90,8 @@ class SpectralSummary:
     lambda2: float
     lambda_min: float
     lam: float
-    eigenvalues: tuple | None = None
-    residual: float = 0.0
+    eigenvalues: tuple | None  # every eigenvalue, ascending; None in iterative mode
+    residual: float
 
     @property
     def spectral_gap(self) -> float:
@@ -104,10 +101,10 @@ class SpectralSummary:
 def eigen_summary(g: RegularGraph) -> SpectralSummary:
     """Eigenvalue summary; dense for n <= DENSE_LIMIT, else iterative extremes.
 
-    Iterative mode is one ARPACK run; it certifies
-    ||A v - lambda v||_2 <= ARPACK_TOL for lambda_1, lambda_min and the
-    lambda_2 vector handed out, and raises RuntimeError when ARPACK cannot
-    reach that.  Solved once per graph and mode; see the module docstring.
+    Either mode certifies ||A v - lambda v||_2 <= ARPACK_TOL for lambda_1,
+    lambda_min and the lambda_2 vector handed out, and raises RuntimeError
+    when its solver cannot reach that.  Solved once per graph and mode; see
+    the module docstring.
     """
     return _spectrum(g)[0]
 
@@ -115,69 +112,25 @@ def eigen_summary(g: RegularGraph) -> SpectralSummary:
 def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     """The graph's cached (summary, lambda_2 eigenvector), solving on a miss.
 
-    Dense mode is ``eigvalsh`` for the eigenvalues plus ``_lambda2_vector``;
-    iterative mode is one ARPACK run for the two top pairs and the bottom one,
-    plus ``_ones_free`` of its two top Ritz vectors.  Either way the vector is
-    unit and mean-zero, certified to ARPACK_TOL, and its first entry of
-    largest magnitude is positive.  The vector is the cache's own array:
-    callers that hand it on copy it.
+    Dense mode is one ``eigh``, iterative mode one ARPACK run; either hands
+    ``_certified`` the pairs of lambda_min, lambda_2 and lambda_1.  The
+    vector is the cache's own array: callers that hand it on copy it.
     """
     mode = "dense" if g.n <= DENSE_LIMIT else "iterative"
     if g._spectra is None:
         object.__setattr__(g, "_spectra", {})
     if mode not in g._spectra:
-        solve = _dense_spectrum if mode == "dense" else _iterative_spectrum
-        g._spectra[mode] = solve(g)
+        if mode == "dense":
+            evals, vecs = np.linalg.eigh(adjacency_matrix(g))
+            pairs = evals[[0, -2, -1]], vecs[:, [0, -2, -1]], tuple(evals.tolist())
+        else:
+            pairs = *_arpack_pairs(g), None
+        g._spectra[mode] = _certified(g, mode, *pairs)
     return g._spectra[mode]
 
 
-def _dense_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
-    a = adjacency_matrix(g)
-    evals = np.linalg.eigvalsh(a)
-    lam2 = float(evals[-2])
-    lam_min = float(evals[0])
-    summary = SpectralSummary(
-        n=g.n,
-        d=g.d,
-        mode="dense",
-        lambda1=float(evals[-1]),
-        lambda2=lam2,
-        lambda_min=lam_min,
-        lam=max(abs(lam2), abs(lam_min)),
-        eigenvalues=tuple(float(x) for x in evals),
-    )
-    return summary, _lambda2_vector(g, a, lam2)
-
-
-def _lambda2_vector(g: RegularGraph, a: np.ndarray, lam2: float) -> np.ndarray:
-    """A unit mean-zero vector with ||A v - lam2 v||_2 <= ARPACK_TOL, by
-    inverse iteration on A - sigma I, sigma = lam2 + _SHIFT d; ``a`` is A and
-    is shifted in place.
-
-    Each step projects out the mean before and after its one solve: the ones
-    vector is lambda_1's eigenvector, so a disconnected graph, where
-    lambda_2 = lambda_1 = d, still gets a vector of lambda_2 = d orthogonal to
-    it.  The start is ``_start_vector``, the residual is taken through the
-    neighbour rows, and ``_sign_rule`` fixes the sign.  Raises RuntimeError
-    after _SOLVES solves.
-    """
-    a[np.diag_indices_from(a)] -= lam2 + _SHIFT * g.d
-    v = _start_vector(g.n)
-    for _ in range(_SOLVES):
-        v = np.linalg.solve(a, v - v.mean())
-        v -= v.mean()
-        v /= np.linalg.norm(v)
-        residual = _residual(g, v, lam2)
-        if residual <= ARPACK_TOL:
-            return _sign_rule(v)
-    raise RuntimeError(
-        f"lambda_2 eigenvector residual {residual:.3e} exceeds tol {ARPACK_TOL:.3e} "
-        f"after {_SOLVES} solves"
-    )
-
-
 def _start_vector(n: int) -> np.ndarray:
-    """The fixed-seed normal vector both solvers start from."""
+    """The fixed-seed normal vector ARPACK starts from."""
     return np.random.default_rng(0).standard_normal(n)
 
 
@@ -191,7 +144,8 @@ def _sign_rule(v: np.ndarray) -> np.ndarray:
     return v if v[np.argmax(np.abs(v))] > 0 else -v
 
 
-def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
+def _arpack_pairs(g: RegularGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The three extremal eigenpairs, ascending, from one ARPACK run."""
     import scipy.sparse as sp  # here, not at the top: only this path needs scipy
     import scipy.sparse.linalg as spla
 
@@ -207,7 +161,20 @@ def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    return vals[order], vecs[:, order]
+
+
+def _certified(
+    g: RegularGraph, mode: str, vals: np.ndarray, vecs: np.ndarray, eigenvalues: tuple | None
+) -> tuple[SpectralSummary, np.ndarray]:
+    """The summary and lambda_2 vector from the pairs (ascending ``vals``,
+    ``vecs`` by column) of lambda_min, lambda_2 and lambda_1.
+
+    The lambda_2 vector is ``_ones_free`` of the top two; the residuals of
+    it and of the other two vectors, taken through the neighbour rows, must
+    all be at most ARPACK_TOL, else RuntimeError.  ``_sign_rule`` fixes the
+    vector's sign, and the summary's ``residual`` is the largest of the three.
+    """
     lam_min, lam2, lam1 = (float(x) for x in vals)
     v = _ones_free(vecs[:, 1:])
     residual = max(
@@ -222,18 +189,19 @@ def _iterative_spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     summary = SpectralSummary(
         n=g.n,
         d=g.d,
-        mode="iterative",
+        mode=mode,
         lambda1=lam1,
         lambda2=lam2,
         lambda_min=lam_min,
         lam=max(abs(lam2), abs(lam_min)),
+        eigenvalues=eigenvalues,
         residual=residual,
     )
     return summary, _sign_rule(v)
 
 
 def _ones_free(vecs: np.ndarray) -> np.ndarray:
-    """The unit vector in the span of the two orthonormal Ritz vectors
+    """The unit vector in the span of the two orthonormal eigenvectors
     ``vecs`` (lambda_2's, then lambda_1's) orthogonal to the ones vector.
 
     On a connected graph lambda_1's vector is the ones vector up to the

@@ -14,13 +14,11 @@ import specgap.graphs as graphs
 from specgap.graphs import (
     INF,
     RegularGraph,
-    ball,
     bfs_distances,
     circular_ladder,
     complete_bipartite,
     complete_graph,
     disjoint_union,
-    dist,
     distance_rows,
     distance_sum,
     load_edge_list,
@@ -163,22 +161,22 @@ def test_constructor_stores_sorted_read_only_copy():
 
 def test_dist_identity_and_complete():
     g = complete_graph(4)
-    assert dist(g, 1, 1) == 0
-    assert dist(g, 1, 3) == 1
+    assert bfs_distances(g, [1])[1] == 0
+    assert bfs_distances(g, [1])[3] == 1
 
 
 def test_dist_disconnected_is_infinite():
     g = disjoint_union(complete_graph(4), complete_graph(4))
-    assert dist(g, 0, 5) == INF
-    assert dist(g, 1, 2) == 1
+    assert bfs_distances(g, [0])[5] == INF
+    assert bfs_distances(g, [1])[2] == 1
 
 
 def test_dist_vertex_out_of_range():
     g = complete_graph(4)
     with pytest.raises(ValueError, match="out of range"):
-        dist(g, 0, 7)
+        bfs_distances(g, [7])
     with pytest.raises(ValueError, match="vertex -1 out of range"):
-        dist(g, -1, 0)
+        bfs_distances(g, [-1])
     with pytest.raises(ValueError, match="vertex 4 out of range"):
         bfs_distances(g, [1, 4])
     with pytest.raises(ValueError, match="vertex 9 out of range"):
@@ -192,7 +190,7 @@ def test_vertices_must_be_integers():
     with pytest.raises(TypeError, match="integers"):
         list(distance_rows(g, np.array([0.0, 2.0])))
     with pytest.raises(TypeError, match="integers"):
-        ball(g, {True}, 1)
+        bfs_distances(g, {True})
     assert bfs_distances(g, np.array([3], dtype=np.uint8)).tolist() == deque_bfs(g, [3])
 
 
@@ -207,24 +205,23 @@ def test_dist_to_set_and_edge():
 
 def test_ball_basics():
     g = complete_graph(4)
-    assert ball(g, {1}, 1) == frozenset(range(4))
-    assert ball(g, {1, 2}, 0) == frozenset({1, 2})
-    assert ball(g, set(), 3) == frozenset()
-    assert ball(g, {1}, -1) == frozenset()
+    assert np.flatnonzero(bfs_distances(g, {1}) <= 1).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(bfs_distances(g, {1, 2}) <= 0).tolist() == [1, 2]
 
 
 def test_ball_monotone_and_growth_cap():
     g, _ = sample_simple_regular(20, 3, make_rng(5))
     for v in (0, 7, 13):
-        prev = frozenset()
+        dd = bfs_distances(g, [v])
+        prev = set()
         for radius in range(0, g.n + 1):
-            b = ball(g, {v}, radius)
+            b = set(np.flatnonzero(dd <= radius).tolist())
             assert prev <= b
             d = g.d
             cap = 1 + d * ((d - 1) ** radius - 1) // (d - 2)
             assert len(b) <= cap
             prev = b
-        assert ball(g, {v}, g.n) == ball(g, {v}, g.n + 5)
+        assert np.array_equal(dd <= g.n, dd <= g.n + 5)
 
 
 def test_dist_is_metric_on_components():
@@ -232,8 +229,9 @@ def test_dist_is_metric_on_components():
     rng = make_rng(11)
     for _ in range(25):
         u, v, w = (int(x) for x in rng.integers(0, g.n, size=3))
-        assert dist(g, u, v) == dist(g, v, u)
-        assert dist(g, u, w) <= dist(g, u, v) + dist(g, v, w)
+        du, dv = bfs_distances(g, [u]), bfs_distances(g, [v])
+        assert du[v] == dv[u]
+        assert du[w] <= du[v] + dv[w]
 
 
 def test_edge_list_roundtrip():

@@ -502,6 +502,16 @@ def test_nan_parameters_are_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("verify_cotype", [True, False])
+@pytest.mark.parametrize("q", [math.nan, -3.0, 1.0])
+def test_almost_disjoint_bound_refuses_q_below_2(q, verify_cotype):
+    # without the cotype check, q = nan gave a nan bound, q = -3 a FAIL at
+    # bound 4 and q = 1 a pass
+    fam = OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({1})), 0.5)
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        almost_disjoint_lower_bound_check(Lq(1), fam, q, C=1.0, verify_cotype=verify_cotype)
+
+
 def test_overlap_family_validation():
     with pytest.raises(ValueError, match="above delta"):
         OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({0})), delta=0.25)
