@@ -25,13 +25,14 @@ reads the same t at l - 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .constants import PAPER_EPS, eval_constant
-from .graphs import RegularGraph, _level_sets, bfs_distances, distance_rows
+from .graphs import RegularGraph, _level_sets, _vertices, bfs_distances
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
 from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary, friedman_check
@@ -353,13 +354,16 @@ def congestion_check_instance(
 ) -> ExpanVerdict:
     """Part-B check for one (S, l) meeting the precondition.
 
-    PASS carries the lowest-index admissible vertex; FAIL carries the full
-    popular-edge set T with its visibility counts.
+    PASS carries the lowest-index admissible vertex and its count of edges
+    of T; FAIL carries S; both carry the popular-edge set T in ``details``.
+    S must be a nonempty set of vertices and l an integer >= 1, whichever
+    branch the check takes.
     """
-    subset = sorted(set(s))
-    if not subset:
+    subset = np.unique(_vertices(g, s))
+    l = operator.index(l)
+    if not subset.size:
         raise ValueError("S must be nonempty")
-    if not (1 <= l):
+    if l < 1:
         raise ValueError("l must be >= 1")
     n, d = g.n, g.d
     if not _precondition_holds(params.alpha, d, l, len(subset), n):
@@ -374,23 +378,29 @@ def congestion_check_instance(
             part="B",
             mode="exact",
             status="pass",
-            witness={"v": subset[0], "T_size": 0, "l": l},
+            witness={"v": int(subset[0]), "T_size": 0, "l": l},
             details={"T": ()},
         )
-    # a vertex of S sees edge e when an endpoint of e lies within l - 1 of it;
-    # per block of S, count each edge's viewers and pack the edges each sees
+    # a vertex of S sees edge e when an endpoint of e lies within l - 1 of it:
+    # near[v] holds the bits of the vertices of S within l - 1 of v, and
+    # sees[e] those of the vertices of S that see e
+    near = np.zeros((n, -(-len(subset) // 64)), dtype=np.uint64)
+    for level, rows, bits in _level_sets(g, subset):
+        if level == l:
+            break
+        near[rows] |= bits
     eu, ew = np.array(edges, dtype=np.int64).T
-    viewers = np.zeros(len(edges), dtype=np.int64)
-    seen = []
-    for rows in distance_rows(g, subset):
-        near = rows <= l - 1
-        sees = near[:, eu] | near[:, ew]
-        viewers += np.count_nonzero(sees, axis=0)
-        seen.append(_edge_sets(sees))
-    popular = viewers >= ceil_thr
-    t_edges = np.flatnonzero(popular)
+    sees = near[eu] | near[ew]
+    t_edges = np.flatnonzero(np.bitwise_count(sees).sum(axis=1) >= ceil_thr)
     details = {"T": tuple(edges[i] for i in t_edges)}
-    counts = np.bitwise_count(np.vstack(seen) & _edge_sets(popular[None, :])).sum(axis=1)
+    # the edges of T that each vertex of S sees, from the bits of sees[T]
+    # unpacked in blocks of about 4 MiB
+    counts = np.zeros(len(subset), dtype=np.int64)
+    step = max(1, (1 << 22) // len(subset))
+    for start in range(0, len(t_edges), step):
+        octets = sees[t_edges[start : start + step]].astype("<u8", copy=False).view(np.uint8)
+        seen = np.unpackbits(octets, axis=1, count=len(subset), bitorder="little")
+        counts += seen.sum(axis=0, dtype=np.int64)
     admissible = np.flatnonzero(counts <= floor_thr)
     if admissible.size:
         i = int(admissible[0])
@@ -398,14 +408,14 @@ def congestion_check_instance(
             part="B",
             mode="exact",
             status="pass",
-            witness={"v": subset[i], "T_size": len(t_edges), "l": l, "count": int(counts[i])},
+            witness={"v": int(subset[i]), "T_size": len(t_edges), "l": l, "count": int(counts[i])},
             details=details,
         )
     return ExpanVerdict(
         part="B",
         mode="exact",
         status="fail",
-        witness={"S": tuple(subset), "l": l},
+        witness={"S": tuple(subset.tolist()), "l": l},
         details=details,
     )
 
@@ -526,9 +536,9 @@ def popular_edge_bound_check(
     g: RegularGraph, s, l: int, params: ExpanParams
 ) -> dict:
     """Double-counting bound |T| <= |S| d / (L (d-2)) ((d-1)/(d-1-eps))^l."""
-    verdict = congestion_check_instance(g, s, l, params)
+    subset = np.unique(_vertices(g, s))
+    verdict = congestion_check_instance(g, subset, l, params)
     t_size = len(verdict.details["T"])
-    subset = sorted(set(s))
     bound_ln = (
         math.log(len(subset))
         + math.log(g.d)

@@ -14,6 +14,14 @@ private slot, ``_spectra``, is a cache that only ``specgap.spectral`` fills;
 it is excluded from equality, hashing and repr.  Disconnected graphs are
 legal inputs; operations whose meaning requires connectivity say so
 explicitly.
+
+Distances come from two BFS routines: ``bfs_distances`` from one vertex set,
+and the bit-parallel sweep ``_level_sets`` from many single sources at
+once, which yields each level's newly reached vertices with a bitset of
+the sources that reach them.  Its readers (``distance_sum`` here, the
+Cheeger sweep orders, part B's visibility and the ball masks of the
+n <= 24 scans) take what they need from the bits; no per-source distance
+rows are built.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import numpy as np
 __all__ = [
     "RegularGraph",
     "bfs_distances",
-    "distance_rows",
     "distance_sum",
     "load_edge_list",
     "save_edge_list",
@@ -39,8 +46,8 @@ __all__ = [
 
 INF = float("inf")
 
-# distance_rows and distance_sum sweep about this many (source, vertex) pairs
-# per block of sources: a 32 MiB float block of rows.
+# distance_sum sweeps about this many (source, vertex) pairs per block of
+# sources: one bit each, so each (n, c / 64) word array of the sweep is 512 KiB.
 DISTANCE_CHUNK_ENTRIES = 1 << 22
 
 
@@ -191,15 +198,6 @@ def bfs_distances(g: RegularGraph, sources) -> np.ndarray:
 # graph of large diameter pays once per level.
 
 
-def _source_blocks(g: RegularGraph, sources):
-    """``sources`` (default: every vertex) in blocks of at most
-    DISTANCE_CHUNK_ENTRIES // n, in order."""
-    src = np.arange(g.n) if sources is None else _vertices(g, sources)
-    rows = max(1, DISTANCE_CHUNK_ENTRIES // g.n)
-    for start in range(0, len(src), rows):
-        yield src[start : start + rows]
-
-
 def _level_sets(g: RegularGraph, src: np.ndarray):
     """Yield (level, vertices, bits) for the sources ``src``, level 0 first.
 
@@ -242,41 +240,16 @@ def _level_sets(g: RegularGraph, src: np.ndarray):
         reached[rows] |= bits
 
 
-def distance_rows(g: RegularGraph, sources=None):
-    """Yield the hop-distance rows of single sources, a block at a time.
-
-    ``sources`` defaults to every vertex; repeats are allowed.  Each block is
-    a float (c, n) array whose i-th row holds the distances from the block's
-    i-th source, with ``inf`` at unreachable vertices; blocks follow the order
-    of ``sources``, with c * n <= DISTANCE_CHUNK_ENTRIES (c >= 1), so memory
-    stays O(c n) however many sources are asked for.  Each block is one
-    bit-parallel sweep (``_level_sets``); a vertex reached at a level costs
-    about d c / 64 word operations and c entries of its distance column.
-    """
-    for src in _source_blocks(g, sources):
-        c = len(src)
-        # one row per vertex, in the smallest unsigned type that holds n: every
-        # level is below n, so n marks the vertices a source never reaches
-        levels = np.full((g.n, c), g.n, dtype=np.min_scalar_type(g.n))
-        for level, rows, bits in _level_sets(g, src):
-            octets = bits.astype("<u8", copy=False).view(np.uint8)
-            hit = np.unpackbits(octets, axis=1, count=c, bitorder="little").view(bool)
-            at_level = levels[rows]
-            at_level[hit] = level
-            levels[rows] = at_level
-        block = np.asarray(levels.T, dtype=float, order="C")
-        block[block == g.n] = INF
-        yield block
-
-
 def distance_sum(g: RegularGraph) -> float:
     """sum_{v, w} dist(v, w) over ordered pairs; ``inf`` when disconnected.
 
-    Counts the set bits of each level of the per-source sweep, in the same
-    source blocks as ``distance_rows`` but without building distance rows.
+    Counts the set bits of each level of the per-source sweep, over blocks
+    of DISTANCE_CHUNK_ENTRIES // n sources (at least one), in order.
     """
     total = 0
-    for src in _source_blocks(g, None):
+    step = max(1, DISTANCE_CHUNK_ENTRIES // g.n)
+    for start in range(0, g.n, step):
+        src = np.arange(start, min(start + step, g.n))
         found = 0
         for level, _, bits in _level_sets(g, src):
             count = int(np.bitwise_count(bits).sum())

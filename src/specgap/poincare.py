@@ -15,18 +15,20 @@ zero); the convention is fixed here and used consistently on both sides.
 
 Cost of the all-pairs kernels, for an (n, k) field:
 
-- pair sum, norm Lq(q) with finite q and p = q: the sum splits by
-  coordinate, and no norm is evaluated.  q = 2 is 2n sum_j sum_v (x_vj -
+- pair sum, norm Lq(q) with an integer q <= 64 and p = q: the sum splits
+  by coordinate, and no norm is evaluated.  q = 2 is 2n sum_j sum_v (x_vj -
   mean_j)^2, O(nk); q = 1 is a sort plus gap weights, O(nk log n).  An
   integer 3 <= q <= 64 sorts each column and splits it in halves down to
   runs of 32: the pairs across a split are a binomial sum of power sums
   about a pivot between the halves, every term >= 0, so the relative error
   stays O((q + log n) u).  That is O(nk (32 + q log n)): at n = 1000, k = 2
   and q = 4 / 32, 0.6 / 1.2 ms against 3.5 / 4.5 ms for the O(n^2 k) loop
-  (one core of a 2-vCPU Xeon).  Any other q sums max(gap, 0)^q over the
-  upper triangle of the sorted column in blocks of rows, O(n^2 k).
+  (one core of a 2-vCPU Xeon).  A non-integer q, or q > 64, takes the
+  generic loop below, O(n^2 k): 5 to 16 ms at n = 1000, k = 2 and 4, q =
+  1.5, 4.5 and 65 (same host).
 - pair sum, every other (norm, p), q = inf and BlockNorm included: the pairs
-  v < w in blocks of at most 64 rows, doubled; n^2/2 norm evaluations.
+  v < w in blocks of at most 64 rows, doubled; n^2/2 norm evaluations, which
+  for Lq at p = q are power sums with no root.
   Each block's differences against the vertices from its first row on are
   subtracted from x.T into one reused coordinate-major (k, rows, n) buffer,
   which the norm's kernel (``norms.UncondNorm._pow_kernel``) overwrites, so
@@ -50,8 +52,8 @@ Cost of the all-pairs kernels, for an (n, k) field:
   ``uc_experiment`` counts the bits per level (``graphs.distance_sum``) and
   builds no rows.
 
-Each block holds about 2^22 (source, vertex) entries (32 MiB of floats) or
-fewer; no n x n table is kept.
+A pair-sum block holds about 2^22 floats (32 MiB) or fewer, and a sweep
+block about 2^22 (source, vertex) bits; no n x n table is kept.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _triangle_rows(n: int, width: int) -> int:
     return max(1, min(_TRIANGLE_ROWS, _CHUNK_ENTRIES // max(n * width, 1)))
 
 
-def _gap_powers(lo: np.ndarray, hi: np.ndarray, q: float) -> np.ndarray:
+def _gap_powers(lo: np.ndarray, hi: np.ndarray, q: int) -> np.ndarray:
     """max(hi_w - lo_v, 0)^q for every v of lo's last axis (axis -2 of the
     result) and w of hi's (axis -1); leading axes broadcast."""
     gaps = hi[..., None, :] - lo[..., :, None]
@@ -121,14 +123,13 @@ def _gap_powers(lo: np.ndarray, hi: np.ndarray, q: float) -> np.ndarray:
     return _powers(gaps, q, overwrite=True)
 
 
-def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
-    """Per column j, sum over v < w of |x_vj - x_wj|^q (finite q).
+def _column_pair_sums(x: np.ndarray, q: int) -> np.ndarray:
+    """Per column j, sum over v < w of |x_vj - x_wj|^q, for an integer q in
+    [1, _SQUARING_MAX].
 
     q = 2 is the variance and q = 1 the gap weights of the sorted column,
-    both O(nk) after the sort.  An integer q in [3, _SQUARING_MAX] goes by
-    halves of the sorted column (``_split_pair_sums``), O(nk (_LEAF_RUN +
-    q log n)).  Every other q sums max(gap, 0)^q over the upper triangle of
-    the sorted column in blocks of rows, O(n^2 k).
+    both O(nk) after the sort.  Every other q goes by halves of the sorted
+    column (``_split_pair_sums``), O(nk (_LEAF_RUN + q log n)).
     """
     n = x.shape[0]
     if q == 2:
@@ -139,15 +140,7 @@ def _column_pair_sums(x: np.ndarray, q: float) -> np.ndarray:
         # the gap s[t+1] - s[t] lies between (t + 1)(n - t - 1) pairs
         t = np.arange(n - 1)
         return ((t + 1) * (n - 1 - t)) @ np.diff(s, axis=0)
-    s = np.ascontiguousarray(s.T)  # (k, n): one contiguous row per column
-    if float(q).is_integer() and 3 <= q <= _SQUARING_MAX:
-        return _split_pair_sums(s, int(q))
-    total = np.zeros(x.shape[1])
-    rows = _triangle_rows(n, x.shape[1])
-    for start in range(0, n, rows):
-        # sorted columns: the gaps are >= 0 above the diagonal, <= 0 below it
-        total += _gap_powers(s[:, start : start + rows], s[:, start:], q).sum(axis=(1, 2))
-    return total
+    return _split_pair_sums(np.ascontiguousarray(s.T), int(q))  # (k, n): one row per column
 
 
 # Runs of the sorted column this long (a power of two) are summed pair by pair.
@@ -240,15 +233,15 @@ def _pivot_powers(s: np.ndarray, start: int, stop: int, width: int, q: int) -> n
 def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
     """sum over ordered pairs (v, w) of ||x_v - x_w||^p: twice the v < w sum.
 
-    Lq(q) at p = q splits by coordinate and goes column by column (p is
-    finite, so q is); every other norm evaluates the pairs v < w in blocks
-    of rows: each block's differences against the vertices from its first
-    row on go into one reused coordinate-major (k, rows, n) buffer, which
-    the norm's kernel overwrites, and only the block's rows x rows diagonal
-    square needs its lower triangle dropped.
+    Lq(q) at p = q with an integer q <= _SQUARING_MAX splits by coordinate
+    and goes column by column; every other (norm, p) evaluates the pairs
+    v < w in blocks of rows: each block's differences against the vertices
+    from its first row on go into one reused coordinate-major (k, rows, n)
+    buffer, which the norm's kernel overwrites, and only the block's
+    rows x rows diagonal square needs its lower triangle dropped.
     """
     n, k = x.shape
-    if isinstance(nm, Lq) and p == nm.q:
+    if isinstance(nm, Lq) and p == nm.q and float(p).is_integer() and p <= _SQUARING_MAX:
         return 2.0 * float(_column_pair_sums(x, p).sum())
     xt = np.ascontiguousarray(x.T)  # (k, n): coordinate-major
     total = 0.0

@@ -17,7 +17,9 @@ rows, at any n.  ``friedman_check`` makes the one comparison of lam(G) with
 2.1 sqrt(d-1).  Cheeger constants are exact rationals up to n = 24, read
 from one int16 table of the cut size of every subset (2^n entries, 32 MiB
 at n = 24) built by doubling; beyond that only heuristic upper bounds are
-produced, never the lower inequality.
+produced, never the lower inequality: the best sweep cut of the lambda_2
+vector and of BFS orders from 32 seeds, which one per-source sweep
+(``graphs._level_sets``) gives in (distance, vertex) order.
 
 Each graph is solved once: the first call that needs its spectrum stores the
 ``SpectralSummary`` and the lambda_2 eigenvector (n floats, never the n x n
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import RegularGraph, distance_rows
+from .graphs import RegularGraph, _level_sets
 
 __all__ = [
     "SpectralSummary",
@@ -282,13 +284,19 @@ def cheeger_upper(g: RegularGraph) -> CheegerResult:
 
 def _sweep_orders(g: RegularGraph):
     """The lambda_2 eigenvector order, then BFS orders from the first 32
-    vertices by (distance, vertex), each without its unreachable vertices."""
+    vertices by (distance, vertex), each without its unreachable vertices.
+
+    One per-source sweep serves every seed: its levels, concatenated, list
+    vertices by (level, vertex), and a seed's order is the entries whose
+    word holds its bit.
+    """
     yield np.argsort(_spectrum(g)[1])
-    seeds = range(min(g.n, 32))  # ball seeds; heuristic, upper bound only
-    for block in distance_rows(g, seeds):
-        for dd in block:
-            order = np.argsort(dd, kind="stable")  # stable: ties keep vertex order
-            yield order[: np.count_nonzero(np.isfinite(dd))]
+    seeds = np.arange(min(g.n, 32))  # ball seeds; heuristic, upper bound only
+    levels = list(_level_sets(g, seeds))
+    rows = np.concatenate([rows for _, rows, _ in levels])
+    bits = np.concatenate([bits[:, 0] for _, _, bits in levels])
+    for i in range(len(seeds)):
+        yield rows[(bits >> i) & 1 == 1]
 
 
 def _best_prefix(nbrs: np.ndarray, order: np.ndarray) -> tuple[int, int]:

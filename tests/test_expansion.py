@@ -35,7 +35,6 @@ from specgap.graphs import (
     complete_bipartite,
     complete_graph,
     disjoint_union,
-    distance_rows,
     petersen_graph,
 )
 from specgap.logspace import LogScalar
@@ -55,10 +54,10 @@ def _growth_requirement(alpha, d, l, size, n):
 
 
 def _oracle_ball_masks(g):
-    """single[l, v] = bitmask of B({v}, l), from float distance rows and an
-    (n+1) x n x n comparison cube."""
+    """single[l, v] = bitmask of B({v}, l), from one plain BFS per vertex and
+    an (n+1) x n x n comparison cube."""
     n = g.n
-    dists = np.vstack(list(distance_rows(g)))
+    dists = np.vstack([bfs_distances(g, [v]) for v in range(n)])
     within = dists[None, :, :] <= np.arange(n + 1)[:, None, None]
     return (within.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))).astype(np.uint32)
 
@@ -369,10 +368,39 @@ def test_congestion_instance_precondition():
         congestion_check_instance(g, set(range(10)), 3, params)
 
 
+@pytest.mark.parametrize("path", ["empty-T", "scanned"])
+@pytest.mark.parametrize(
+    "s, l, error, match",
+    [
+        ({-5, 99}, 1, ValueError, "out of range"),
+        ({0, 10}, 1, ValueError, "vertex 10 out of range"),
+        ({2.5}, 1, TypeError, "integers"),
+        ({True}, 1, TypeError, "integers"),
+        (set(), 1, ValueError, "nonempty"),
+        ({0, 1}, 1.5, TypeError, "integer"),
+        ({0, 1}, 0, ValueError, "l must be >= 1"),
+    ],
+    ids=["S-outside", "S-at-n", "S-float", "S-bool", "S-empty", "l-float", "l-zero"],
+)
+def test_congestion_instance_validates_before_any_branch(path, s, l, error, match):
+    # L = n d leaves T empty; at eps = 1 and L = 1 the threshold is 1 at
+    # every l, so any S reaches the edge scan
+    g = petersen_graph()
+    L, eps = (g.n * g.d, 0.2) if path == "empty-T" else (1.0, 1.0)
+    params = ExpanParams(alpha=1.0, eps=eps, L=L)
+    t_edges = congestion_check_instance(g, {0, 1}, 1, params).details["T"]
+    assert (len(t_edges) > 0) == (path == "scanned")
+    with pytest.raises(error, match=match):
+        congestion_check_instance(g, s, l, params)
+    with pytest.raises(error, match=match):
+        popular_edge_bound_check(g, s, l, params)
+
+
 def test_congestion_instance_memory_at_n5000():
-    """The |S| x m visibility is counted block by block and kept as one
-    packed bitset per vertex of S: at |S| = n = 5000 (m = 10^4 edges) the
-    traced peak stays under 128 MiB, of which the distance rows are most."""
+    """The visibility is kept as packed bitsets, one per vertex (the vertices
+    of S within l - 1) and one per edge (the vertices of S that see it), and
+    unpacked only in bounded blocks: at |S| = n = 5000 (m = 10^4 edges) the
+    traced peak stays under 48 MiB."""
     g, _ = sample_simple_regular(5000, 4, make_rng(5))
     params = ExpanParams(alpha=1e-3, eps=0.2, L=1.0)
     tracemalloc.start()
@@ -382,7 +410,7 @@ def test_congestion_instance_memory_at_n5000():
     finally:
         tracemalloc.stop()
     assert verdict.status == "pass"
-    assert peak_mib <= 128
+    assert peak_mib <= 48
 
 
 def reference_congestion_instance(g, s, l, params):
@@ -570,6 +598,8 @@ def test_popular_edge_bound_check():
     params = ExpanParams(alpha=1.0, eps=0.2, L=1.0)
     rep = popular_edge_bound_check(g, {0, 1, 2}, 1, params)
     assert rep["ok"]
+    # S is read once, so an iterator gives the same report
+    assert popular_edge_bound_check(g, iter([2, 0, 1]), 1, params) == rep
     # empty T trivially satisfies the bound
     params2 = ExpanParams(alpha=1.0, eps=0.2, L=500.0)
     rep2 = popular_edge_bound_check(g, {0}, 1, params2)

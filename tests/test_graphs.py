@@ -19,7 +19,6 @@ from specgap.graphs import (
     complete_bipartite,
     complete_graph,
     disjoint_union,
-    distance_rows,
     distance_sum,
     load_edge_list,
     petersen_graph,
@@ -188,7 +187,7 @@ def test_vertices_must_be_integers():
     with pytest.raises(TypeError, match="integers"):
         bfs_distances(g, [1.5])
     with pytest.raises(TypeError, match="integers"):
-        list(distance_rows(g, np.array([0.0, 2.0])))
+        bfs_distances(g, np.array([0.0, 2.0]))
     with pytest.raises(TypeError, match="integers"):
         bfs_distances(g, {True})
     assert bfs_distances(g, np.array([3], dtype=np.uint8)).tolist() == deque_bfs(g, [3])
@@ -467,7 +466,33 @@ def test_edge_list_roundtrip_relabelled(nd, seed, random):
     assert flipped == h and hash(flipped) == hash(h)
 
 
+def sweep_rows(g, sources):
+    """The float (len(sources), n) distance rows that the per-source sweep
+    ``_level_sets`` encodes, inf where no level sets a pair's bit.
+
+    Asserts the sweep's format on the way: levels 0, 1, 2, ... with sorted,
+    distinct vertices; one word per 64 sources, no bit past the last source;
+    and no (source, vertex) pair set at two levels.
+    """
+    src = np.asarray(sources, dtype=np.int64)
+    rows = np.full((len(src), g.n), INF)
+    words = -(-len(src) // 64)
+    for expected, (level, vertices, bits) in enumerate(graphs._level_sets(g, src)):
+        assert level == expected and np.all(np.diff(vertices) > 0)
+        assert bits.dtype == np.uint64 and bits.shape == (len(vertices), words)
+        octets = bits.astype("<u8", copy=False).view(np.uint8)
+        hit = np.unpackbits(octets, axis=1, bitorder="little").view(bool).T
+        assert not hit[len(src) :].any()
+        hit = hit[: len(src)]  # hit[i, k]: source i first reaches vertices[k] here
+        at = rows[:, vertices]
+        assert np.all(at[hit] == INF), "a pair set at two levels"
+        at[hit] = level
+        rows[:, vertices] = at
+    return rows
+
+
 def test_distance_rows_match_bfs():
+    # every reachable (source, vertex) pair at one level, its distance
     cases = [
         petersen_graph(),
         circular_ladder(7),
@@ -475,24 +500,37 @@ def test_distance_rows_match_bfs():
     ]
     cases += [sample_simple_regular(n, d, make_rng(n + d))[0] for n, d in ((30, 3), (82, 4))]
     for g in cases:
-        rows = np.vstack(list(distance_rows(g)))
-        assert np.array_equal(rows, _bfs_table(g, range(g.n)))
+        assert np.array_equal(sweep_rows(g, range(g.n)), _bfs_table(g, range(g.n)))
         sources = [g.n - 1, 0, 3, 3]
-        assert np.array_equal(np.vstack(list(distance_rows(g, sources))), _bfs_table(g, sources))
+        assert np.array_equal(sweep_rows(g, sources), _bfs_table(g, sources))
 
 
 def test_distance_rows_blocks(monkeypatch):
-    g = circular_ladder(9)  # n = 18
-    monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", 5 * 18)
-    blocks = list(distance_rows(g))
-    assert [b.shape for b in blocks] == [(5, 18)] * 3 + [(3, 18)]
-    assert np.array_equal(np.vstack(blocks), _bfs_table(g, range(18)))
+    # distance_sum sweeps DISTANCE_CHUNK_ENTRIES // n sources at a time
+    # (at least one), in order, and any block size gives the same sum
+    sweeps = []
+    sweep = graphs._level_sets
+
+    def spy(g, src):
+        sweeps.append(src.tolist())
+        return sweep(g, src)
+
+    monkeypatch.setattr(graphs, "_level_sets", spy)
+    for g in (circular_ladder(9), disjoint_union(complete_graph(4), petersen_graph())):
+        want = float(_bfs_table(g, range(g.n)).sum())
+        for entries in (1, 5 * g.n, 17 * g.n, g.n * g.n, 1 << 22):
+            monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", entries)
+            sweeps.clear()
+            assert distance_sum(g) == want, (g.n, entries)
+            step = max(1, entries // g.n)
+            blocks = [list(range(i, min(i + step, g.n))) for i in range(0, g.n, step)]
+            # a disconnected graph stops after its first block
+            assert sweeps == (blocks if want < INF else blocks[:1]), (g.n, entries)
 
 
 def test_distance_rows_unreachable_is_inf():
     g = disjoint_union(complete_graph(4), complete_graph(4))
-    (rows,) = distance_rows(g, [0, 5])
-    assert rows.dtype == float
+    rows = sweep_rows(g, [0, 5])
     assert rows[0].tolist() == [0, 1, 1, 1, INF, INF, INF, INF]
     assert rows[1].tolist() == [INF, INF, INF, INF, 1, 0, 1, 1]
 
@@ -529,29 +567,26 @@ def bfs_graphs(draw):
     st.data(),
 )
 def test_distance_rows_match_csgraph(g, length, block_rows, data):
-    # duplicates and arbitrary order; block_rows splits the blocks inside a
-    # 64-bit word of the sweep's bitsets (None keeps the default blocks)
+    # duplicates and arbitrary order, around the 64-bit words of the sweep's
+    # bitsets; block_rows sets distance_sum's sources per sweep (None keeps
+    # the default)
     sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=length, max_size=length))
-    want = csgraph_rows(g, sources)
+    assert np.array_equal(sweep_rows(g, sources), csgraph_rows(g, sources))
+    every = csgraph_rows(g, range(g.n))
+    assert np.array_equal(sweep_rows(g, range(g.n)), every)
+    total = float(every.sum())
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", block_rows * g.n)
-        blocks = list(distance_rows(g, sources))
-        every = csgraph_rows(g, range(g.n))
-        assert np.array_equal(np.vstack(list(distance_rows(g))), every)
-        total = float(every.sum())
         assert distance_sum(g) == total
         (row,) = uc_experiment([g])
-    rows = block_rows or max(1, graphs.DISTANCE_CHUNK_ENTRIES // g.n)
-    assert [len(b) for b in blocks] == [min(rows, length - i) for i in range(0, length, rows)]
-    assert all(b.dtype == float and b.shape[1] == g.n for b in blocks)
-    assert np.array_equal(np.vstack(blocks), want)
     assert row["avg_distance"] == total / g.n**2
     assert row["avg_distance_distinct"] == total / (g.n * (g.n - 1))
 
 
 def test_distance_rows_source_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        list(distance_rows(petersen_graph(), [0, 10]))
-    with pytest.raises(ValueError, match="out of range"):
-        list(distance_rows(petersen_graph(), [-1]))
+    # the sweep's callers check their sources with _vertices
+    with pytest.raises(ValueError, match="vertex 10 out of range"):
+        graphs._vertices(petersen_graph(), [0, 10])
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        graphs._vertices(petersen_graph(), [-1])

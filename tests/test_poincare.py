@@ -86,7 +86,8 @@ def _ordered_pair_sum(x, nm, p):
 def reference_column_pair_sums(x, q):
     """The blocked gap loop, O(n^2 k): per column, max(gap, 0)^q over the
     upper triangle of the sorted column in blocks of rows.  Kept as the
-    oracle of the split sums that replaced it at integer q."""
+    oracle of the split sums that replaced it at integer q, and of the
+    generic pair loop that replaced it at any other q."""
     n = x.shape[0]
     s = np.ascontiguousarray(np.sort(x, axis=0).T)
     total = np.zeros(x.shape[1])
@@ -105,7 +106,7 @@ PAIR_SUM_CASES = (
     + [(lift_l1(Lq(q), 2, 2), q) for q in (1, 2, 3)]
     + [(lift_l1(Lq(3), 2, 2), 2), (lift_l1(Lq(math.inf), 2, 2), 2)]
     + [(lift_l1(Lq(4), 2, 2), 4), (lift_l1(Lq(4), 2, 2), 2)]
-    + [(Lq(q), q) for q in (7, 64, 4.0, 4.5)]  # 4.0: the float; 4.5: the blocked loop
+    + [(Lq(q), q) for q in (7, 64, 4.0, 4.5, 65)]  # 4.0: the float; 4.5, 65: the generic loop
 )
 
 
@@ -138,15 +139,19 @@ def test_pair_sum_matches_ordered_pair_reference(monkeypatch, nm, p, rows):
         want = _ordered_pair_sum(x, nm, p)
         assert poincare._pair_sum(x, nm, p) == pytest.approx(want, rel=1e-9), name
         if isinstance(nm, Lq) and p == nm.q:
-            got = poincare._column_pair_sums(x, p)
-            np.testing.assert_allclose(got, reference_column_pair_sums(x, p), rtol=1e-12, err_msg=name)
+            ref = reference_column_pair_sums(x, p)
+            if float(p).is_integer() and p <= 64:
+                got = poincare._column_pair_sums(x, p)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, err_msg=name)
+            else:
+                assert poincare._pair_sum(x, nm, p) == pytest.approx(2 * ref.sum(), rel=1e-12), name
 
 
 @pytest.mark.parametrize("chunk", [1, 200, 5000])
 def test_column_pair_sums_in_small_slices(monkeypatch, chunk):
     # every power or gap table stays within _CHUNK_ENTRIES, or one leaf run
     x = make_rng(18).normal(size=(300, 3))
-    want = {q: poincare._column_pair_sums(x, q) for q in (3, 8, 32, 4.5)}
+    want = {q: poincare._column_pair_sums(x, q) for q in (3, 8, 32)}
     sizes = []
     for name in ("_gap_powers", "_pivot_powers"):
 
@@ -588,7 +593,7 @@ def test_embedding_petersen():
     # non-contracting into l_2, so its l_2 distortion D obeys the Poincare
     # bound D^2 >= avg dist^2 / gamma, with gamma = 3 / (3 - 1) on Petersen.
     g = petersen_graph()
-    field = np.vstack(list(graphs.distance_rows(g)))
+    field = np.vstack([bfs_distances(g, [v]) for v in range(g.n)])
 
     worst = 0.0
     for v in range(10):
@@ -615,7 +620,7 @@ def test_embedding_gamma_lower_bound_inequality():
     # avg dist / D at p = 1, and in l_2 at p = 2 the constant bounds D^2
     # below by avg dist^2 / gamma.
     g, _ = sample_simple_regular(64, 6, make_rng(2))
-    field = np.vstack(list(graphs.distance_rows(g)))
+    field = np.vstack([bfs_distances(g, [v]) for v in range(g.n)])
     avg = uc_experiment([g])[0]["avg_distance"]
     stretch = max(float(np.linalg.norm(field[u] - field[v])) for u, v in g.edges())
     assert poincare_ratio(g, field, Lq(2), 1).ratio >= avg / stretch - 1e-9
@@ -653,7 +658,7 @@ def test_average_distance_matches_bfs_double_loop(seed, size):
 
 @pytest.mark.parametrize("block_entries", [1 << 22, 3 * 14])
 def test_average_distance_disjoint_union_is_infinite(monkeypatch, block_entries):
-    # 3 * 14 entries: the 14 distance rows come in blocks of three
+    # 3 * 14 entries: distance_sum sweeps the 14 sources in blocks of three
     monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", block_entries)
     g = disjoint_union(complete_graph(4), petersen_graph())
     (row,) = uc_experiment([g])

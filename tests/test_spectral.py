@@ -359,6 +359,24 @@ def test_cheeger_upper_matches_per_step_sweep():
         assert all(type(v) is int for v in res.witness)
 
 
+def test_sweep_orders_match_bfs_argsort():
+    # after the eigenvector order, seed v's order is the stable argsort of its
+    # BFS distances with the unreachable vertices dropped, for v < min(n, 32)
+    cases = [
+        petersen_graph(),
+        disjoint_union(petersen_graph(), circular_ladder(6)),
+        sample_simple_regular(200, 4, make_rng(200))[0],
+    ]
+    for g in cases:
+        eigen_order, *orders = spectral._sweep_orders(g)
+        assert np.array_equal(eigen_order, np.argsort(spectral._spectrum(g)[1]))
+        assert len(orders) == min(g.n, 32)
+        for v, order in enumerate(orders):
+            dd = bfs_distances(g, [v])
+            want = np.argsort(dd, kind="stable")[: np.count_nonzero(np.isfinite(dd))]
+            assert np.array_equal(order, want), (g.n, v)
+
+
 # -- the dense lambda_2 vector -----------------------------------------------------
 
 
