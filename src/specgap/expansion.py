@@ -47,7 +47,6 @@ __all__ = [
     "congestion_check_instance",
     "congestion_check_exact",
     "spectral_sufficient_check",
-    "popular_edge_bound_check",
     "cheeger_growth_check",
 ]
 
@@ -298,8 +297,10 @@ def growth_check_sampled(g: RegularGraph, alpha, trials: int, rng) -> ExpanVerdi
 
     Any violation found is a definitive FAIL with a recheckable witness; no
     violation only means "not falsified", never "pass".  The radius scan for
-    a sample stops once its ball covers 3n/4.
+    a sample stops once its ball covers 3n/4.  ``trials`` is an integer
+    (``operator.index``).
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     alpha = as_logscalar(alpha)
@@ -530,31 +531,6 @@ def spectral_sufficient_check(g: RegularGraph) -> ExpanVerdict:
         status="inconclusive",
         details={**details, "reason": "spectral threshold exceeded"},
     )
-
-
-def popular_edge_bound_check(
-    g: RegularGraph, s, l: int, params: ExpanParams
-) -> dict:
-    """Double-counting bound |T| <= |S| d / (L (d-2)) ((d-1)/(d-1-eps))^l."""
-    subset = np.unique(_vertices(g, s))
-    verdict = congestion_check_instance(g, subset, l, params)
-    t_size = len(verdict.details["T"])
-    bound_ln = (
-        math.log(len(subset))
-        + math.log(g.d)
-        - params.L.ln
-        - math.log(g.d - 2)
-        + l * (math.log(g.d - 1) - math.log(g.d - 1 - params.eps))
-    )
-    lhs = LogScalar.from_float(float(t_size))
-    rhs = LogScalar.from_ln(bound_ln)
-    return {
-        "T_size": t_size,
-        "bound_ln": bound_ln,
-        "ok": lhs <= rhs,
-        "slack_ln": (bound_ln - lhs.ln) if t_size else float("inf"),
-        "l": l,
-    }
 
 
 def cheeger_growth_check(g: RegularGraph, delta: float) -> dict:

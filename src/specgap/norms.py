@@ -20,9 +20,8 @@ are adapters: one coordinate-major copy of their rows, then the kernel;
 0.68 ms, against 1.57 to 1.60 ms by row-major evaluation.
 
 Rademacher expectations are exact full enumerations up to the stated
-budgets, past which they refuse.  The restricted-cotype check and constant
-read one table over every subfamily bitmask A of m <= RESTRICTED_EXACT_LIMIT
-vectors:
+budgets, past which they refuse.  The restricted-cotype check reads one
+table over every subfamily bitmask A of m <= RESTRICTED_EXACT_LIMIT vectors:
 E[A] = E_r ||sum_{i in A} r_i x_i||^q and R[A] = sum_{i in A} ||x_i||^q,
 built one subset size at a time, (3^m - 1) / 2 norm evaluations in all.
 Families must be nonempty with finite entries.  Every constant is
@@ -47,9 +46,6 @@ __all__ = [
     "lift_l1",
     "cotype_constant_exact",
     "restricted_cotype_check",
-    "restricted_cotype_constant",
-    "OverlapFamily",
-    "almost_disjoint_lower_bound_check",
     "q_concavity_constant",
     "COTYPE_EXACT_LIMIT",
     "RESTRICTED_EXACT_LIMIT",
@@ -335,15 +331,15 @@ def _subfamily_moments(nm: UncondNorm, x: np.ndarray, q: float):
     |entry|: returns (E[A] / 2^(q e[A]), R[A] / 2^(q e[A]), e).  That division
     is exact short of subnormal entries, and it keeps the q-th powers in the
     double range whatever the magnitude of the family, and of each subfamily
-    within it; a q so large that they still leave it raises OverflowError.
-    Norms are even, so the last member of A keeps sign +1 and half the signs
-    suffice.
+    within it; a finite q so large that they still leave it raises
+    OverflowError, and q = inf is refused before any arithmetic.  Norms are
+    even, so the last member of A keeps sign +1 and half the signs suffice.
     """
     m, k = x.shape
     if m > RESTRICTED_EXACT_LIMIT:
         raise ValueError(f"exact restricted cotype scan needs m <= {RESTRICTED_EXACT_LIMIT}")
-    if not q >= 2:
-        raise ValueError("cotype exponent q must be >= 2")
+    if not 2 <= q < math.inf:
+        raise ValueError(f"cotype exponent q must be >= 2 and finite, got {q}")
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # bits[A, i] = [i in A]
     top = np.abs(x).max(axis=1)
     own_e = np.frexp(top)[1]  # 2^(e-1) <= top < 2^e
@@ -416,108 +412,6 @@ def restricted_cotype_check(nm: UncondNorm, vectors, q: float, C: float) -> dict
     return {
         "ok": True, "exact": True, "witness": None,
         "slack": _times_power_of_two(float(slack[i]), q * e[i]),
-    }
-
-
-def restricted_cotype_constant(nm: UncondNorm, vectors, q: float) -> float:
-    """Best C valid across all subfamilies (exact; m <= RESTRICTED_EXACT_LIMIT).
-
-    Subfamilies of zero vectors constrain nothing and are skipped; a family
-    of zero vectors only is refused.
-    """
-    E, R, _ = _subfamily_moments(nm, _as_matrix(vectors), q)  # R / E is scale-free
-    live = R > 0
-    if not live.any():
-        raise ValueError("family of zero vectors has no cotype constant")
-    return float(np.max(R[live] / E[live])) ** (1.0 / q)
-
-
-# -- almost-disjoint support families ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class OverlapFamily:
-    """A base vector x >= 0 with index sets J_i whose overlap is bounded:
-    every coordinate lies in at most delta * m of the sets."""
-
-    x: tuple
-    index_sets: tuple  # of frozensets
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(
-            self, "index_sets", tuple(frozenset(s) for s in self.index_sets)
-        )
-        if any(v < 0 for v in self.x):
-            raise ValueError("base vector must be coordinatewise nonnegative")
-        if not (0 < self.delta <= 1):
-            raise ValueError("delta must lie in (0, 1]")
-        k = len(self.x)
-        m = len(self.index_sets)
-        if m == 0:
-            raise ValueError("need at least one index set")
-        for s in self.index_sets:
-            if any(not (0 <= j < k) for j in s):
-                raise ValueError("index set out of range")
-        for j in range(k):
-            cover = sum(1 for s in self.index_sets if j in s)
-            if cover > self.delta * m * (1 + 1e-12):
-                raise ValueError(
-                    f"coordinate {j} lies in {cover} sets, above delta*m = "
-                    f"{self.delta * m:.3f}"
-                )
-
-    def projections(self) -> np.ndarray:
-        k = len(self.x)
-        out = np.zeros((len(self.index_sets), k))
-        for i, s in enumerate(self.index_sets):
-            for j in s:
-                out[i, j] = self.x[j]
-        return out
-
-
-def almost_disjoint_lower_bound_check(
-    nm: UncondNorm, fam: OverlapFamily, q: float, C: float, verify_cotype: bool = True
-) -> dict:
-    """||x||^q >= C^-q delta^-1 2^-(2q+5) for almost-disjoint support families.
-
-    Preconditions are reported individually: every projection has norm >= 1,
-    the overlap bound holds (checked at construction), and optionally the
-    projection family has restricted cotype q with constant C.  That check
-    is exact, so verify_cotype=True refuses more than RESTRICTED_EXACT_LIMIT
-    index sets rather than drop the precondition.  q >= 2 and C >= 1 are
-    checked in both modes.
-    """
-    if not q >= 2:
-        raise ValueError("cotype exponent q must be >= 2")
-    if not C >= 1:
-        raise ValueError("C must be >= 1")
-    m = len(fam.index_sets)
-    if verify_cotype and m > RESTRICTED_EXACT_LIMIT:
-        raise ValueError(
-            f"the restricted cotype precondition is checked exactly only for m <= "
-            f"{RESTRICTED_EXACT_LIMIT} index sets (got m={m}); pass verify_cotype=False "
-            "to report the bound without it"
-        )
-    projections = fam.projections()
-    proj_norms = nm.eval_many(projections)
-    preconditions = {
-        "projections_at_least_one": bool(np.all(proj_norms >= 1 - 1e-12)),
-        "overlap_ok": True,  # enforced by OverlapFamily
-    }
-    if verify_cotype:
-        rc = restricted_cotype_check(nm, projections, q, C)
-        preconditions["restricted_cotype_ok"] = rc["ok"]
-    value = nm(np.asarray(fam.x)) ** q
-    bound = (C ** (-q)) / fam.delta * 2.0 ** (-(2 * q + 5))
-    return {
-        "value_q": value,
-        "bound": bound,
-        "ok": value >= bound * (1 - 1e-12),
-        "preconditions": preconditions,
-        "delta": fam.delta,
-        "m": m,
     }
 
 

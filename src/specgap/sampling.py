@@ -4,9 +4,8 @@ A d-regular multigraph is sampled by drawing a uniform perfect matching on
 the N = n*d half-edge points {(v, slot)}, encoded as v * d + slot, and
 collapsing the d points below each vertex.  A matching is a shuffled point
 array whose consecutive points are paired; ``_collapsed_pairs`` turns it
-into vertex pairs, for the sampler and for ``frontier_unique_montecarlo``
-alike.  Every simple d-regular graph comes from the same number (d!)^n of
-pairings, so a uniform simple pairing is a uniform simple graph.
+into vertex pairs.  Every simple d-regular graph comes from the same number
+(d!)^n of pairings, so a uniform simple pairing is a uniform simple graph.
 
 ``sample_simple_regular`` follows McKay and Wormald (J. Algorithms 11,
 1990), with the incremental b-rejection of Arman, Gao and Wormald (FOCS
@@ -51,13 +50,13 @@ means a bug and raises.
 
 The exploration half of the module records, level by level, the ball sizes
 |B(S, l)|, frontier sizes |dB(S, l)| and the number of frontier vertices
-joined to the previous ball by exactly one edge -- the quantity whose lower
-tail ``frontier_unique_bound`` controls.
+joined to the previous ball by exactly one edge.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +68,6 @@ __all__ = [
     "sample_simple_regular",
     "ExplorationTrace",
     "explore",
-    "frontier_unique_bound",
-    "frontier_unique_montecarlo",
 ]
 
 
@@ -337,11 +334,15 @@ class ExplorationTrace:
 
 
 def explore(g: RegularGraph, s, l_max: int) -> ExplorationTrace:
-    """Exact exploration statistics of ``g`` from the seed set s up to l_max.
+    """Exact exploration statistics of ``g`` from the seed set s up to the
+    integer l_max >= 0 (``operator.index``).
 
     A vertex at level l has all its neighbours at levels l - 1, l and l + 1,
     so its edges into the previous ball are those to lower levels.
     """
+    l_max = operator.index(l_max)
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
     s = sorted(set(s))
     if not s:
         raise ValueError("seed set must be nonempty")
@@ -349,96 +350,9 @@ def explore(g: RegularGraph, s, l_max: int) -> ExplorationTrace:
     reached = np.isfinite(dd)
     levels = dd[reached].astype(np.int64)
     back = np.count_nonzero(dd[g.adj[reached]] < dd[reached, None], axis=1)
-    width = max(l_max + 1, 0)
+    width = l_max + 1
     frontier = np.bincount(levels, minlength=width)[:width]
     unique = np.bincount(levels[back == 1], minlength=width)[:width]
     rows = zip(range(width), np.cumsum(frontier).tolist(), frontier.tolist(), unique.tolist())
     return ExplorationTrace(tuple(s), tuple(rows))
 
-
-# -- lower tail of the one-step unique-frontier count ---------------------------
-
-
-def frontier_unique_bound(theta: float, a_size: int, n: int, r_size: int) -> float:
-    """Analytic lower bound on P[|unique frontier of R at level 1| >= theta*|A|].
-
-    A is the set of free points below R in a partial matching covering R's
-    matched points.  Returns max(0, 1 - ((2e/(1-theta)) * a/(n-2r))^(((1-theta)/2)*a)),
-    clamped into [0, 1]; a vacuous base >= 1 clamps the bound to 0.
-    """
-    if not (0 < theta < 1):
-        raise ValueError("theta must lie in (0, 1)")
-    if a_size < 0 or r_size < 0:
-        raise ValueError("sizes must be nonnegative")
-    if 2 * r_size >= n:
-        raise ValueError("need |R| < n/2")
-    if a_size == 0:
-        return 0.0
-    base = (2.0 * math.e / (1.0 - theta)) * a_size / (n - 2 * r_size)
-    if base >= 1.0:
-        return 0.0
-    return max(0.0, 1.0 - base ** (((1.0 - theta) / 2.0) * a_size))
-
-
-def frontier_unique_montecarlo(
-    n: int,
-    d: int,
-    r_set,
-    prefix,
-    theta: float,
-    trials: int,
-    rng,
-) -> dict:
-    """Empirical frequency of |unique frontier| >= theta*|A| given the prefix.
-
-    ``prefix`` is a partial matching on the points of [n] x [d], a sequence
-    of (p, q) point pairs, whose points all lie below vertices of r_set;
-    completions to a perfect matching are sampled uniformly.  The unique
-    frontier is the set of vertices outside R with exactly one edge into R,
-    doubled edges counting twice.  Returns the frequency, the analytic bound,
-    and the Monte Carlo standard error.
-    """
-    rng = as_rng(rng)
-    if d < 3 or (n * d) % 2:
-        raise ValueError(f"need d >= 3 and n*d even, got n={n}, d={d}")
-    r = sorted(set(r_set))
-    if not r:
-        raise ValueError("R must be nonempty")
-    if not (0 <= r[0] and r[-1] < n):
-        raise ValueError(f"R must lie in [0, {n})")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    pairs = [tuple(pair) for pair in prefix]
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValueError("prefix must hold (p, q) point pairs")
-    points = [p for pair in pairs for p in pair]
-    stray = [p for p in points if not 0 <= p < n * d]
-    if stray:
-        raise ValueError(f"prefix point {stray[0]} out of range [0, {n * d})")
-    if len(set(points)) != len(points):
-        raise ValueError("prefix matches a point twice")
-    in_r = np.zeros(n, dtype=bool)
-    in_r[r] = True
-    if not all(in_r[p // d] for p in points):
-        raise ValueError("prefix matching must only touch vertices of R")
-
-    # prefix pairs lie inside R, so only the completion crosses into R
-    free = np.array(sorted(set(range(n * d)) - set(points)))
-    a_size = int(np.count_nonzero(in_r[free // d]))
-    bound = frontier_unique_bound(theta, a_size, n, len(r))  # checks theta and |R| < n/2
-    threshold = theta * a_size
-
-    hits = 0
-    for _ in range(trials):
-        u, v = _collapsed_pairs(rng.permutation(free), d)
-        cross = in_r[u] != in_r[v]
-        outside = np.where(in_r[u[cross]], v[cross], u[cross])
-        hits += int(np.count_nonzero(np.bincount(outside, minlength=n) == 1) >= threshold)
-    freq = hits / trials
-    return {
-        "frequency": freq,
-        "bound": bound,
-        "stderr": math.sqrt(max(freq * (1 - freq), 1e-12) / trials),
-        "trials": trials,
-        "a_size": a_size,
-    }

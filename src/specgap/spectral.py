@@ -78,7 +78,7 @@ def adjacency_matrix(g: RegularGraph):
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Sorted adjacency eigenvalues (dense mode) plus the derived scalars.
+    """The certified extreme adjacency eigenvalues and derived scalars.
 
     lam is max(|lambda_2|, ..., |lambda_n|); lambda2 is the second largest
     eigenvalue by value (not magnitude); residual is the measured largest
@@ -92,7 +92,6 @@ class SpectralSummary:
     lambda2: float
     lambda_min: float
     lam: float
-    eigenvalues: tuple | None  # every eigenvalue, ascending; None in iterative mode
     residual: float
 
     @property
@@ -124,9 +123,9 @@ def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
     if mode not in g._spectra:
         if mode == "dense":
             evals, vecs = np.linalg.eigh(adjacency_matrix(g))
-            pairs = evals[[0, -2, -1]], vecs[:, [0, -2, -1]], tuple(evals.tolist())
+            pairs = evals[[0, -2, -1]], vecs[:, [0, -2, -1]]
         else:
-            pairs = *_arpack_pairs(g), None
+            pairs = _arpack_pairs(g)
         g._spectra[mode] = _certified(g, mode, *pairs)
     return g._spectra[mode]
 
@@ -167,7 +166,7 @@ def _arpack_pairs(g: RegularGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certified(
-    g: RegularGraph, mode: str, vals: np.ndarray, vecs: np.ndarray, eigenvalues: tuple | None
+    g: RegularGraph, mode: str, vals: np.ndarray, vecs: np.ndarray
 ) -> tuple[SpectralSummary, np.ndarray]:
     """The summary and lambda_2 vector from the pairs (ascending ``vals``,
     ``vecs`` by column) of lambda_min, lambda_2 and lambda_1.
@@ -196,7 +195,6 @@ def _certified(
         lambda2=lam2,
         lambda_min=lam_min,
         lam=max(abs(lam2), abs(lam_min)),
-        eigenvalues=eigenvalues,
         residual=residual,
     )
     return summary, _sign_rule(v)

@@ -26,7 +26,6 @@ from specgap.expansion import (
     fit_growth_alpha,
     growth_check_exact,
     growth_check_sampled,
-    popular_edge_bound_check,
     spectral_sufficient_check,
 )
 from specgap.graphs import (
@@ -143,6 +142,17 @@ def test_growth_sampled_zero_trials_and_agreement():
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
             growth_check_sampled(g, 1.0, trials, make_rng(0))
     assert growth_check_sampled(g, 1.0, 100, make_rng(0)).status == "not_falsified"
+
+
+def test_growth_sampled_trials_is_an_integer():
+    # trials goes through operator.index: a bool counts as 1 and is reported
+    # as 1, and a float is refused
+    g = complete_graph(4)
+    verdict = growth_check_sampled(g, 1.0, True, make_rng(0))
+    assert verdict.details == {"trials": 1} and type(verdict.details["trials"]) is int
+    assert verdict == growth_check_sampled(g, 1.0, 1, make_rng(0))
+    with pytest.raises(TypeError):
+        growth_check_sampled(g, 1.0, 2.0, make_rng(0))
 
 
 def test_growth_sampled_pinned_witnesses():
@@ -392,8 +402,6 @@ def test_congestion_instance_validates_before_any_branch(path, s, l, error, matc
     assert (len(t_edges) > 0) == (path == "scanned")
     with pytest.raises(error, match=match):
         congestion_check_instance(g, s, l, params)
-    with pytest.raises(error, match=match):
-        popular_edge_bound_check(g, s, l, params)
 
 
 def test_congestion_instance_memory_at_n5000():
@@ -591,29 +599,6 @@ def test_spectral_sufficient_random_d6():
     assert verdict.status == "pass"
     assert verdict.details["alpha_ln"] == pytest.approx(-1e11 * math.log(6) ** 2)
     assert verdict.details["eps"] == 0.2
-
-
-def test_popular_edge_bound_check():
-    g = petersen_graph()
-    params = ExpanParams(alpha=1.0, eps=0.2, L=1.0)
-    rep = popular_edge_bound_check(g, {0, 1, 2}, 1, params)
-    assert rep["ok"]
-    # S is read once, so an iterator gives the same report
-    assert popular_edge_bound_check(g, iter([2, 0, 1]), 1, params) == rep
-    # empty T trivially satisfies the bound
-    params2 = ExpanParams(alpha=1.0, eps=0.2, L=500.0)
-    rep2 = popular_edge_bound_check(g, {0}, 1, params2)
-    assert rep2["T_size"] == 0 and rep2["ok"]
-
-
-def test_popular_edge_monotone_in_L():
-    g = petersen_graph()
-    sizes = []
-    for L in (1.0, 2.0, 4.0):
-        params = ExpanParams(alpha=0.25, eps=0.2, L=L)
-        rep = popular_edge_bound_check(g, set(range(5)), 2, params)
-        sizes.append(rep["T_size"])
-    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_cheeger_growth_formulas():

@@ -72,10 +72,7 @@ def test_every_exported_name_resolves():
 # Public functions with no caller in the library or in bench/ yet, and why
 # each one stays
 UNCALLED = {
-    "popular_edge_bound_check": "a lemma check for the planned run report",
-    "almost_disjoint_lower_bound_check": "a lemma check for the planned run report",
-    "frontier_unique_montecarlo": "a lemma check for the planned run report",
-    "restricted_cotype_constant": "the tests hold a loop oracle for it",
+    "congestion_check_instance": "the only part-B check past the exact limit n <= 24",
     "complete_bipartite": "a named fixture graph",
     "petersen_graph": "a named fixture graph",
     "circular_ladder": "a named fixture graph",

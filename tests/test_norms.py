@@ -9,13 +9,10 @@ import specgap.norms as norms
 from specgap.norms import (
     BlockNorm,
     Lq,
-    OverlapFamily,
-    almost_disjoint_lower_bound_check,
     cotype_constant_exact,
     lift_l1,
     q_concavity_constant,
     restricted_cotype_check,
-    restricted_cotype_constant,
     sign_patterns,
 )
 from specgap.graphs import complete_graph
@@ -338,6 +335,18 @@ def test_cotype_budget_and_mc():
         cotype_constant_exact(Lq(2), np.eye(25), 2)
 
 
+def restricted_cotype_constant(nm, vectors, q):
+    """Best C valid across all subfamilies, read off the subset table of
+    ``norms._subfamily_moments`` (R / E is scale-free).  Subfamilies of zero
+    vectors constrain nothing and are skipped; a family of zero vectors only
+    is refused."""
+    E, R, _ = norms._subfamily_moments(nm, norms._as_matrix(vectors), q)
+    live = R > 0
+    if not live.any():
+        raise ValueError("family of zero vectors has no cotype constant")
+    return float(np.max(R[live] / E[live])) ** (1.0 / q)
+
+
 def test_restricted_cotype_singletons_hold():
     fam = np.array([[2.0, 0.0], [0.0, 3.0]])
     res = restricted_cotype_check(Lq(2), fam, 2, C=1.0)
@@ -486,84 +495,14 @@ def test_families_must_be_nonempty_and_finite(call):
         (lambda: cotype_constant_exact(Lq(2), np.eye(3), math.nan), "q must be >= 2"),
         (lambda: restricted_cotype_check(Lq(2), np.eye(3), 2, C=math.nan), "C must be >= 1"),
         (lambda: restricted_cotype_check(Lq(2), np.eye(3), math.nan, C=1.0), "q must be >= 2"),
-        (
-            lambda: almost_disjoint_lower_bound_check(
-                Lq(1), OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({1})), 0.5), 2, C=math.nan
-            ),
-            "C must be >= 1",
-        ),
         (lambda: walk_sum_bound_check(complete_graph(4), np.full(4, math.nan), 3), "y entries must be finite"),
     ],
-    ids=["cotype q", "restricted C", "restricted q", "almost disjoint C", "walk sum y"],
+    ids=["cotype q", "restricted C", "restricted q", "walk sum y"],
 )
 def test_nan_parameters_are_refused(call, message):
     # a guard written as q < 2 or C < 1 lets NaN through, into a NaN result
     with pytest.raises(ValueError, match=message):
         call()
-
-
-@pytest.mark.parametrize("verify_cotype", [True, False])
-@pytest.mark.parametrize("q", [math.nan, -3.0, 1.0])
-def test_almost_disjoint_bound_refuses_q_below_2(q, verify_cotype):
-    # without the cotype check, q = nan gave a nan bound, q = -3 a FAIL at
-    # bound 4 and q = 1 a pass
-    fam = OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({1})), 0.5)
-    with pytest.raises(ValueError, match="q must be >= 2"):
-        almost_disjoint_lower_bound_check(Lq(1), fam, q, C=1.0, verify_cotype=verify_cotype)
-
-
-def test_overlap_family_validation():
-    with pytest.raises(ValueError, match="above delta"):
-        OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({0})), delta=0.25)
-    fam = OverlapFamily((1.0, 1.0), (frozenset({0}), frozenset({1})), delta=0.5)
-    assert fam.projections().shape == (2, 2)
-
-
-def test_almost_disjoint_bound_simple():
-    # x = (1,1,1,1), J_i = {i}, delta = 1/4, l1 norm, q = 2, C = 1:
-    # 16 >= 4 * 2^-9
-    fam = OverlapFamily(
-        (1.0, 1.0, 1.0, 1.0),
-        tuple(frozenset({i}) for i in range(4)),
-        delta=0.25,
-    )
-    rep = almost_disjoint_lower_bound_check(Lq(1), fam, 2, C=1.0)
-    assert rep["ok"]
-    assert rep["value_q"] == pytest.approx(16.0)
-    assert rep["bound"] == pytest.approx(4.0 / 512.0)
-    assert all(rep["preconditions"].values())
-
-
-def test_almost_disjoint_bound_degenerate_delta():
-    fam = OverlapFamily(
-        (1.0, 1.0),
-        (frozenset({0, 1}), frozenset({0, 1})),
-        delta=1.0,
-    )
-    rep = almost_disjoint_lower_bound_check(Lq(2), fam, 2, C=1.0)
-    assert rep["ok"]
-
-
-def test_almost_disjoint_randomized_suite():
-    rng = make_rng(31)
-    for _ in range(25):
-        k, m = 12, 8
-        # distinct singleton supports keep every coordinate in <= 1 = delta*m sets
-        picks = rng.choice(k, size=m, replace=False)
-        sets = tuple(frozenset({int(j)}) for j in picks)
-        x = 1.0 + np.abs(rng.normal(size=k))
-        fam = OverlapFamily(tuple(x), sets, delta=1.0 / 8.0)
-        rep = almost_disjoint_lower_bound_check(Lq(2), fam, 2, C=1.0)
-        assert rep["ok"]
-
-
-def test_almost_disjoint_refuses_unverifiable_cotype():
-    # 17 singleton sets: the exact restricted check stops at 16 vectors
-    fam = OverlapFamily((1.0,) * 17, tuple(frozenset({i}) for i in range(17)), delta=1 / 17)
-    with pytest.raises(ValueError, match="verify_cotype=False"):
-        almost_disjoint_lower_bound_check(Lq(2), fam, 2, C=1.0)
-    rep = almost_disjoint_lower_bound_check(Lq(2), fam, 2, C=1.0, verify_cotype=False)
-    assert rep["ok"] and "restricted_cotype_ok" not in rep["preconditions"]
 
 
 def test_q_concavity():
@@ -622,6 +561,17 @@ def test_restricted_check_slack_outside_double_range_raises():
     # here it is 1e-400 (1 - 2^-2)
     with pytest.raises(OverflowError, match="outside the double range"):
         restricted_cotype_check(Lq(2), [[1e-200, 0.0], [0.0, 1e-200]], 2, 2.0)
+
+
+def test_restricted_cotype_refuses_infinite_q():
+    # q = inf used to reach 0 * inf in the table (a RuntimeWarning), then an
+    # OverflowError that blamed the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="q must be >= 2"):
+            restricted_cotype_check(Lq(2), np.eye(3), math.inf, 2.0)
+        with pytest.raises(ValueError, match="q must be >= 2"):
+            restricted_cotype_constant(Lq(math.inf), np.eye(3), math.inf)
 
 
 def test_subfamily_moments_out_of_range_raise():

@@ -1,5 +1,4 @@
 import copy
-import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 from specgap.graphs import RegularGraph, complete_graph, disjoint_union
-import specgap.sampling as sampling
 from specgap.rand import as_rng, make_rng
 from specgap.sampling import (
     ExplorationTrace,
@@ -22,8 +20,6 @@ from specgap.sampling import (
     _switch_limits,
     default_max_rejects,
     explore,
-    frontier_unique_bound,
-    frontier_unique_montecarlo,
     sample_simple_regular,
 )
 
@@ -59,19 +55,6 @@ class FixedPermutation(np.random.Generator):
 
 
 def test_pairing_validation():
-    # prefix: (p, q) point pairs, points in [0, n*d), each point at most once
-    bad_prefixes = {
-        "out of range": [(0, 180)],  # n*d = 180
-        "pairs": [(0, 1, 2)],
-        "twice": [(0, 1), (1, 2)],
-    }
-    for message, prefix in bad_prefixes.items():
-        with pytest.raises(ValueError, match=message):
-            frontier_unique_montecarlo(60, 3, range(10), prefix, 0.5, 10, make_rng(0))
-    with pytest.raises(ValueError, match="twice"):
-        frontier_unique_montecarlo(60, 3, range(10), [(4, 4)], 0.5, 10, make_rng(0))
-    with pytest.raises(ValueError, match="out of range"):
-        frontier_unique_montecarlo(60, 3, range(10), [(-1, 2)], 0.5, 10, make_rng(0))
     # a perfect matching needs an even number of points
     with pytest.raises(ValueError, match="even"):
         sample_simple_regular(5, 3, make_rng(0))
@@ -97,9 +80,6 @@ def test_pairing_deterministic_given_seed(nd, seed):
     assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
     other = make_rng(seed + 1).permutation(n * d)
     assert not np.array_equal(make_rng(seed).permutation(n * d), other)
-    mc1 = frontier_unique_montecarlo(n, d, [0, 1], [], 0.5, 5, make_rng(seed))
-    mc2 = frontier_unique_montecarlo(n, d, [0, 1], [], 0.5, 5, make_rng(seed))
-    assert mc1 == mc2
 
 
 def test_pairing_uniform_n2_d3():
@@ -237,78 +217,15 @@ def test_explore_trace_invariants():
     assert sum(f for _, _, f, _ in tr.rows) <= g.n
 
 
-def test_frontier_unique_bound_formula():
-    # direct formula evaluation
-    assert frontier_unique_bound(0.5, 4, 100, 2) == pytest.approx(
-        1.0 - (4 * math.e / 24.0) ** 1.0, rel=1e-12
-    )
-    assert frontier_unique_bound(0.5, 4, 100, 2) == pytest.approx(0.54695, abs=1e-5)
-    # vacuous base clamps to zero
-    assert frontier_unique_bound(0.9, 50, 110, 2) == 0.0
-    with pytest.raises(ValueError):
-        frontier_unique_bound(1.5, 4, 100, 2)
-    with pytest.raises(ValueError):
-        frontier_unique_bound(0.5, 4, 100, 60)
-
-
-def test_frontier_unique_montecarlo_respects_bound():
-    n, d = 60, 3
-    r = list(range(10))
-    prefix = [(0, 4)]  # one internal pair below R
-    res = frontier_unique_montecarlo(n, d, r, prefix, 0.5, 1000, make_rng(17))
-    assert res["frequency"] >= res["bound"] - 3 * res["stderr"]
-    assert res["a_size"] == 10 * d - 2
-
-
-def test_frontier_unique_montecarlo_validates_prefix():
-    prefix = [(0, 100)]  # touches vertex 33, outside R
-    with pytest.raises(ValueError, match="prefix"):
-        frontier_unique_montecarlo(60, 3, range(10), prefix, 0.5, 10, make_rng(0))
-
-
-def test_frontier_unique_count_excludes_double_edges():
-    # n = 6, d = 3, R = {0}.  Vertex 0's points 0, 1, 2 go to points 3 and 4
-    # (both below vertex 1: a doubled edge) and 6 (vertex 2); vertex 3 gets
-    # a loop (9, 10).  Only vertex 2 is joined to R by exactly one edge.
-    points = [0, 3, 1, 4, 2, 6, 9, 10, 5, 7, 8, 11, 12, 15, 13, 16, 14, 17]
-    for theta, freq in ((0.3, 1.0), (0.5, 0.0)):  # thresholds 0.9 and 1.5
-        res = frontier_unique_montecarlo(6, 3, [0], [], theta, 4, FixedPermutation(points))
-        assert (res["frequency"], res["a_size"]) == (freq, 3)
-
-
-def test_frontier_unique_montecarlo_rejects_odd_point_count():
-    with pytest.raises(ValueError, match="even"):
-        frontier_unique_montecarlo(61, 3, range(10), [], 0.5, 10, make_rng(0))
-
-
-def test_frontier_unique_montecarlo_rejects_degree_two():
-    with pytest.raises(ValueError, match="d >= 3"):
-        frontier_unique_montecarlo(60, 2, range(10), [], 0.5, 10, make_rng(0))
-
-
-def test_frontier_unique_montecarlo_rejects_prefix_of_other_degree():
-    # pairs drawn on [60] x [4] name points past 60 * 3 = 180
-    prefix = [(0, 1), (200, 201)]
-    with pytest.raises(ValueError, match="out of range"):
-        frontier_unique_montecarlo(60, 3, range(10), prefix, 0.5, 10, make_rng(0))
-
-
-def test_frontier_unique_montecarlo_checks_through_the_bound(monkeypatch):
-    calls = []
-    real = sampling.frontier_unique_bound
-    monkeypatch.setattr(sampling, "frontier_unique_bound", lambda *a: calls.append(a) or real(*a))
-    res = frontier_unique_montecarlo(60, 3, range(10), [], 0.5, 10, make_rng(0))
-    assert calls == [(0.5, 30, 60, 10)] and res["bound"] == real(0.5, 30, 60, 10)
-    for theta in (0.0, 1.0):
-        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
-            frontier_unique_montecarlo(60, 3, range(10), [], theta, 10, make_rng(0))
-    with pytest.raises(ValueError, match=r"need \|R\| < n/2"):
-        frontier_unique_montecarlo(20, 3, range(10), [], 0.5, 10, make_rng(0))
-
-
-def test_frontier_unique_montecarlo_rejects_zero_trials():
-    with pytest.raises(ValueError, match="trials"):
-        frontier_unique_montecarlo(60, 3, range(10), [], 0.5, 0, make_rng(0))
+def test_explore_refuses_negative_depth():
+    # l_max goes through operator.index: a negative depth used to return an
+    # empty trace, and a float depth is no level count
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match="l_max must be >= 0"):
+        explore(g, {0}, -1)
+    with pytest.raises(TypeError):
+        explore(g, {0}, 2.0)
+    assert explore(g, {0}, np.int64(0)).rows == ((0, 1, 1, 0),)
 
 
 # -- exactness of the switchings: brute-force inverse switchings ---------------
