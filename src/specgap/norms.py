@@ -8,8 +8,8 @@ the package leans on (binary encodings compare coordinatewise).
 
 Every norm is evaluated by one private kernel, ``_pow_kernel``, over axis 0
 of a coordinate-major (k, ...) array that the caller lets it overwrite.  Lq
-takes |a| in place, raises it to the q-th power by squaring in place (the
-products of ``_powers``, in the same order) and adds the k slabs in
+takes |a| in place, raises it to the q-th power in place by ``_powers``
+(repeated squaring at an integer q <= 64) and adds the k slabs in
 coordinate order; BlockNorm writes each block's inner value into one
 (blocks, ...) array and hands that to the outer kernel.  So every numpy pass
 runs over whole contiguous slabs, where a row-major (..., k) layout makes
@@ -125,7 +125,7 @@ class Lq(UncondNorm):
             if not (p == q and q % 2 == 0 and q <= _SQUARING_MAX):
                 np.abs(a, out=a)
             if p == q and not math.isinf(q):
-                return _slab_sums(_raised(a, q, overwrite=True))
+                return _slab_sums(_powers(a, q, overwrite=True))
             if q != 1 and not math.isinf(q):
                 return _lq_norms(a, q, p)
             out = _slab_sums(a) if q == 1 else a.max(axis=0)
@@ -161,20 +161,15 @@ _SQUARING_MAX = 64
 
 
 def _powers(a: np.ndarray, q: float, overwrite: bool = False) -> np.ndarray:
-    """a^q elementwise for a >= 0; over- and underflow give inf and 0
-    without a warning.  The result is a new array in a's layout, or with
-    overwrite=True a itself or a new array, a's values being then lost.
+    """a^q elementwise for a >= 0, for callers inside
+    np.errstate(over="ignore", under="ignore"): over- and underflow give inf
+    and 0.  The result is a new array in a's layout, or with overwrite=True
+    a itself or a new array, a's values being then lost.
 
     An integer q <= _SQUARING_MAX goes by repeated squaring: numpy's pow has
     no fast path for exponents past 2, and one multiplication costs about a
     sixth of one pow.  Every other q is ``a**q``.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        return _raised(a, q, overwrite)
-
-
-def _raised(a: np.ndarray, q: float, overwrite: bool) -> np.ndarray:
-    """``_powers`` without its np.errstate, for callers already inside one."""
     if not (float(q).is_integer() and 1 <= q <= _SQUARING_MAX):
         return np.power(a, q, out=a) if overwrite else a**q
     # sq runs through a^(2^i) and is squared in place once it is ours, so at
@@ -194,35 +189,25 @@ def _raised(a: np.ndarray, q: float, overwrite: bool) -> np.ndarray:
         ours = True
 
 
-def _power_sums(a: np.ndarray, q: float) -> np.ndarray:
-    """sum_j a_j^q over axis 0 of a coordinate-major array a >= 0, as a new
-    array, a being left as it is; the powers are those of ``_powers``.  This is
-    ||a||_q^q itself, so it overflows or underflows only where that value
-    leaves the double range, silently."""
-    with np.errstate(over="ignore", under="ignore"):
-        return _slab_sums(_raised(a, q, overwrite=False))
-
-
 def _lq_norms(a: np.ndarray, q: float, p: float) -> np.ndarray:
     """||a||_q^p over axis 0 of a coordinate-major array a >= 0, for finite
-    q != 1: the power sum s, then s^(p/q), one pow pass.  Over- and
-    underflow of the p-th power are silent.
+    q != 1, inside the caller's np.errstate: the power sum s, then s^(p/q),
+    one pow pass.  Over- and underflow of the p-th power are silent.
 
     A column whose power sum overflowed or fell below the smallest normal
     double is recomputed as m^p * ||a / m||_q^p with m its largest entry, so
     Lq(32)([1e10, 1]) is 1e10 and Lq(64)([1e-6, 0]) is 1e-6 rather than inf
     and 0.  Every other column pays only that range check.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        s = _power_sums(a, q)
-        bad = np.nonzero((s == math.inf) | (s < _SMALLEST_NORMAL))
-        s **= p / q
-        if bad[0].size:
-            cols = a[(slice(None),) + bad]
-            m = cols.max(axis=0)
-            fix = (m > 0) & (m < math.inf)  # zero columns are exact; inf entries stay inf
-            m = m[fix]
-            s[tuple(i[fix] for i in bad)] = m**p * _power_sums(cols[:, fix] / m, q) ** (p / q)
+    s = _slab_sums(_powers(a, q))
+    bad = np.nonzero((s == math.inf) | (s < _SMALLEST_NORMAL))
+    s **= p / q
+    if bad[0].size:
+        cols = a[(slice(None),) + bad]
+        m = cols.max(axis=0)
+        fix = (m > 0) & (m < math.inf)  # zero columns are exact; inf entries stay inf
+        m = m[fix]
+        s[tuple(i[fix] for i in bad)] = m**p * _slab_sums(_powers(cols[:, fix] / m, q)) ** (p / q)
     return s
 
 

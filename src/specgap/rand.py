@@ -20,9 +20,9 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def as_rng(rng) -> np.random.Generator:
-    """Accept an int seed or a Generator; ints map through make_rng."""
+    """Accept an int seed (a bool is none) or a Generator; ints map through make_rng."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return make_rng(int(rng))
     raise TypeError(f"rng must be an int seed or numpy Generator, got {type(rng)!r}")

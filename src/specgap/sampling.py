@@ -77,9 +77,13 @@ def _collapsed_pairs(points: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
     return points[0::2] // d, points[1::2] // d
 
 
-def default_max_rejects(d: int) -> int:
-    """100x the expected number of rejections without switching,
-    exp((d^2-1)/4): the worst case, reached when n is too small to switch."""
+def _restart_budget(d: int) -> int:
+    """The restarts after which the sampler gives up: 100 exp((d^2 - 1)/4),
+    100 times plain rejection's expected restarts as n grows.  It is not a
+    worst case.  At n = d + 2, where the graphs are the (n - 1)!! complements
+    of perfect matchings, plain rejection accepts e^-11.97, e^-22.73 and
+    e^-37.09 of its pairings at d = 6, 8 and 10, not the e^-8.75, e^-15.75
+    and e^-24.75 assumed here: (12, 10) raises only after e^29.4 restarts."""
     return math.ceil(100.0 * math.exp((d * d - 1) / 4.0))
 
 
@@ -107,34 +111,32 @@ def _switch_limits(n: int, d: int) -> tuple[int, int]:
     return l1, l2
 
 
-def sample_simple_regular(n: int, d: int, rng, max_rejects: int | None = None):
+def sample_simple_regular(n: int, d: int, rng):
     """Uniform simple d-regular graph by the switching method of the module
-    docstring.
+    docstring; n and d are integers (``operator.index``).
 
-    Returns (graph, restarts).  Raises RuntimeError when ``max_rejects``
-    restarts do not yield a graph (the caller sets the compute budget; the
-    default is ``default_max_rejects(d)``).  At n = d + 1 the only d-regular
-    graph is K_n: with the default budget it is returned at once, with 0
-    restarts and nothing drawn, since plain rejection there accepts about
-    exp(-(d^2 - 1)/4) of its pairings.  An explicit ``max_rejects`` runs the
-    pairing model as at any other n.
+    Returns (graph, restarts).  Raises RuntimeError when
+    ``_restart_budget(d)`` restarts do not yield a graph.  At n = d + 1 the
+    only d-regular graph is K_n, returned at once with 0 restarts and
+    nothing drawn, since plain rejection there accepts about
+    exp(-(d^2 - 1)/4) of its pairings.
 
     The cost has a cliff in d.  At n = 1000 with ``make_rng(5)`` (one core):
     d = 14 takes 0.08 s and 65 restarts, d = 16 takes 6.6 s and 8655
-    restarts, and d = 20 had not finished after 10 minutes.  The default
-    budget at d = 20 is 100 e^99.75, so it never runs out in practice.
+    restarts, and d = 20 had not finished after 10 minutes.  The budget at
+    d = 20 is 100 e^99.75, so it never runs out in practice.
     """
+    n, d = operator.index(n), operator.index(d)
     if n <= d or d < 3:
         # a simple d-regular graph needs d + 1 vertices at least
         raise ValueError(f"need n > d >= 3, got n={n}, d={d}")
     if (n * d) % 2:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = as_rng(rng)
-    if max_rejects is None:
-        if n == d + 1:
-            return complete_graph(n), 0
-        max_rejects = default_max_rejects(d)
+    if n == d + 1:
+        return complete_graph(n), 0
     limits = _switch_limits(n, d)
+    budget = _restart_budget(d)
     restarts = 0
     while True:
         points = rng.permutation(n * d)
@@ -144,11 +146,8 @@ def sample_simple_regular(n: int, d: int, rng, max_rejects: int | None = None):
             if pairing.switch_out(rng):
                 return pairing.graph(), restarts
         restarts += 1
-        if restarts > max_rejects:
-            raise RuntimeError(
-                f"rejection budget exhausted after {restarts} restarts "
-                f"(n={n}, d={d}); raise max_rejects"
-            )
+        if restarts > budget:
+            raise RuntimeError(f"restart budget exhausted after {restarts} restarts (n={n}, d={d})")
 
 
 def _classify(points: np.ndarray, n: int, d: int, max_loops: int, max_doubles: int):

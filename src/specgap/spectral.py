@@ -32,6 +32,7 @@ of the vector, and a solve that fails is not stored.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -386,13 +387,14 @@ def friedman_check(g: RegularGraph) -> FriedmanReport:
 def walk_sum_bound_check(g: RegularGraph, y, l: int) -> dict:
     """||sum_{k=1..l} A^k y||^2 <= 4 (4.41 (d-1))^l for unit mean-zero y.
 
-    Preconditions (checked, the inputs first): 1 <= l with the bound below
-    the largest double, y finite, ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9
-    n, and lam(G) <= 2.1 sqrt(d-1) as ``friedman_check`` decides it.  A is
-    applied through the neighbour rows, never as a matrix, and the walk runs
-    on the projection of y onto the mean-zero space, taken again before each
-    step.
+    Preconditions (checked, the inputs first): an integer 1 <= l
+    (``operator.index``) with the bound below the largest double, y finite,
+    ||y||_2 = 1 to 1e-9, sum(y) = 0 to 1e-9 n, and lam(G) <= 2.1 sqrt(d-1)
+    as ``friedman_check`` decides it.  A is applied through the neighbour
+    rows, never as a matrix, and the walk runs on the projection of y onto
+    the mean-zero space, taken again before each step.
     """
+    l = operator.index(l)
     if l < 1:
         raise ValueError("l must be >= 1")
     l_max = int((math.log(sys.float_info.max) - math.log(4.0)) / math.log(4.41 * (g.d - 1)))

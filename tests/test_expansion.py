@@ -37,7 +37,7 @@ from specgap.graphs import (
     petersen_graph,
 )
 from specgap.logspace import LogScalar
-from specgap.rand import make_rng
+from specgap.rand import as_rng, make_rng
 from specgap.sampling import sample_simple_regular
 
 
@@ -153,6 +153,13 @@ def test_growth_sampled_trials_is_an_integer():
     assert verdict == growth_check_sampled(g, 1.0, 1, make_rng(0))
     with pytest.raises(TypeError):
         growth_check_sampled(g, 1.0, 2.0, make_rng(0))
+
+
+def test_growth_sampled_refuses_a_bool_seed():
+    # bool is an int subclass, but True is no seed
+    with pytest.raises(TypeError, match="int seed or numpy Generator"):
+        growth_check_sampled(complete_graph(4), 0.5, 3, True)
+    assert as_rng(np.int64(1)).random() == make_rng(1).random()
 
 
 def test_growth_sampled_pinned_witnesses():

@@ -116,18 +116,59 @@ def _read_names(tree: ast.Module) -> set:
     return names
 
 
-def test_every_exported_function_has_a_caller():
-    # a name counts as called where a library or bench/ module reads it (see
-    # _read_names)
+def _sources():
+    """The parsed library modules, and the parsed library and bench/ modules."""
     root = Path(__file__).resolve().parents[1]
     library = sorted((root / "src" / "specgap").glob("*.py"))
     files = library + sorted((root / "bench").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in files}
-    public = set()
-    for path in library:
-        exported = _exported(trees[path])
-        defs = {n.name for n in trees[path].body if isinstance(n, ast.FunctionDef)}
-        public |= defs & exported
-    called = set().union(*map(_read_names, trees.values()))
+    return [trees[path] for path in library], list(trees.values())
+
+
+def _public_functions(library):
+    """The top-level functions that the library modules export."""
+    for tree in library:
+        exported = _exported(tree)
+        yield from (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in exported)
+
+
+def test_every_exported_function_has_a_caller():
+    # a name counts as called where a library or bench/ module reads it (see
+    # _read_names)
+    library, trees = _sources()
+    public = {f.name for f in _public_functions(library)}
+    called = set().union(*map(_read_names, trees))
     assert set(UNCALLED) <= public
     assert sorted(public - called - set(UNCALLED)) == []
+
+
+# Defaulted parameters of public functions that no library or bench/ call
+# sets, and why each one stays
+UNSET = {
+    ("eval_constant", "i"): "the index of the paper's a_i, which no report evaluates yet",
+}
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a parameter counts as set where a call to a function of its name, in a
+    # library or bench/ module, passes it by keyword or by position; a **mapping
+    # or *sequence argument sets nothing
+    library, trees = _sources()
+    defaulted = {}  # (function, parameter) -> its position, None if keyword-only
+    for f in _public_functions(library):
+        positional = f.args.posonlyargs + f.args.args
+        for at, a in enumerate(positional):
+            if at >= len(positional) - len(f.args.defaults):
+                defaulted[f.name, a.arg] = at
+        for a, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                defaulted[f.name, a.arg] = None
+    set_ = set()
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        keywords = {k.arg for k in call.keywords}
+        for (fn, param), at in defaulted.items():
+            if fn == name and (param in keywords or (at is not None and at < len(call.args))):
+                set_.add((fn, param))
+    assert set(UNSET) <= set(defaulted)
+    assert sorted(set(defaulted) - set_ - set(UNSET)) == []

@@ -95,7 +95,8 @@ def reference_column_pair_sums(x, q):
     for start in range(0, n, rows):
         gaps = s[:, None, start:] - s[:, start : start + rows, None]
         np.maximum(gaps, 0.0, out=gaps)
-        total += _powers(gaps, q).sum(axis=(1, 2))
+        with np.errstate(over="ignore", under="ignore"):
+            total += _powers(gaps, q).sum(axis=(1, 2))
     return total
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
+from specgap import sampling
 from specgap.graphs import RegularGraph, complete_graph, disjoint_union
 from specgap.rand import as_rng, make_rng
 from specgap.sampling import (
@@ -18,18 +19,16 @@ from specgap.sampling import (
     _loop_floor,
     _Pairing,
     _switch_limits,
-    default_max_rejects,
     explore,
     sample_simple_regular,
 )
 
 
-def reference_rejection_sample(n, d, rng, max_rejects=None):
+def reference_rejection_sample(n, d, rng):
     """Plain rejection: redraw the pairing until it collapses to a simple
-    graph.  Returns (graph, rejections) like ``sample_simple_regular``."""
+    graph.  Returns (graph, rejections) like ``sample_simple_regular``, with
+    the same budget."""
     rng = as_rng(rng)
-    if max_rejects is None:
-        max_rejects = default_max_rejects(d)
     rejections = 0
     while True:
         u, v = _collapsed_pairs(rng.permutation(n * d), d)
@@ -39,18 +38,21 @@ def reference_rejection_sample(n, d, rng, max_rejects=None):
                 edges = zip((keys // n).tolist(), (keys % n).tolist())
                 return RegularGraph.from_edges(n, edges), rejections
         rejections += 1
-        if rejections > max_rejects:
+        if rejections > sampling._restart_budget(d):
             raise RuntimeError(f"rejection budget exhausted after {rejections} pairings")
 
 
 class FixedPermutation(np.random.Generator):
-    """A Generator whose ``permutation`` always returns the same array."""
+    """A Generator whose ``permutation`` always returns the same array and
+    counts its calls in ``drawn``."""
 
     def __init__(self, points):
         super().__init__(np.random.PCG64(0))
         self.points = np.asarray(points, dtype=np.int64)
+        self.drawn = 0
 
     def permutation(self, x):
+        self.drawn += 1
         return self.points.copy()
 
 
@@ -138,15 +140,20 @@ def test_pairing_graph_rejects_non_involutive_partner():
     assert "does not list" in str(info.value.__cause__)
 
 
-def test_is_simple_detects_loops_and_multiedges():
+def test_is_simple_detects_loops_and_multiedges(monkeypatch):
     points = np.arange(12)  # pairs (0, 1), (4, 5), (6, 7), (10, 11): a loop at each vertex
     loops, doubles = _classify(points, 4, 3, 4, 0)
     assert loops.tolist() == [0, 2, 3, 5] and doubles.shape == (0, 2)
     assert _classify(points, 4, 3, 3, 0) is None
     with pytest.raises(RuntimeError, match="not a simple"):
         _Pairing(points, 4, 3, loops, doubles).graph()
+    # a loop at each of 6 vertices, and (6, 3) keeps no loop: every draw restarts
+    monkeypatch.setattr(sampling, "_restart_budget", lambda d: 3)
+    assert _switch_limits(6, 3) == (0, 0)
+    rng = FixedPermutation(np.arange(18))
     with pytest.raises(RuntimeError, match="budget"):
-        sample_simple_regular(4, 3, FixedPermutation(points), max_rejects=3)
+        sample_simple_regular(6, 3, rng)
+    assert rng.drawn == 4
     # 0-1 (pairs 0, 1) and 2-3 (pairs 4, 5) twice
     doubled = np.array([0, 3, 1, 4, 2, 6, 5, 9, 7, 10, 8, 11])
     loops, doubles = _classify(doubled, 4, 3, 0, 2)
@@ -181,14 +188,27 @@ def test_complete_graph_returns_at_once():
     assert sample_simple_regular(30, 29, rng) == (complete_graph(30), 0)
     assert rng.random() == make_rng(0).random()  # nothing drawn
     assert sample_simple_regular(4, 3, 1) == (complete_graph(4), 0)
+    # K4 even where every pairing the rng would give has a loop at each vertex
+    rng = FixedPermutation(np.arange(12))
+    assert sample_simple_regular(4, 3, rng) == (complete_graph(4), 0)
+    assert rng.drawn == 0
 
 
-def test_sample_simple_regular_budget_error():
+@pytest.mark.parametrize("n, d", [(10.0, 3), (10, 3.0)])
+def test_sample_simple_regular_refuses_non_integer_sizes(n, d):
+    rng = FixedPermutation(np.arange(30))
+    with pytest.raises(TypeError):
+        sample_simple_regular(n, d, rng)
+    assert rng.drawn == 0
+
+
+def test_sample_simple_regular_budget_error(monkeypatch):
+    monkeypatch.setattr(sampling, "_restart_budget", lambda d: 0)
     with pytest.raises(RuntimeError, match="budget"):
-        # forcing zero budget makes the first rejection fatal with high
+        # a zero budget makes the first rejection fatal with high
         # probability; retry a few seeds so the test is deterministic
         for seed in range(10):
-            sample_simple_regular(100, 3, make_rng(seed), max_rejects=0)
+            sample_simple_regular(100, 3, make_rng(seed))
 
 
 def test_explore_k4_first_level():
@@ -418,16 +438,17 @@ def test_b_rejection_reads_the_count(monkeypatch, count):
         found = _classify(points, 200, 4, 3, 9)
         if found is not None and (found[0].size, len(found[1])) == (1, 1):
             break
-    # a count below c_lo is an error, never an acceptance
-    monkeypatch.setattr(_Pairing, count, lambda self, *ends: 0)
-    with pytest.raises(RuntimeError, match="lower bound c_lo"):
-        sample_simple_regular(200, 4, FixedPermutation(points), max_rejects=20)
-    # a huge count makes b-rejection restart every time
-    monkeypatch.setattr(_Pairing, count, lambda self, *ends: 10**12)
-    with pytest.raises(RuntimeError, match="budget"):
-        sample_simple_regular(200, 4, FixedPermutation(points), max_rejects=20)
-    monkeypatch.undo()
-    assert sample_simple_regular(200, 4, FixedPermutation(points), max_rejects=20)[0].d == 4
+    monkeypatch.setattr(sampling, "_restart_budget", lambda d: 20)
+    with monkeypatch.context() as patch:
+        # a count below c_lo is an error, never an acceptance
+        patch.setattr(_Pairing, count, lambda self, *ends: 0)
+        with pytest.raises(RuntimeError, match="lower bound c_lo"):
+            sample_simple_regular(200, 4, FixedPermutation(points))
+        # a huge count makes b-rejection restart every time
+        patch.setattr(_Pairing, count, lambda self, *ends: 10**12)
+        with pytest.raises(RuntimeError, match="budget"):
+            sample_simple_regular(200, 4, FixedPermutation(points))
+    assert sample_simple_regular(200, 4, FixedPermutation(points))[0].d == 4
 
 
 # -- agreement with rejection and uniformity ------------------------------------

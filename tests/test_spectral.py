@@ -248,6 +248,23 @@ def test_walk_sum_preconditions():
         walk_sum_bound_check(k33, y, 1)
 
 
+@pytest.mark.parametrize("l", [1.5, 2.0])
+def test_walk_sum_refuses_a_float_l_before_any_solve(l):
+    k33 = complete_bipartite(3, 3)
+    y = np.zeros(6)
+    y[0], y[3] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    with pytest.raises(TypeError):
+        walk_sum_bound_check(k33, y, l)
+    assert k33._spectra is None
+
+
+def test_walk_sum_reads_a_bool_l_as_an_int():
+    g = complete_graph(4)
+    y = np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2)
+    rep = walk_sum_bound_check(g, y, True)
+    assert rep == walk_sum_bound_check(g, y, 1) and type(rep["l"]) is int
+
+
 # -- cheeger_exact against the per-edge block scan --------------------------------
 
 
