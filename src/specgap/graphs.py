@@ -10,10 +10,12 @@ labels outside [0, n), loops, repeated or one-sided neighbours, and d < 3,
 so no other code validates neighbour rows.  Instances are
 immutable after construction and every operation here is a pure function,
 so they are safe to share across threads and worker processes.  The one
-private slot, ``_spectra``, is a cache that only ``specgap.spectral`` fills;
-it is excluded from equality, hashing and repr.  Disconnected graphs are
-legal inputs; operations whose meaning requires connectivity say so
-explicitly.
+private slot, ``_summary``, holds the graph's certified spectrum once
+``spectral.eigen_summary`` has solved it.  It is not a constructor argument,
+so neither ``RegularGraph(...)`` nor ``dataclasses.replace`` can set it or
+carry it to another graph, and it is excluded from equality, hashing and
+repr.  Disconnected graphs are legal inputs; operations whose meaning
+requires connectivity say so explicitly.
 
 Distances come from two BFS routines: ``bfs_distances`` from one vertex set,
 and the bit-parallel sweep ``_level_sets`` from many single sources at
@@ -67,7 +69,7 @@ class RegularGraph:
     n: int
     d: int
     adj: np.ndarray
-    _spectra: dict = field(default=None, repr=False)
+    _summary: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n, d = operator.index(self.n), operator.index(self.d)

@@ -84,10 +84,7 @@ class UncondNorm:
         return self._pow_kernel(a, p)
 
     def __call__(self, y) -> float:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.dim is not None and y.shape[1] != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {y.shape[1]}")
-        return float(self.eval_many(y)[0])
+        return float(self.eval_many(np.atleast_2d(np.asarray(y, dtype=float)))[0])
 
 
 def _check_width(nm: UncondNorm, width: int) -> None:

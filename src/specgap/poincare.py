@@ -67,7 +67,7 @@ import numpy as np
 from .graphs import RegularGraph, bfs_distances, distance_sum
 from .norms import _SQUARING_MAX, Lq, UncondNorm, _powers
 from .rand import as_rng
-from . import spectral
+from .spectral import eigen_summary
 
 __all__ = [
     "RatioReport",
@@ -306,15 +306,15 @@ def gamma_scalar_l2_exact(g: RegularGraph) -> ScalarGapResult:
     Certified value d/(d - lambda2), achieved by the second eigenvector.  A
     disconnected graph has lambda2 = d exactly, reported as such with gamma
     = inf and no extremizer, before any eigensolve.  Otherwise lambda2 and
-    the extremizer come from the graph's shared spectrum (dense up to
+    the extremizer come from ``eigen_summary(g)`` (dense up to
     spectral.DENSE_LIMIT, ARPACK above); the extremizer is a copy.
     """
     if np.isinf(bfs_distances(g, [0])).any():
         return ScalarGapResult(math.inf, float(g.d), None)
-    summary, vec = spectral._spectrum(g)
+    summary = eigen_summary(g)
     lam2 = summary.lambda2
     gamma = g.d / (g.d - lam2)
-    return ScalarGapResult(gamma, lam2, vec.copy())
+    return ScalarGapResult(gamma, lam2, summary.vector.copy())
 
 
 _SEARCH_RESTARTS = 3
@@ -342,7 +342,7 @@ def gamma_search(
 
     A move is one call of the norm's kernel: the current row and the
     candidates against all n rows, subtracted into one reused (k, 1 + 4, n)
-    buffer from a coordinate-major copy of the field kept beside it.  Row 0
+    buffer from the field, which the search keeps coordinate-major.  Row 0
     of the table is the current row's pair term, and the columns of v's
     neighbours are its edge terms, before and after.
 
@@ -363,11 +363,12 @@ def gamma_search(
     n = g.n
     nbr = g.adj
     probes = 4
-    best_ratio, best_field = -math.inf, None
+    best_ratio, best_FT = -math.inf, None
     evals = 0
     per_restart = max(1, budget // _SEARCH_RESTARTS)
 
-    def full_parts(F):
+    def full_parts(FT):
+        F = np.ascontiguousarray(FT.T)
         return _pair_sum(F, norm, p), _edge_sum(F, g, norm, p)
 
     scale = g.num_edges() / float(n * n)
@@ -375,13 +376,12 @@ def gamma_search(
     rows = np.empty((k, 1 + probes))  # the current row, then the candidates
     buf = np.empty((k, 1 + probes, n))  # rows against every vertex; the kernel overwrites it
     for r in range(_SEARCH_RESTARTS):
-        F = rng.normal(size=(n, k))
-        FT = np.ascontiguousarray(F.T)  # F coordinate-major, kept equal to F
-        num, den = full_parts(F)
+        FT = np.ascontiguousarray(rng.normal(size=(n, k)).T)  # the field, coordinate-major
+        num, den = full_parts(FT)
         if not (0 < num < math.inf and 0 < den < math.inf):
             continue
         if num / den * scale > best_ratio:
-            best_ratio, best_field = num / den * scale, F.copy()
+            best_ratio, best_FT = num / den * scale, FT.copy()
         step, fails = 1.0, 0
         budget_end = min(budget, (r + 1) * per_restart)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -390,8 +390,8 @@ def gamma_search(
                 dirs = rng.normal(size=(probes, k))
                 rows[:, 0] = FT[:, v]
                 np.multiply(dirs.T, step * steps, out=rows[:, 1:])
-                rows[:, 1:] += rows[:, :1]  # the candidates F[v] + t dirs
-                # table[c, w] = ||rows_c - F[w]||^p; an edge term of v is a pair term
+                rows[:, 1:] += rows[:, :1]  # the candidates FT[:, v] + t dirs
+                # table[c, w] = ||rows_c - FT[:, w]||^p; an edge term of v is a pair term
                 np.subtract(rows[:, :, None], FT[:, None, :], out=buf)
                 table = norm._pow_kernel(buf, p)
                 table[1:, v] = 0.0  # a candidate replaces row v: no pair with it
@@ -403,11 +403,11 @@ def gamma_search(
                 ratios = np.where(cden > 0, cnum / cden, -math.inf)
                 i = int(np.argmax(ratios))
                 if math.inf > ratios[i] > (num / den) * (1 + 1e-12):
-                    F[v] = FT[:, v] = rows[:, 1 + i]
+                    FT[:, v] = rows[:, 1 + i]
                     num, den = float(cnum[i]), float(cden[i])
                     fails = 0
                     if num / den * scale > best_ratio:
-                        best_ratio, best_field = num / den * scale, F.copy()
+                        best_ratio, best_FT = num / den * scale, FT.copy()
                 else:
                     fails += 1
                     if fails > 2 * n:
@@ -415,12 +415,12 @@ def gamma_search(
                         fails = 0
                         if step < 1e-9:
                             break
-    if best_field is None:
+    if best_FT is None:
         raise ValueError(
             f"at p = {p} every random start's p-th-power sums left the double range, "
             "so the search has no field to report"
         )
-    return replace(poincare_ratio(g, best_field, norm, p), evaluations=evals)
+    return replace(poincare_ratio(g, np.ascontiguousarray(best_FT.T), norm, p), evaluations=evals)
 
 
 # -- distance sweeps ---------------------------------------------------------------

@@ -84,7 +84,13 @@ def _restart_budget(d: int) -> int:
     of perfect matchings, plain rejection accepts e^-11.97, e^-22.73 and
     e^-37.09 of its pairings at d = 6, 8 and 10, not the e^-8.75, e^-15.75
     and e^-24.75 assumed here: (12, 10) raises only after e^29.4 restarts."""
-    return math.ceil(100.0 * math.exp((d * d - 1) / 4.0))
+    try:
+        return math.ceil(100.0 * math.exp((d * d - 1) / 4.0))
+    except OverflowError:
+        raise ValueError(
+            f"the restart budget 100 exp((d^2 - 1)/4) leaves the double range at d={d}; "
+            "at d >= 54 only n = d + 1 is sampled"
+        ) from None
 
 
 def _loop_floor(n: int, d: int, loops: int, doubles: int) -> int:
@@ -116,9 +122,10 @@ def sample_simple_regular(n: int, d: int, rng):
     docstring; n and d are integers (``operator.index``).
 
     Returns (graph, restarts).  Raises RuntimeError when
-    ``_restart_budget(d)`` restarts do not yield a graph.  At n = d + 1 the
-    only d-regular graph is K_n, returned at once with 0 restarts and
-    nothing drawn, since plain rejection there accepts about
+    ``_restart_budget(d)`` restarts do not yield a graph, and ValueError
+    before any draw when that budget leaves the double range (d >= 54).
+    At n = d + 1 the only d-regular graph is K_n, returned at once with 0
+    restarts and nothing drawn, since plain rejection there accepts about
     exp(-(d^2 - 1)/4) of its pairings.
 
     The cost has a cliff in d.  At n = 1000 with ``make_rng(5)`` (one core):
@@ -135,8 +142,8 @@ def sample_simple_regular(n: int, d: int, rng):
     rng = as_rng(rng)
     if n == d + 1:
         return complete_graph(n), 0
-    limits = _switch_limits(n, d)
     budget = _restart_budget(d)
+    limits = _switch_limits(n, d)
     restarts = 0
     while True:
         points = rng.permutation(n * d)

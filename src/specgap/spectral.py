@@ -21,12 +21,14 @@ produced, never the lower inequality: the best sweep cut of the lambda_2
 vector and of BFS orders from 32 seeds, which one per-source sweep
 (``graphs._level_sets``) gives in (distance, vertex) order.
 
-Each graph is solved once: the first call that needs its spectrum stores the
-``SpectralSummary`` and the lambda_2 eigenvector (n floats, never the n x n
-matrix) in the graph's private ``_spectra`` slot, keyed by the mode ("dense"
-or "iterative") read from DENSE_LIMIT at call time.  Every certificate here,
-and ``poincare.gamma_scalar_l2_exact``, reads that entry; callers get copies
-of the vector, and a solve that fails is not stored.
+Each graph object is solved once: ``eigen_summary`` is the only way to its
+spectrum, and its first call stores the ``SpectralSummary``, which carries
+the read-only lambda_2 eigenvector (n floats, never the n x n matrix), in
+the graph's private ``_summary`` slot.  The mode ("dense" or "iterative")
+is read from DENSE_LIMIT at that call.  Every certificate here, and
+``poincare.gamma_scalar_l2_exact``, reads that summary, and a solve that
+fails is not stored.  The slot is not a constructor argument, so a graph
+built by ``RegularGraph(...)`` or ``dataclasses.replace`` starts unsolved.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -83,7 +85,9 @@ class SpectralSummary:
 
     lam is max(|lambda_2|, ..., |lambda_n|); lambda2 is the second largest
     eigenvalue by value (not magnitude); residual is the measured largest
-    ||A v - lambda v||_2 of the three certified eigenvectors.
+    ||A v - lambda v||_2 of the three certified eigenvectors.  ``vector`` is
+    the certified lambda_2 vector, a read-only array outside equality and
+    repr.
     """
 
     n: int
@@ -94,41 +98,27 @@ class SpectralSummary:
     lambda_min: float
     lam: float
     residual: float
-
-    @property
-    def spectral_gap(self) -> float:
-        return self.d - self.lambda2
+    vector: np.ndarray = field(compare=False, repr=False)
 
 
 def eigen_summary(g: RegularGraph) -> SpectralSummary:
     """Eigenvalue summary; dense for n <= DENSE_LIMIT, else iterative extremes.
 
-    Either mode certifies ||A v - lambda v||_2 <= ARPACK_TOL for lambda_1,
-    lambda_min and the lambda_2 vector handed out, and raises RuntimeError
-    when its solver cannot reach that.  Solved once per graph and mode; see
-    the module docstring.
-    """
-    return _spectrum(g)[0]
-
-
-def _spectrum(g: RegularGraph) -> tuple[SpectralSummary, np.ndarray]:
-    """The graph's cached (summary, lambda_2 eigenvector), solving on a miss.
-
     Dense mode is one ``eigh``, iterative mode one ARPACK run; either hands
-    ``_certified`` the pairs of lambda_min, lambda_2 and lambda_1.  The
-    vector is the cache's own array: callers that hand it on copy it.
+    ``_certified`` the pairs of lambda_min, lambda_2 and lambda_1, which
+    certifies ||A v - lambda v||_2 <= ARPACK_TOL for lambda_1, lambda_min
+    and the lambda_2 vector, and raises RuntimeError when the solver cannot
+    reach that.  Solved once per graph object; see the module docstring.
     """
-    mode = "dense" if g.n <= DENSE_LIMIT else "iterative"
-    if g._spectra is None:
-        object.__setattr__(g, "_spectra", {})
-    if mode not in g._spectra:
+    if g._summary is None:
+        mode = "dense" if g.n <= DENSE_LIMIT else "iterative"
         if mode == "dense":
             evals, vecs = np.linalg.eigh(adjacency_matrix(g))
             pairs = evals[[0, -2, -1]], vecs[:, [0, -2, -1]]
         else:
             pairs = _arpack_pairs(g)
-        g._spectra[mode] = _certified(g, mode, *pairs)
-    return g._spectra[mode]
+        object.__setattr__(g, "_summary", _certified(g, mode, *pairs))
+    return g._summary
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -168,9 +158,9 @@ def _arpack_pairs(g: RegularGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _certified(
     g: RegularGraph, mode: str, vals: np.ndarray, vecs: np.ndarray
-) -> tuple[SpectralSummary, np.ndarray]:
-    """The summary and lambda_2 vector from the pairs (ascending ``vals``,
-    ``vecs`` by column) of lambda_min, lambda_2 and lambda_1.
+) -> SpectralSummary:
+    """The summary from the pairs (ascending ``vals``, ``vecs`` by column)
+    of lambda_min, lambda_2 and lambda_1.
 
     The lambda_2 vector is ``_ones_free`` of the top two; the residuals of
     it and of the other two vectors, taken through the neighbour rows, must
@@ -188,7 +178,9 @@ def _certified(
         raise RuntimeError(
             f"eigensolver residual {residual:.3e} exceeds tol {ARPACK_TOL:.3e}"
         )
-    summary = SpectralSummary(
+    v = _sign_rule(v)
+    v.flags.writeable = False
+    return SpectralSummary(
         n=g.n,
         d=g.d,
         mode=mode,
@@ -197,8 +189,8 @@ def _certified(
         lambda_min=lam_min,
         lam=max(abs(lam2), abs(lam_min)),
         residual=residual,
+        vector=v,
     )
-    return summary, _sign_rule(v)
 
 
 def _ones_free(vecs: np.ndarray) -> np.ndarray:
@@ -231,10 +223,10 @@ def cheeger_exact(g: RegularGraph) -> CheegerResult:
     """Exact expansion ratio min |boundary edges| / |S| over 1 <= |S| <= n/2.
 
     One int16 cut table over all 2^n subset bitmasks, built by doubling:
-    cut[S + v] = cut[S] + d - 2 |N(v) & S| for every S below bit v, with a
-    uint8 size table alongside.  The least ratio is picked exactly (the
-    least cut per size, compared as Fractions), and the witness is the
-    smallest mask attaining it.  At n = 24 the tables take 48 MiB and the
+    cut[S + v] = cut[S] + d - 2 |N(v) & S| for every S below bit v, and a
+    uint8 table of |S|, the masks' popcounts.  The least ratio is picked
+    exactly (the least cut per size, compared as Fractions), and the witness
+    is the smallest mask attaining it.  At n = 24 the tables take 48 MiB and the
     call peaks near 120 MiB above the interpreter.  Refuses
     n > CHEEGER_EXACT_LIMIT and points the caller at cheeger_upper.
     """
@@ -245,13 +237,12 @@ def cheeger_exact(g: RegularGraph) -> CheegerResult:
             f"(got n={n}); use cheeger_upper for an upper bound"
         )
     nbr_masks = (1 << g.adj).sum(axis=1).astype(np.uint32)
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     cut = np.zeros(1 << n, dtype=np.int16)
-    sizes = np.zeros(1 << n, dtype=np.uint8)
     for v in range(n):  # doubling: the masks with top bit v extend those below it
         lo = 1 << v
         inside = np.bitwise_count(np.arange(lo, dtype=np.uint32) & nbr_masks[v])  # |N(v) & S|
         np.add(cut[:lo], np.int16(d) - 2 * inside, out=cut[lo : 2 * lo])
-        np.add(sizes[:lo], 1, out=sizes[lo : 2 * lo])
     least = np.full(n + 1, np.iinfo(np.int16).max, dtype=np.int16)  # per |S|
     np.minimum.at(least, sizes, cut)
     best = min(Fraction(int(least[s]), s) for s in range(1, n // 2 + 1))
@@ -289,7 +280,7 @@ def _sweep_orders(g: RegularGraph):
     vertices by (level, vertex), and a seed's order is the entries whose
     word holds its bit.
     """
-    yield np.argsort(_spectrum(g)[1])
+    yield np.argsort(eigen_summary(g).vector)
     seeds = np.arange(min(g.n, 32))  # ball seeds; heuristic, upper bound only
     levels = list(_level_sets(g, seeds))
     rows = np.concatenate([rows for _, rows, _ in levels])

@@ -4,6 +4,7 @@ pipeline below includes a walk-sum bound at n = DENSE_LIMIT, which multiplies
 by the adjacency through the neighbour rows, not through a scipy matrix."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -67,6 +68,20 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"specgap.{mod.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (mod.name, missing)
+
+
+def test_private_dataclass_fields_are_not_constructor_arguments():
+    # a private slot that the constructor or dataclasses.replace can set lets
+    # a caller hand an object a value it did not compute, such as a cached
+    # spectrum of another graph
+    init = {}  # (class, private field) -> whether the constructor takes it
+    for mod in pkgutil.iter_modules(specgap.__path__):
+        module = importlib.import_module(f"specgap.{mod.name}")
+        for cls in vars(module).values():
+            if dataclasses.is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == module.__name__:
+                init |= {(cls.__name__, f.name): f.init for f in dataclasses.fields(cls) if f.name[0] == "_"}
+    assert ("RegularGraph", "_summary") in init
+    assert [key for key, taken in init.items() if taken] == []
 
 
 # Public functions with no caller in the library or in bench/ yet, and why

@@ -194,6 +194,17 @@ def test_complete_graph_returns_at_once():
     assert rng.drawn == 0
 
 
+@pytest.mark.parametrize("n, d", [(56, 54), (10**4, 60)])
+def test_sampler_refuses_a_budget_beyond_the_double_range(n, d):
+    # 100 exp((d^2 - 1)/4) overflows a double from d = 54 on: refused by d
+    # before any draw, while n = d + 1 still returns K_n
+    rng = FixedPermutation(np.arange(n * d))
+    with pytest.raises(ValueError, match=f"d={d}"):
+        sample_simple_regular(n, d, rng)
+    assert rng.drawn == 0
+    assert sample_simple_regular(d + 1, d, rng) == (complete_graph(d + 1), 0)
+
+
 @pytest.mark.parametrize("n, d", [(10.0, 3), (10, 3.0)])
 def test_sample_simple_regular_refuses_non_integer_sizes(n, d):
     rng = FixedPermutation(np.arange(30))

@@ -88,7 +88,7 @@ def test_iterative_agrees_with_dense(monkeypatch):
         monkeypatch.setattr(spectral, "DENSE_LIMIT", g.n)
         dense = eigen_summary(g)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 100)
-        it = eigen_summary(g)
+        it = eigen_summary(RegularGraph(g.n, g.d, g.adj))  # a fresh graph solves again
         assert (dense.mode, it.mode) == ("dense", "iterative"), name
         for field in ("lambda1", "lambda2", "lambda_min", "lam"):
             assert getattr(it, field) == pytest.approx(getattr(dense, field), abs=1e-7), (
@@ -163,11 +163,10 @@ def test_gate_21_agrees_at_the_threshold():
     decide lam(G) <= 2.1 sqrt(d-1) alike at the threshold and one ulp above."""
     g = complete_graph(7)  # d = 6
     y = np.array([1.0, -1.0, 0, 0, 0, 0, 0]) / math.sqrt(2)
-    eigen_summary(g)
-    (key, (summary, vec)), = g._spectra.items()
+    summary = eigen_summary(g)
     threshold = 2.1 * math.sqrt(5)
     for lam, passes in ((threshold, True), (np.nextafter(threshold, np.inf), False)):
-        g._spectra[key] = (dataclasses.replace(summary, lam=float(lam)), vec)
+        object.__setattr__(g, "_summary", dataclasses.replace(summary, lam=float(lam)))
         assert friedman_check(g).passed_21 is passes
         verdict = spectral_sufficient_check(g)
         assert (verdict.status == "pass") is passes
@@ -243,7 +242,7 @@ def test_walk_sum_preconditions():
     # K_{3,3} fails the gate, but l = 0 is refused first, before any eigensolve
     with pytest.raises(ValueError, match="l must be >= 1"):
         walk_sum_bound_check(k33, y, 0)
-    assert k33._spectra is None
+    assert k33._summary is None
     with pytest.raises(ValueError, match="2.1"):
         walk_sum_bound_check(k33, y, 1)
 
@@ -255,7 +254,7 @@ def test_walk_sum_refuses_a_float_l_before_any_solve(l):
     y[0], y[3] = 1 / math.sqrt(2), -1 / math.sqrt(2)
     with pytest.raises(TypeError):
         walk_sum_bound_check(k33, y, l)
-    assert k33._spectra is None
+    assert k33._summary is None
 
 
 def test_walk_sum_reads_a_bool_l_as_an_int():
@@ -322,7 +321,7 @@ def reference_cheeger_upper(g):
     the disjoint unions have a repeated lambda_2, so no independent solve
     would give the same vector.  The sweep arithmetic is checked exactly.
     """
-    order = np.argsort(spectral._spectrum(g)[1])
+    order = np.argsort(eigen_summary(g).vector)
     best = None
     in_s = set()
     cut = 0
@@ -390,7 +389,7 @@ def test_sweep_orders_match_bfs_argsort():
     ]
     for g in cases:
         eigen_order, *orders = spectral._sweep_orders(g)
-        assert np.array_equal(eigen_order, np.argsort(spectral._spectrum(g)[1]))
+        assert np.array_equal(eigen_order, np.argsort(eigen_summary(g).vector))
         assert len(orders) == min(g.n, 32)
         for v, order in enumerate(orders):
             dd = bfs_distances(g, [v])
@@ -401,8 +400,9 @@ def test_sweep_orders_match_bfs_argsort():
 # -- the dense lambda_2 vector -----------------------------------------------------
 
 
-def assert_lambda2_vector_contract(g, summary, v):
+def assert_lambda2_vector_contract(g, summary):
     """Unit, mean-zero, certified residual, first largest entry positive."""
+    v = summary.vector
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert abs(v.sum()) <= 1e-12 * g.n
     residual = np.linalg.norm(v[g.adj].sum(axis=1) - summary.lambda2 * v)  # no n x n A
@@ -416,15 +416,17 @@ def test_dense_lambda2_vector_is_certified(monkeypatch):
     iterative mode's solve of the same graph."""
     modes = set()
     for g in _oracle_graphs():
-        summary, v = spectral._spectrum(g)
+        summary = eigen_summary(g)
+        v = summary.vector
         assert summary.mode == ("dense" if g.n <= spectral.DENSE_LIMIT else "iterative")
         modes.add(summary.mode)
-        assert_lambda2_vector_contract(g, summary, v)
+        assert_lambda2_vector_contract(g, summary)
         if summary.mode == "iterative":
             continue
         with monkeypatch.context() as m:
             m.setattr(spectral, "DENSE_LIMIT", 0)
-            it, ref = spectral._spectrum(g)
+            it = eigen_summary(RegularGraph(g.n, g.d, g.adj))  # a fresh graph solves again
+        ref = it.vector
         assert it.lambda2 == pytest.approx(summary.lambda2, abs=1e-7), (g.n, g.d)
         # one mean-zero vector in lambda_2's eigenspace when no eigenvalue
         # below lambda_2 is within 1e-6 of it: then the iterative vector is the
@@ -460,7 +462,7 @@ def test_dense_failed_solve_is_not_cached(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", off_by_1e_6)
     with pytest.raises(RuntimeError, match="exceeds tol"):
         eigen_summary(g)
-    assert "dense" not in (g._spectra or {})
+    assert g._summary is None
     monkeypatch.undo()
     assert eigen_summary(g).mode == "dense"
 
@@ -506,12 +508,17 @@ def test_certificates_share_one_eigensolve(monkeypatch, n):
     assert calls == solves
     assert eigen_summary(g) is summary
     assert l2.lambda2 == summary.lambda2
-    assert float(ub.value) >= summary.spectral_gap / 2 - 1e-9  # h_ub >= h
+    assert float(ub.value) >= (g.d - summary.lambda2) / 2 - 1e-9  # h_ub >= h
 
 
 def test_spectrum_cache_hands_out_copies():
     g = petersen_graph()
+    vector = eigen_summary(g).vector
+    assert not vector.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        vector[0] = 0.0
     first = gamma_scalar_l2_exact(g).extremizer
+    assert first.flags.writeable and not np.shares_memory(first, vector)
     first[:] = 0.0
     again = gamma_scalar_l2_exact(g).extremizer
     assert np.linalg.norm(again) == pytest.approx(1.0)
@@ -519,10 +526,29 @@ def test_spectrum_cache_hands_out_copies():
 
 def test_spectrum_cache_not_part_of_equality():
     g = petersen_graph()
-    eigen_summary(g)
+    summary = eigen_summary(g)
     fresh = petersen_graph()
     assert g == fresh and hash(g) == hash(fresh)
-    assert "_spectra" not in repr(g)
+    assert "_summary" not in repr(g)
+    assert "vector" not in repr(summary)
+    assert summary == dataclasses.replace(summary, vector=-summary.vector)
+
+
+def test_spectrum_belongs_to_one_graph_object():
+    # a solved graph's spectrum goes neither through replace nor through the
+    # constructor: the new graph solves its own
+    g, h = petersen_graph(), circular_ladder(5)
+    eigen_summary(g)
+    gamma_scalar_l2_exact(g)
+    h2 = dataclasses.replace(g, adj=h.adj)
+    assert h2 == h and h2._summary is None
+    assert eigen_summary(h2) == eigen_summary(h)
+    assert gamma_scalar_l2_exact(h2).gamma == gamma_scalar_l2_exact(h).gamma
+    assert gamma_scalar_l2_exact(h2).gamma != gamma_scalar_l2_exact(g).gamma
+    with pytest.raises(TypeError):
+        RegularGraph(g.n, g.d, g.adj, g._summary)
+    with pytest.raises(TypeError):
+        RegularGraph(g.n, g.d, g.adj, _summary=g._summary)
 
 
 def test_failed_solve_is_not_cached(monkeypatch):
@@ -537,7 +563,7 @@ def test_failed_solve_is_not_cached(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", off_by_1e_6)
     with pytest.raises(RuntimeError, match="exceeds tol"):
         eigen_summary(g)
-    assert "iterative" not in (g._spectra or {})
+    assert g._summary is None
     monkeypatch.setattr(spla, "eigsh", eigsh)
     assert eigen_summary(g).mode == "iterative"
 
@@ -566,11 +592,11 @@ def test_iterative_vector_on_disconnected_graph_is_mean_zero(components):
     # an arbitrary basis; the vector handed out is the one orthogonal to ones
     g = _union(components)
     assert g.n > spectral.DENSE_LIMIT
-    summary, v = spectral._spectrum(g)
+    summary = eigen_summary(g)
     assert summary.mode == "iterative"
     assert summary.lambda1 == pytest.approx(g.d, abs=1e-8)
     assert summary.lambda2 == pytest.approx(g.d, abs=1e-8)
-    assert_lambda2_vector_contract(g, summary, v)
+    assert_lambda2_vector_contract(g, summary)
 
 
 @pytest.mark.parametrize("n, d", [(2000, 64), (1000, 100)])
@@ -582,12 +608,12 @@ def test_iterative_solve_certifies_large_degree(n, d):
     offsets = np.concatenate([half, -half])
     g = RegularGraph(n, d, np.sort((np.arange(n)[:, None] + offsets) % n, axis=1))
     closed = np.cos(2 * np.pi * np.outer(np.arange(1, n), offsets) / n).sum(axis=1)
-    summary, v = spectral._spectrum(g)
+    summary = eigen_summary(g)
     assert summary.mode == "iterative"
     assert summary.lambda2 == pytest.approx(closed.max(), abs=1e-9)
     assert summary.lambda_min == pytest.approx(closed.min(), abs=1e-9)
     assert summary.residual <= spectral.ARPACK_TOL
-    assert_lambda2_vector_contract(g, summary, v)
+    assert_lambda2_vector_contract(g, summary)
 
 
 def test_iterative_solve_is_repeatable():
@@ -596,8 +622,8 @@ def test_iterative_solve_is_repeatable():
     data = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
     text = (data / "sparse_n5000_d3.edges").read_text()
     first, second = load_edge_list(text), load_edge_list(text)
-    (s1, v1), (s2, v2) = spectral._spectrum(first), spectral._spectrum(second)
+    s1, s2 = eigen_summary(first), eigen_summary(second)
     assert s1.mode == "iterative"
     assert s1 == s2
-    assert np.array_equal(v1, v2)
-    assert_lambda2_vector_contract(first, s1, v1)
+    assert np.array_equal(s1.vector, s2.vector)
+    assert_lambda2_vector_contract(first, s1)
