@@ -11,7 +11,7 @@ The property Expan(alpha, eps, L) of a d-regular graph has two halves:
 alpha and L are LogScalar because the typical parameterization at degree d
 (alpha = d^(-1e11 ln d), L = 24/alpha) is far outside float range; every
 threshold comparison is done on logs.  Exact checks are exhaustive subset
-scans and are limited to n <= 24, the exact Cheeger limit.
+scans; ``spectral`` owns their limit, n <= 24, and the one refusal past it.
 
 Part A is decided in one place, ``_misses``: with t = ln(alpha (d-1)^l |S|),
 a ball must cover 3n/4 (4 |B| >= 3n) where t >= ln(3n/4) and reach
@@ -35,7 +35,8 @@ from .constants import PAPER_EPS, eval_constant
 from .graphs import RegularGraph, _level_sets, _vertices, bfs_distances
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
-from .spectral import CHEEGER_EXACT_LIMIT, cheeger_exact, eigen_summary, friedman_check
+from .spectral import _mask_vertices, _popcounts, _require_exact_size
+from .spectral import cheeger_exact, eigen_summary, friedman_check
 
 __all__ = [
     "ExpanParams",
@@ -99,14 +100,6 @@ class ExpanVerdict:
 # -- part A: ball growth ---------------------------------------------------------
 
 
-def _require_exact_size(g: RegularGraph, op: str, instead: str):
-    if g.n > CHEEGER_EXACT_LIMIT:
-        raise ValueError(
-            f"{op} scans all 2^n subsets and is limited to n <= {CHEEGER_EXACT_LIMIT} "
-            f"(got n={g.n}); {instead}"
-        )
-
-
 def _single_ball_masks(g: RegularGraph) -> np.ndarray:
     """single[l, v] = uint32 bitmask of B({v}, l) for l in 0..n (n <= 32).
 
@@ -118,11 +111,6 @@ def _single_ball_masks(g: RegularGraph) -> np.ndarray:
     for level, rows, bits in _level_sets(g, np.arange(g.n)):
         single[level, rows] = bits[:, 0]
     return np.bitwise_or.accumulate(single, axis=0).astype(np.uint32)
-
-
-def _popcounts(n: int) -> np.ndarray:
-    """|S| as uint8 for every subset bitmask S of n vertices."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
 
 
 def _ball_tables(g: RegularGraph):
@@ -221,10 +209,6 @@ def _growth_scan(g: RegularGraph, subset, alpha: LogScalar):
         return None
     l = int(radii[bad[0]])
     return l, int(sizes[l]), _required(alpha, d, l, len(subset), n)
-
-
-def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n) if (mask >> v) & 1)
 
 
 def growth_check_exact(g: RegularGraph, alpha) -> ExpanVerdict:
@@ -421,15 +405,6 @@ def congestion_check_instance(
     )
 
 
-def _edge_sets(member: np.ndarray) -> np.ndarray:
-    """Pack rows of a (k, m) bool edge-membership array into (k, ceil(m/64))
-    uint64 words; edge e is bit e % 64 of word e // 64."""
-    k, m = member.shape
-    packed = np.zeros((k, 8 * -(-m // 64)), dtype=np.uint8)
-    packed[:, : -(-m // 8)] = np.packbits(member, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
 def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict:
     """Part-B check over every (S, l) meeting the precondition, l <= n.
 
@@ -457,10 +432,9 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
         if not max_s:
             scales.append({"l": l, "mode": "precondition-empty", "checked": "no S"})
             continue
-        # vertices within l - 1 of either endpoint
+        # vertices within l - 1 of either endpoint; sees[e, v] = 1 when v sees e
         edge_masks = single[l - 1][edges[:, 0]] | single[l - 1][edges[:, 1]]
-        # row v: the edges that v sees
-        vertex_edges = _edge_sets(((edge_masks >> vertices[:, None]) & 1).astype(bool))
+        sees = ((edge_masks[:, None] >> vertices) & 1).astype(np.float32)
         checked = 0
         for lo in range(0, 1 << n, _MASK_CHUNK):
             masks = np.arange(lo, min(lo + _MASK_CHUNK, 1 << n), dtype=np.uint32)
@@ -468,11 +442,10 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
             masks = masks[(popc >= ceil_thr) & (popc <= max_s)]
             checked += len(masks)
             popular = np.bitwise_count(masks[:, None] & edge_masks) >= ceil_thr
-            t_sets = _edge_sets(popular)
-            nonempty = t_sets.any(axis=1)
-            masks, t_sets = masks[nonempty], t_sets[nonempty]
-            seen = np.bitwise_count(t_sets[:, None, :] & vertex_edges)  # (mask, v, word)
-            counts = seen.sum(axis=2, dtype=np.uint16)
+            nonempty = popular.any(axis=1)
+            masks, popular = masks[nonempty], popular[nonempty]
+            # counts[S, v] = |{e in T : v sees e}|, exact in float32 while m < 2^24
+            counts = popular.astype(np.float32) @ sees
             in_s = ((masks[:, None] >> vertices) & 1).astype(bool)
             failing = np.flatnonzero(~np.any(in_s & (counts <= floor_thr), axis=1))
             if failing.size:
@@ -547,11 +520,12 @@ def cheeger_growth_check(g: RegularGraph, delta: float) -> dict:
     """
     if not (0 < delta < 0.75):
         raise ValueError("delta must lie in (0, 3/4)")
-    if g.n > CHEEGER_EXACT_LIMIT:
-        raise ValueError(
-            "hypothesis h(G) >= 0.0048 d needs the exact Cheeger constant "
-            f"(n <= {CHEEGER_EXACT_LIMIT})"
-        )
+    _require_exact_size(
+        g,
+        "cheeger_growth_check",
+        "its hypothesis h(G) >= 0.0048 d needs the exact Cheeger constant, "
+        "which cheeger_upper can only refute",
+    )
     n, d = g.n, g.d
     h = cheeger_exact(g)
     hypothesis_ok = h.value >= Fraction(3, 625) * d  # 0.0048 d exactly

@@ -69,15 +69,6 @@ class LogScalar:
         """The value exp(``ln``) (``ln`` may exceed float range)."""
         return LogScalar(float(ln))
 
-    # -- conversions -------------------------------------------------------
-
-    def to_float(self) -> float:
-        """Collapse to a float; overflows to inf, underflows to 0."""
-        try:
-            return math.exp(self.ln)
-        except OverflowError:
-            return float("inf")
-
     # -- arithmetic and order ------------------------------------------------
 
     def __mul__(self, other) -> "LogScalar":

@@ -340,7 +340,10 @@ def _subfamily_moments(nm: UncondNorm, x: np.ndarray, q: float):
                 sums = (signs @ xb[:, :-1] + xb[:, -1:]).reshape(-1, k)
                 E[masks] = nm.eval_pow(sums, q).reshape(len(masks), -1).mean(axis=1)
         own = nm.eval_pow(np.ldexp(x, -own_e[:, None]), q)  # ||x_i / 2^own_e[i]||^q
-        R = np.where(bits, own * np.exp2(q * np.minimum(own_e - e[:, None], 0)), 0.0).sum(axis=1)
+        # at a large q an own power overflows to inf and its scale underflows
+        # to 0; the nan of their product fails the range check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.where(bits, own * np.exp2(q * np.minimum(own_e - e[:, None], 0)), 0.0).sum(axis=1)
     live = bits @ (top > 0) > 0
     if not (np.isfinite(E).all() and (E[live] > 0).all() and (R[live] > 0).all()):
         raise OverflowError(

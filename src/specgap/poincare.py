@@ -274,7 +274,8 @@ def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioRepor
     """Exact two-sided evaluation for one field; a lower bound on the constant.
 
     Rejects constant fields (the edge side vanishes), and fields whose
-    p-th-power sums overflow or underflow the double range.
+    p-th-power sums overflow or underflow the double range.  The report's
+    ``field`` is a copy, so later writes to ``f`` leave it as evaluated.
     """
     _check_p(p)
     x = _as_field(f, g.n)
@@ -290,7 +291,7 @@ def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioRepor
         )
     num = pairs / (g.n * g.n)
     den = edges / g.num_edges()
-    return RatioReport(num, den, num / den, p, field=x)
+    return RatioReport(num, den, num / den, p, field=x.copy())
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ from one int16 table of the cut size of every subset (2^n entries, 32 MiB
 at n = 24) built by doubling; beyond that only heuristic upper bounds are
 produced, never the lower inequality: the best sweep cut of the lambda_2
 vector and of BFS orders from 32 seeds, which one per-source sweep
-(``graphs._level_sets``) gives in (distance, vertex) order.
+(``graphs._level_sets``) gives in (distance, vertex) order.  Every exhaustive
+subset scan, here and in ``expansion``, takes from here its limit
+(CHEEGER_EXACT_LIMIT), its refusal past it (``_require_exact_size``), its
+|S| table (``_popcounts``) and its bitmask decoder (``_mask_vertices``).
 
 Each graph object is solved once: ``eigen_summary`` is the only way to its
 spectrum, and its first call stores the ``SpectralSummary``, which carries
@@ -209,6 +212,28 @@ def _ones_free(vecs: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# -- exhaustive subset scans -----------------------------------------------------
+
+
+def _require_exact_size(g: RegularGraph, op: str, instead: str):
+    """Refuse a scan of all 2^n subsets past CHEEGER_EXACT_LIMIT, naming ``instead``."""
+    if g.n > CHEEGER_EXACT_LIMIT:
+        raise ValueError(
+            f"{op} scans all 2^n subsets and is limited to n <= {CHEEGER_EXACT_LIMIT} "
+            f"(got n={g.n}); {instead}"
+        )
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """|S| as uint8 for every subset bitmask S of n vertices."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+
+
+def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
+    """The vertices of the subset bitmask ``mask``, ascending."""
+    return tuple(v for v in range(n) if (mask >> v) & 1)
+
+
 # -- Cheeger constant ----------------------------------------------------------
 
 
@@ -223,21 +248,17 @@ def cheeger_exact(g: RegularGraph) -> CheegerResult:
     """Exact expansion ratio min |boundary edges| / |S| over 1 <= |S| <= n/2.
 
     One int16 cut table over all 2^n subset bitmasks, built by doubling:
-    cut[S + v] = cut[S] + d - 2 |N(v) & S| for every S below bit v, and a
-    uint8 table of |S|, the masks' popcounts.  The least ratio is picked
+    cut[S + v] = cut[S] + d - 2 |N(v) & S| for every S below bit v, and the
+    uint8 table of |S| from ``_popcounts``.  The least ratio is picked
     exactly (the least cut per size, compared as Fractions), and the witness
     is the smallest mask attaining it.  At n = 24 the tables take 48 MiB and the
     call peaks near 120 MiB above the interpreter.  Refuses
     n > CHEEGER_EXACT_LIMIT and points the caller at cheeger_upper.
     """
+    _require_exact_size(g, "cheeger_exact", "use cheeger_upper for an upper bound")
     n, d = g.n, g.d
-    if n > CHEEGER_EXACT_LIMIT:
-        raise ValueError(
-            f"cheeger_exact is limited to n <= {CHEEGER_EXACT_LIMIT} "
-            f"(got n={n}); use cheeger_upper for an upper bound"
-        )
     nbr_masks = (1 << g.adj).sum(axis=1).astype(np.uint32)
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    sizes = _popcounts(n)
     cut = np.zeros(1 << n, dtype=np.int16)
     for v in range(n):  # doubling: the masks with top bit v extend those below it
         lo = 1 << v
@@ -251,8 +272,7 @@ def cheeger_exact(g: RegularGraph) -> CheegerResult:
     cut *= np.int16(best.denominator)
     hit = cut == sizes * np.int16(best.numerator)
     hit &= sizes - np.uint8(1) < n // 2
-    mask = int(np.argmax(hit))
-    return CheegerResult(best, frozenset(v for v in range(n) if (mask >> v) & 1), exact=True)
+    return CheegerResult(best, frozenset(_mask_vertices(int(np.argmax(hit)), n)), exact=True)
 
 
 def cheeger_upper(g: RegularGraph) -> CheegerResult:

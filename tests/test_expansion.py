@@ -39,6 +39,7 @@ from specgap.graphs import (
 from specgap.logspace import LogScalar
 from specgap.rand import as_rng, make_rng
 from specgap.sampling import sample_simple_regular
+from specgap.spectral import cheeger_exact
 
 
 TINY_ALPHA = LogScalar.from_ln(-1e9)
@@ -631,31 +632,46 @@ def test_cheeger_growth_validation():
 
 
 def test_exact_limit_is_24():
+    # every exhaustive subset scan refuses past the limit with one message,
+    # which names the limit, n and what to use instead
     g, _ = sample_simple_regular(25, 4, make_rng(25))
     params = ExpanParams(alpha=0.5, eps=0.2, L=2.0)
-    with pytest.raises(ValueError, match="n <= 24"):
-        growth_check_exact(g, 0.5)
-    with pytest.raises(ValueError, match="n <= 24"):
-        fit_growth_alpha(g)
-    with pytest.raises(ValueError, match="n <= 24.*congestion_check_instance"):
-        congestion_check_exact(g, params)
+    for scan, instead in (
+        (lambda: growth_check_exact(g, 0.5), "growth_check_sampled"),
+        (lambda: fit_growth_alpha(g), "growth_check_sampled"),
+        (lambda: congestion_check_exact(g, params), "congestion_check_instance"),
+        (lambda: cheeger_exact(g), "cheeger_upper"),
+        (lambda: cheeger_growth_check(g, 0.3), "cheeger_upper"),
+    ):
+        with pytest.raises(ValueError, match=rf"n <= 24 \(got n=25\); .*{instead}"):
+            scan()
 
 
 def test_exhaustive_checks_at_n24_bounded_memory():
-    """At the exact limit, the Cheeger growth conclusion is exhaustive and
-    growth_check_exact passes at the fitted alpha, in under 512 MiB."""
+    """At the exact limit, the Cheeger growth conclusion is exhaustive, and
+    growth_check_exact and congestion_check_exact pass at the fitted alpha,
+    in under 512 MiB."""
     pytest.importorskip("resource")
     code = textwrap.dedent(
         """
         import resource
-        from specgap.expansion import cheeger_growth_check, fit_growth_alpha, growth_check_exact
+        from specgap.expansion import (
+            ExpanParams,
+            cheeger_growth_check,
+            congestion_check_exact,
+            fit_growth_alpha,
+            growth_check_exact,
+        )
         from specgap.rand import make_rng
         from specgap.sampling import sample_simple_regular
 
         g, _ = sample_simple_regular(24, 3, make_rng(24))
         report = cheeger_growth_check(g, 0.3)
         assert report["conclusion_ok"] and report["mode"] == "exhaustive", report
-        assert growth_check_exact(g, fit_growth_alpha(g)).status == "pass"
+        alpha = fit_growth_alpha(g)
+        assert growth_check_exact(g, alpha).status == "pass"
+        params = ExpanParams(alpha=alpha, eps=0.2, L=2.0)
+        assert congestion_check_exact(g, params).status == "pass"
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         assert peak_mib < 512, peak_mib
         """
@@ -678,4 +694,4 @@ def test_params_validation():
     p = ExpanParams.paper(6)
     assert p.eps == 0.2
     assert p.alpha.ln == pytest.approx(-1e11 * math.log(6) ** 2)
-    assert (p.L * p.alpha).to_float() == pytest.approx(24.0, rel=1e-3)
+    assert math.exp((p.L * p.alpha).ln) == pytest.approx(24.0, rel=1e-3)

@@ -574,6 +574,16 @@ def test_restricted_cotype_refuses_infinite_q():
             restricted_cotype_constant(Lq(math.inf), np.eye(3), math.inf)
 
 
+def test_restricted_cotype_at_a_huge_q_raises_overflow_not_a_warning():
+    # ||x_i||^5000 overflows and its scale 2^(-5000 t) underflows, and their
+    # product used to warn "invalid value encountered in multiply" first
+    x = np.random.default_rng(0).normal(size=(12, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="leave the double range"):
+            restricted_cotype_check(Lq(2), x, 5000, 2.0)
+
+
 def test_subfamily_moments_out_of_range_raise():
     # 2^-2000 (the unit vectors scaled to 1/2, to the power 2000) underflows
     with pytest.raises(OverflowError, match="leave the double range"):

@@ -36,6 +36,15 @@ def test_ratio_k4_hand_value():
     assert rep.ratio == pytest.approx(0.75)
 
 
+def test_ratio_report_owns_its_field():
+    # the report kept the caller's array, so zeroing it zeroed report.field
+    f = np.arange(10.0)
+    rep = poincare_ratio(petersen_graph(), f, Lq(2), 2)
+    f[:] = 0
+    assert rep.field[:, 0].tolist() == list(range(10))
+    assert rep.ratio == poincare_ratio(petersen_graph(), rep.field, Lq(2), 2).ratio
+
+
 def test_ratio_indicator_field():
     g = petersen_graph()
     f = np.zeros(10)
