@@ -11,7 +11,7 @@ a closed form's parameter list is the constant's requirement list, which
 The paper's parameterization at degree d is defined here once: alpha(d) and
 L(d) = 24/alpha(d) as the constants "alpha_d" and "L_d", eps as PAPER_EPS;
 ``expansion.ExpanParams.paper`` reads them.  The integer constant L0 is
-also exact as ``L0_VALUE``.
+``L0_VALUE``, and the scale weights a_i are summed by ``partial_a_sum``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ PAPER_EPS = 0.2  # eps of the paper's parameterization
 
 
 def partial_a_sum(n_terms: int) -> float:
-    """sum_{i<=n_terms} a_i, accumulated small-to-large for accuracy."""
+    """sum_{i<=n_terms} a_i of the summable scale weights a_i = (6/pi^2) / i^2
+    (they sum to 1), accumulated small-to-large for accuracy."""
     idx = np.arange(n_terms, 0, -1, dtype=np.float64)
     return float((6.0 / math.pi**2) * np.sum(1.0 / (idx * idx)))
 
@@ -68,16 +69,12 @@ _LN = {
     ),
     # alpha(d) = d^(-1e11 ln d), the typical ball-growth rate, and L = 24/alpha
     "alpha_d": lambda d: -1e11 * math.log(d) ** 2,
-    "eps_d": lambda: math.log(PAPER_EPS),
     "L_d": lambda d: math.log(24.0) - _LN["alpha_d"](d),
     "eta": lambda d: -(2 * math.log(12.0) + 3.0 + (2 * L0_VALUE + 2) * math.log(d - 1.0)),
-    "L0": lambda: math.log(L0_VALUE),
     "K": lambda d: (
         math.log((d - 2.1 * math.sqrt(d - 1.0)) / 2.0)
         + (L0_VALUE - 1) * math.log(1.5 - 1.05 * math.sqrt(d - 1.0) / d)
     ),
-    # the summable scale weights a_i = (6/pi^2) / i^2 (they sum to 1)
-    "a_i": lambda i: math.log(6.0 / math.pi**2) - 2.0 * math.log(i),
     "OS_bound_i": lambda q, C, d, lambda2: (
         (3616 * q + 450) * math.log(2.0) + (384 * q + 104) * math.log(q)
         + (129 * q + 4) * math.log(C) + 8 * (math.log(d) - math.log(d - lambda2))
@@ -97,26 +94,25 @@ _CHECKS = {
     **dict.fromkeys("q C K eps".split(), ("finite and > 0", lambda x: math.isfinite(x) and x > 0)),
     **dict.fromkeys(("alpha", "L"), ("> 0 with a finite ln", lambda x: math.isfinite(x.ln))),
     "d": ("an integer >= 3", lambda x: isinstance(x, numbers.Integral) and x >= 3),
-    "i": ("an integer >= 1", lambda x: isinstance(x, numbers.Integral) and x >= 1),
     "lambda2": ("finite", math.isfinite),
 }
 
 
 def eval_constant(
-    name: str, *, q=None, C=None, K=None, d=None, alpha=None, eps=None, L=None, i=None, lambda2=None
+    name: str, *, q=None, C=None, K=None, d=None, alpha=None, eps=None, L=None, lambda2=None
 ) -> LogScalar:
     """Evaluate one named constant in log space.
 
     Only the constant's own parameters are read, and each is checked first:
-    d is an integer >= 3, i an integer >= 1, q, C, K and eps are finite and
-    > 0, alpha and L (real numbers or LogScalar) are > 0 with a finite ln,
-    and lambda2 is finite and < d.  A closed form whose log leaves the double
-    range raises OverflowError.  The paper's alpha and L at degree d are
+    d is an integer >= 3, q, C, K and eps are finite and > 0, alpha and L
+    (real numbers or LogScalar) are > 0 with a finite ln, and lambda2 is
+    finite and < d.  A closed form whose log leaves the double range raises
+    OverflowError.  The paper's alpha and L at degree d are
     ``eval_constant("alpha_d", d=d)`` and ``eval_constant("L_d", d=d)``.
     """
     if name not in _LN:
         raise ValueError(f"unknown constant id {name!r}; known: {CONSTANT_IDS}")
-    given = dict(q=q, C=C, K=K, d=d, alpha=alpha, eps=eps, L=L, i=i, lambda2=lambda2)
+    given = dict(q=q, C=C, K=K, d=d, alpha=alpha, eps=eps, L=L, lambda2=lambda2)
     missing = [k for k in _NEEDS[name] if given[k] is None]
     if missing:
         raise ValueError(f"{name} is missing parameter(s): {', '.join(missing)}")

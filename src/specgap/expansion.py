@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import PAPER_EPS, eval_constant
-from .graphs import RegularGraph, _level_sets, _vertices, bfs_distances
+from .graphs import _CHUNK_ENTRIES, RegularGraph, _level_sets, _vertices, bfs_distances
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
 from .spectral import _mask_vertices, _popcounts, _require_exact_size
@@ -355,17 +355,11 @@ def congestion_check_instance(
         raise ExpanPreconditionError(
             f"alpha (d-1)^(l-1) |S| exceeds 3n/4 at l={l}, |S|={len(subset)}"
         )
-    edges = g.edges()
-    ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, len(edges)))
+    ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, g.num_edges()))
     if ceil_thr is None or ceil_thr > len(subset):
         # T is empty: no edge can be seen by >= threshold vertices of S
-        return ExpanVerdict(
-            part="B",
-            mode="exact",
-            status="pass",
-            witness={"v": int(subset[0]), "T_size": 0, "l": l},
-            details={"T": ()},
-        )
+        witness = {"v": int(subset[0]), "T_size": 0, "l": l}
+        return ExpanVerdict(part="B", mode="exact", status="pass", witness=witness, details={"T": ()})
     # a vertex of S sees edge e when an endpoint of e lies within l - 1 of it:
     # near[v] holds the bits of the vertices of S within l - 1 of v, and
     # sees[e] those of the vertices of S that see e
@@ -374,14 +368,14 @@ def congestion_check_instance(
         if level == l:
             break
         near[rows] |= bits
-    eu, ew = np.array(edges, dtype=np.int64).T
-    sees = near[eu] | near[ew]
+    edges = g.edges()
+    sees = near[edges[:, 0]] | near[edges[:, 1]]
     t_edges = np.flatnonzero(np.bitwise_count(sees).sum(axis=1) >= ceil_thr)
-    details = {"T": tuple(edges[i] for i in t_edges)}
+    details = {"T": tuple(map(tuple, edges[t_edges].tolist()))}
     # the edges of T that each vertex of S sees, from the bits of sees[T]
-    # unpacked in blocks of about 4 MiB
+    # unpacked in blocks of at most _CHUNK_ENTRIES
     counts = np.zeros(len(subset), dtype=np.int64)
-    step = max(1, (1 << 22) // len(subset))
+    step = max(1, _CHUNK_ENTRIES // len(subset))
     for start in range(0, len(t_edges), step):
         octets = sees[t_edges[start : start + step]].astype("<u8", copy=False).view(np.uint8)
         seen = np.unpackbits(octets, axis=1, count=len(subset), bitorder="little")
@@ -417,13 +411,12 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
         g, "congestion_check_exact", "check single (S, l) with congestion_check_instance"
     )
     n, d = g.n, g.d
-    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
-    m = len(edges)
+    edges = g.edges()
     single = _single_ball_masks(g)
     vertices = np.arange(n, dtype=np.uint32)
     scales = []
     for l in range(1, n + 1):
-        ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, m))
+        ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, len(edges)))
         if ceil_thr is None or ceil_thr > n:
             scales.append({"l": l, "mode": "empty-T", "checked": "all S"})
             continue
@@ -529,7 +522,8 @@ def cheeger_growth_check(g: RegularGraph, delta: float) -> dict:
     n, d = g.n, g.d
     h = cheeger_exact(g)
     hypothesis_ok = h.value >= Fraction(3, 625) * d  # 0.0048 d exactly
-    l_star = math.ceil(math.log(3.0 / (4.0 * delta)) / math.log(1.0016) - 1e-12)
+    # in log space: 3 / (4 delta) overflows for delta below about 4.2e-309
+    l_star = math.ceil((math.log(0.75) - math.log(delta)) / math.log(1.0016) - 1e-12)
     gamma = LogScalar.from_ln(l_star * (math.log(1.0016) - math.log(d - 1)))
     report = {
         "h": float(h.value),

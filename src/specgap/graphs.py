@@ -3,14 +3,17 @@ I/O.
 
 A graph is ``RegularGraph``: its ``adj`` is a read-only int64 (n, d) array
 whose row v lists the neighbours of v in increasing order; every operation
-of the package reads that array.  Vertices are 0-based ints.  The
+of the package reads that array.  Vertices are 0-based ints.  The edges are
+one new int64 (m, 2) array, ``edges()``, of the rows (u, v), u < v, sorted;
+every edge reader (part B's checks, the Poincare edge sum, the edge-list
+writer) takes it as it is, and no list of edge tuples is built.  The
 constructor enforces the invariant on every path (``from_edges``, the edge
 list reader, the named graphs and the sampler alike): it rejects rows with
 labels outside [0, n), loops, repeated or one-sided neighbours, and d < 3,
-so no other code validates neighbour rows.  Instances are
-immutable after construction and every operation here is a pure function,
-so they are safe to share across threads and worker processes.  The one
-private slot, ``_summary``, holds the graph's certified spectrum once
+so no other code validates neighbour rows.  Instances are immutable after
+construction and every operation here is a pure function, so they are safe
+to share across threads and worker processes.  The one private slot,
+``_summary``, holds the graph's certified spectrum once
 ``spectral.eigen_summary`` has solved it.  It is not a constructor argument,
 so neither ``RegularGraph(...)`` nor ``dataclasses.replace`` can set it or
 carry it to another graph, and it is excluded from equality, hashing and
@@ -48,9 +51,10 @@ __all__ = [
 
 INF = float("inf")
 
-# distance_sum sweeps about this many (source, vertex) pairs per block of
-# sources: one bit each, so each (n, c / 64) word array of the sweep is 512 KiB.
-DISTANCE_CHUNK_ENTRIES = 1 << 22
+# Entries per numpy block of the graph kernels: bits of distance_sum's sweep
+# (512 KiB words), floats of the Poincare kernels (32 MiB) and unpacked
+# (edge, vertex) bits of part B's counts (4 MiB).
+_CHUNK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +149,10 @@ class RegularGraph:
     def __hash__(self):
         return hash((self.n, self.d, self.adj.tobytes()))
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Canonical (u < v) edge list, sorted."""
-        u, j = np.nonzero(self.adj > np.arange(self.n)[:, None])
-        return list(zip(u.tolist(), self.adj[u, j].tolist()))
+    def edges(self) -> np.ndarray:
+        """The edges as a new int64 (m, 2) array of rows (u, v), u < v, sorted."""
+        upper = self.adj > np.arange(self.n)[:, None]
+        return np.stack([np.nonzero(upper)[0], self.adj[upper]], axis=1)
 
     def num_edges(self) -> int:
         return self.n * self.d // 2
@@ -246,10 +250,10 @@ def distance_sum(g: RegularGraph) -> float:
     """sum_{v, w} dist(v, w) over ordered pairs; ``inf`` when disconnected.
 
     Counts the set bits of each level of the per-source sweep, over blocks
-    of DISTANCE_CHUNK_ENTRIES // n sources (at least one), in order.
+    of _CHUNK_ENTRIES // n sources (at least one), in order.
     """
     total = 0
-    step = max(1, DISTANCE_CHUNK_ENTRIES // g.n)
+    step = max(1, _CHUNK_ENTRIES // g.n)
     for start in range(0, g.n, step):
         src = np.arange(start, min(start + step, g.n))
         found = 0
@@ -337,7 +341,7 @@ def _edge_rows(text: str) -> list[tuple[int, int]]:
 
 def save_edge_list(g: RegularGraph) -> str:
     lines = [f"{g.n} {g.d}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
+    lines += [f"{u} {v}" for u, v in g.edges().tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -345,38 +349,37 @@ def save_edge_list(g: RegularGraph) -> str:
 
 
 def complete_graph(k: int) -> RegularGraph:
-    return RegularGraph.from_edges(
-        k, [(i, j) for i in range(k) for j in range(i + 1, k)]
-    )
+    return RegularGraph.from_edges(k, np.stack(np.triu_indices(k, 1), axis=1))
 
 
 def complete_bipartite(a: int, b: int) -> RegularGraph:
     if a != b:
         raise ValueError("only balanced complete bipartite graphs are regular")
-    return RegularGraph.from_edges(
-        2 * a, [(i, a + j) for i in range(a) for j in range(a)]
-    )
+    i, j = np.divmod(np.arange(a * a), a)
+    return RegularGraph.from_edges(2 * a, np.stack([i, a + j], axis=1))
+
+
+def _generalized_petersen(m: int, k: int) -> RegularGraph:
+    """GP(m, k): the rim i ~ i + 1, the inner polygon m + i ~ m + (i + k) and
+    the spokes i ~ m + i, for i in [0, m), taken mod m within each ring."""
+    i = np.arange(m)
+    u = np.concatenate([i, m + i, i])
+    v = np.concatenate([(i + 1) % m, m + (i + k) % m, m + i])
+    return RegularGraph.from_edges(2 * m, np.stack([u, v], axis=1))
 
 
 def petersen_graph() -> RegularGraph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return RegularGraph.from_edges(10, outer + inner + spokes)
+    return _generalized_petersen(5, 2)
 
 
 def circular_ladder(m: int) -> RegularGraph:
     """Prism graph C_m x K_2: 3-regular on 2m vertices, diameter ~ m/2."""
     if m < 3:
         raise ValueError("need m >= 3")
-    rim1 = [(i, (i + 1) % m) for i in range(m)]
-    rim2 = [(m + i, m + (i + 1) % m) for i in range(m)]
-    rungs = [(i, m + i) for i in range(m)]
-    return RegularGraph.from_edges(2 * m, rim1 + rim2 + rungs)
+    return _generalized_petersen(m, 1)
 
 
 def disjoint_union(g1: RegularGraph, g2: RegularGraph) -> RegularGraph:
     if g1.d != g2.d:
         raise ValueError("components must share the degree")
-    edges = g1.edges() + [(u + g1.n, v + g1.n) for u, v in g2.edges()]
-    return RegularGraph.from_edges(g1.n + g2.n, edges)
+    return RegularGraph.from_edges(g1.n + g2.n, np.concatenate([g1.edges(), g2.edges() + g1.n]))

@@ -250,10 +250,16 @@ def lift_l1(base: UncondNorm, k: int, m: int) -> BlockNorm:
 # -- Rademacher machinery --------------------------------------------------------
 
 
+def _subset_bits(m: int) -> np.ndarray:
+    """The uint32 (2^m, m) table bits[A, i] = [bit i of A is set]."""
+    bits = np.arange(1 << m, dtype=np.uint32)[:, None] >> np.arange(m, dtype=np.uint32)
+    bits &= 1
+    return bits
+
+
 def sign_patterns(m: int) -> np.ndarray:
     """All 2^m sign rows in {-1, +1}^m, in bit order."""
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    return (2 * bits - 1).astype(float)
+    return 2.0 * _subset_bits(m) - 1.0
 
 
 def _as_matrix(vectors) -> np.ndarray:
@@ -322,7 +328,7 @@ def _subfamily_moments(nm: UncondNorm, x: np.ndarray, q: float):
         raise ValueError(f"exact restricted cotype scan needs m <= {RESTRICTED_EXACT_LIMIT}")
     if not 2 <= q < math.inf:
         raise ValueError(f"cotype exponent q must be >= 2 and finite, got {q}")
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # bits[A, i] = [i in A]
+    bits = _subset_bits(m)  # bits[A, i] = [i in A]
     top = np.abs(x).max(axis=1)
     own_e = np.frexp(top)[1]  # 2^(e-1) <= top < 2^e
     own_e[top == 0] = own_e[top > 0].min(initial=0)  # a zero vector sets no scale

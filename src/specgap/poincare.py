@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import RegularGraph, bfs_distances, distance_sum
+from .graphs import _CHUNK_ENTRIES, RegularGraph, bfs_distances, distance_sum
 from .norms import _SQUARING_MAX, Lq, UncondNorm, _powers
 from .rand import as_rng
 from .spectral import eigen_summary
@@ -104,10 +104,9 @@ def _as_field(f, n: int) -> np.ndarray:
     return x
 
 
-# Entries per block of the all-pairs kernels (about 32 MiB of floats), and a
-# cap on the rows of a block so the wasted half of each diagonal block of the
-# upper-triangle kernels stays small.
-_CHUNK_ENTRIES = 1 << 22
+# A cap on the rows of a block of the all-pairs kernels (which hold at most
+# _CHUNK_ENTRIES entries each), so the wasted half of each diagonal block of
+# the upper-triangle kernels stays small.
 _TRIANGLE_ROWS = 64
 
 
@@ -260,9 +259,9 @@ def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
 def _edge_sum(x: np.ndarray, g: RegularGraph, nm: UncondNorm, p: float) -> float:
     """sum over edges u < v of ||x_u - x_v||^p, in ``g.edges()`` order,
     gathered from a coordinate-major copy of x."""
-    u, j = np.nonzero(g.adj > np.arange(g.n)[:, None])
+    u, v = g.edges().T
     xt = np.ascontiguousarray(x.T)
-    return float(nm._pow_kernel(xt[:, u] - xt[:, g.adj[u, j]], p).sum())
+    return float(nm._pow_kernel(xt[:, u] - xt[:, v], p).sum())
 
 
 def _check_p(p: float) -> None:

@@ -209,7 +209,7 @@ class _Pairing:
         a, b = first[doubles[:, 0]], first[doubles[:, 1]]
         b = np.where(b // d == a // d, b, self.partner[b])
         self.loops = first[loops].tolist()
-        self.doubles = list(zip(a.tolist(), b.tolist()))
+        self.doubles = np.stack([a, b], axis=1).tolist()
         ends = np.concatenate([first[loops], a, b])
         ends = np.concatenate([ends, self.partner[ends]])
         self.single = np.ones(n * d, dtype=bool)

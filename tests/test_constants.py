@@ -15,14 +15,6 @@ from specgap.constants import (
 from specgap.logspace import LogScalar
 
 
-def test_eps_and_a_sequence():
-    assert math.exp(eval_constant("eps_d").ln) == pytest.approx(0.2)
-    a1 = math.exp(eval_constant("a_i", i=1).ln)
-    assert a1 == pytest.approx(6 / math.pi**2)
-    assert a1 == pytest.approx(0.607927, abs=1e-6)
-    assert math.exp(eval_constant("a_i", i=3).ln) == pytest.approx(a1 / 9)
-
-
 def test_alpha_growth_rate_log_value():
     a6 = eval_constant("alpha_d", d=6)
     assert a6.ln == pytest.approx(-1e11 * math.log(6) ** 2)
@@ -184,7 +176,7 @@ def test_unknown_constant_and_missing_params():
 
 
 # One valid value per parameter of eval_constant.
-VALID = dict(q=2, C=1.5, K=2, d=6, alpha=0.5, eps=0.2, L=3.0, i=2, lambda2=2 * math.sqrt(5))
+VALID = dict(q=2, C=1.5, K=2, d=6, alpha=0.5, eps=0.2, L=3.0, lambda2=2 * math.sqrt(5))
 
 
 def test_every_constant_reads_exactly_its_parameters():
@@ -208,12 +200,11 @@ def test_every_constant_reads_exactly_its_parameters():
         needs[name] = needed
     assert needs["Gamma"] == ["q", "C", "K", "d", "alpha", "eps", "L"]
     assert needs["OS_bound_ii"] == ["q", "d", "lambda2"]
-    assert needs["eps_d"] == needs["L0"] == []
+    assert needs["alpha_d"] == needs["eta"] == ["d"]
 
 
 def test_integer_parameters_accept_numpy_integers():
     assert eval_constant("K", d=np.int64(6)) == eval_constant("K", d=6)
-    assert eval_constant("a_i", i=np.int32(3)) == eval_constant("a_i", i=3)
 
 
 GAMMA = dict(q=1, C=1, K=1, d=3, alpha=1, eps=1, L=1)
@@ -237,8 +228,8 @@ GAMMA = dict(q=1, C=1, K=1, d=3, alpha=1, eps=1, L=1)
         ("K", dict(d=1), "d"),
         ("eta", dict(d=2), "d"),
         ("c", dict(d=2, alpha=1), "d"),
-        ("a_i", dict(i=2.5), "i"),
-        ("a_i", dict(i=0), "i"),
+        ("Gamma", dict(GAMMA, C=0), "C"),
+        ("Gamma", dict(GAMMA, K=math.nan), "K"),
         ("OS_bound_ii", dict(q=2, d=3, lambda2=math.nan), "lambda2"),
         ("OS_bound_ii", dict(q=2, d=3, lambda2=3.0), "lambda2"),
     ],

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import specgap
+from specgap import expansion
 from specgap.constants import eval_constant
 from specgap.expansion import (
     _LN_GUARD,
@@ -29,11 +31,13 @@ from specgap.expansion import (
     spectral_sufficient_check,
 )
 from specgap.graphs import (
+    RegularGraph,
     bfs_distances,
     circular_ladder,
     complete_bipartite,
     complete_graph,
     disjoint_union,
+    load_edge_list,
     petersen_graph,
 )
 from specgap.logspace import LogScalar
@@ -432,7 +436,7 @@ def test_congestion_instance_memory_at_n5000():
 def reference_congestion_instance(g, s, l, params):
     """Part B for one (S, l) by loops over edges and vertices of S."""
     subset = sorted(set(s))
-    edges = g.edges()
+    edges = list(map(tuple, g.edges().tolist()))
     ceil_thr, floor_thr = _threshold_ints(params, g.d, l, max(g.n, len(edges)))
     if ceil_thr is None or ceil_thr > len(subset):
         return "pass", {"v": subset[0], "T_size": 0, "l": l}, ()
@@ -476,6 +480,42 @@ def test_congestion_instance_matches_loop_reference():
                     assert (v.status, v.witness, v.details["T"]) == (status, witness, t_edges)
                     statuses.add((status, len(t_edges) > 0))
     assert statuses == {("pass", False), ("pass", True), ("fail", True)}
+
+
+@pytest.mark.parametrize("entries", [1, 7, 40])
+def test_congestion_instance_counts_in_small_blocks(monkeypatch, entries):
+    # the bits of sees[T] are unpacked in blocks of _CHUNK_ENTRIES // |S|
+    # edges (at least one); any block size gives the loop reference's verdict
+    monkeypatch.setattr(expansion, "_CHUNK_ENTRIES", entries)
+    rng = make_rng(31)
+    g = sample_simple_regular(30, 3, make_rng(30))[0]
+    blocks, statuses = [], set()
+    for p in (ExpanParams(alpha=0.05, eps=1.0, L=1.0), ExpanParams(alpha=0.05, eps=0.2, L=2.0)):
+        for l in (1, 2, 3):
+            for size in (2, 5, 10):
+                s = rng.choice(g.n, size=size, replace=False).tolist()
+                try:
+                    v = congestion_check_instance(g, s, l, p)
+                except ExpanPreconditionError:
+                    continue
+                status, witness, t_edges = reference_congestion_instance(g, s, l, p)
+                assert (v.status, v.witness, v.details["T"]) == (status, witness, t_edges)
+                blocks.append(-(-len(t_edges) // max(1, entries // size)))
+                statuses.add(status)
+    assert max(blocks) > 1
+    assert statuses == {"pass", "fail"}
+
+
+def test_congestion_instance_empty_t_builds_no_edge_array(monkeypatch):
+    # at the paper's parameters L (d-1-eps)^l exceeds every count, so T is
+    # empty and the verdict needs no edge
+    def no_edges(self):
+        raise AssertionError("the empty-T path read the edges")
+
+    g, _ = sample_simple_regular(20, 6, make_rng(6))
+    monkeypatch.setattr(RegularGraph, "edges", no_edges)
+    v = congestion_check_instance(g, range(5), 2, ExpanParams.paper(6))
+    assert (v.status, v.witness, v.details) == ("pass", {"v": 0, "T_size": 0, "l": 2}, {"T": ()})
 
 
 def reference_congestion_exact(g, params):
@@ -615,6 +655,18 @@ def test_cheeger_growth_formulas():
     assert rep["gamma_ln"] == pytest.approx(254 * math.log(1.0016 / 2.0), rel=1e-12)
     assert rep["hypothesis_ok"]  # h = 2 >= 0.0144
     assert rep["conclusion_ok"]
+
+
+def test_cheeger_growth_at_a_subnormal_delta():
+    # 3 / (4 delta) overflows for delta below about 4.2e-309, so l* is taken
+    # in log space
+    data = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
+    g = load_edge_list((data / "small_n14_d4.edges").read_text())
+    rep = cheeger_growth_check(g, 1e-310)
+    assert rep["l_star"] == 446_303
+    assert rep["gamma_ln"] == pytest.approx(446_303 * math.log(1.0016 / 3.0), rel=1e-12)
+    assert rep["hypothesis_ok"] and rep["conclusion_ok"]
+    assert cheeger_growth_check(g, 0.3)["l_star"] == 574
 
 
 def test_cheeger_growth_whole_vertex_set():

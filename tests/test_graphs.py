@@ -48,7 +48,9 @@ def deque_bfs(g, sources):
 def test_k4_construction():
     g = complete_graph(4)
     assert (g.n, g.d) == (4, 3)
-    assert g.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = g.edges()
+    assert edges.dtype == np.int64 and edges.shape == (6, 2)
+    assert edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 def reference_from_edges(n, edges):
@@ -460,7 +462,7 @@ def test_edge_list_roundtrip_relabelled(nd, seed, random):
     for graph in (g, h):
         back = load_edge_list(save_edge_list(graph))
         assert back == graph and hash(back) == hash(graph)
-        assert back.edges() == graph.edges()
+        assert np.array_equal(back.edges(), graph.edges())
     # the same edge set, listed in another order and orientation
     flipped = RegularGraph.from_edges(n, [(v, u) for u, v in reversed(edges)])
     assert flipped == h and hash(flipped) == hash(h)
@@ -506,7 +508,7 @@ def test_distance_rows_match_bfs():
 
 
 def test_distance_rows_blocks(monkeypatch):
-    # distance_sum sweeps DISTANCE_CHUNK_ENTRIES // n sources at a time
+    # distance_sum sweeps _CHUNK_ENTRIES // n sources at a time
     # (at least one), in order, and any block size gives the same sum
     sweeps = []
     sweep = graphs._level_sets
@@ -519,7 +521,7 @@ def test_distance_rows_blocks(monkeypatch):
     for g in (circular_ladder(9), disjoint_union(complete_graph(4), petersen_graph())):
         want = float(_bfs_table(g, range(g.n)).sum())
         for entries in (1, 5 * g.n, 17 * g.n, g.n * g.n, 1 << 22):
-            monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(graphs, "_CHUNK_ENTRIES", entries)
             sweeps.clear()
             assert distance_sum(g) == want, (g.n, entries)
             step = max(1, entries // g.n)
@@ -577,7 +579,7 @@ def test_distance_rows_match_csgraph(g, length, block_rows, data):
     total = float(every.sum())
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", block_rows * g.n)
+            mp.setattr(graphs, "_CHUNK_ENTRIES", block_rows * g.n)
         assert distance_sum(g) == total
         (row,) = uc_experiment([g])
     assert row["avg_distance"] == total / g.n**2

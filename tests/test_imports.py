@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import specgap
+from specgap import constants
 
 SCRIPT = r"""
 import json, pkgutil, sys
@@ -169,9 +170,7 @@ def test_every_exported_function_has_a_caller():
 
 # Defaulted parameters of public functions that no library or bench/ call
 # sets, and why each one stays
-UNSET = {
-    ("eval_constant", "i"): "the index of the paper's a_i, which no report evaluates yet",
-}
+UNSET = {}
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
@@ -197,3 +196,41 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                 set_.add((fn, param))
     assert set(UNSET) <= set(defaulted)
     assert sorted(set(defaulted) - set_ - set(UNSET)) == []
+
+
+# Closed forms of constants._LN that no library or bench/ call evaluates and
+# no other closed form reads, and why each one stays
+UNEVALUATED = {
+    "c": "the paper's constant c = alpha^2 / (48 d (d - 1)), defined nowhere else",
+    "eta": "the paper's constant eta(d), defined nowhere else",
+}
+
+
+def test_every_constant_is_evaluated_or_read():
+    # a constant counts as evaluated where a library or bench/ module calls
+    # eval_constant with its name as a string literal, and as read where
+    # another closed form of the table subscripts _LN with it
+    _, trees = _sources()
+    evaluated = {
+        call.args[0].value
+        for tree in trees
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == "eval_constant"
+        and call.args
+        and isinstance(call.args[0], ast.Constant)
+    }
+    table = next(
+        node.value
+        for node in ast.parse(Path(constants.__file__).read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_LN"]
+    )
+    read = {
+        sub.slice.value
+        for form in table.values
+        for sub in ast.walk(form)
+        if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "_LN"
+    }
+    assert [key.value for key in table.keys] == list(constants._LN)
+    assert set(UNEVALUATED) <= set(constants._LN) - evaluated - read
+    assert sorted(set(constants._LN) - evaluated - read - set(UNEVALUATED)) == []

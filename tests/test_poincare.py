@@ -669,7 +669,7 @@ def test_average_distance_matches_bfs_double_loop(seed, size):
 @pytest.mark.parametrize("block_entries", [1 << 22, 3 * 14])
 def test_average_distance_disjoint_union_is_infinite(monkeypatch, block_entries):
     # 3 * 14 entries: distance_sum sweeps the 14 sources in blocks of three
-    monkeypatch.setattr(graphs, "DISTANCE_CHUNK_ENTRIES", block_entries)
+    monkeypatch.setattr(graphs, "_CHUNK_ENTRIES", block_entries)
     g = disjoint_union(complete_graph(4), petersen_graph())
     (row,) = uc_experiment([g])
     assert (row["avg_distance"], row["avg_distance_distinct"]) == (math.inf, math.inf)
