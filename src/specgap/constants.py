@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,17 @@ PAPER_EPS = 0.2  # eps of the paper's parameterization
 
 def partial_a_sum(n_terms: int) -> float:
     """sum_{i<=n_terms} a_i of the summable scale weights a_i = (6/pi^2) / i^2
-    (they sum to 1), accumulated small-to-large for accuracy."""
+    (they sum to 1), accumulated small-to-large for accuracy, in one float64
+    array.  ``n_terms`` is an integer >= 0 (``operator.index``), not a bool."""
+    if isinstance(n_terms, bool):
+        raise TypeError(f"n_terms must be an integer >= 0, not a bool ({n_terms!r})")
+    n_terms = operator.index(n_terms)
+    if n_terms < 0:
+        raise ValueError(f"n_terms must be an integer >= 0, got {n_terms}")
     idx = np.arange(n_terms, 0, -1, dtype=np.float64)
-    return float((6.0 / math.pi**2) * np.sum(1.0 / (idx * idx)))
+    np.multiply(idx, idx, out=idx)
+    np.divide(1.0, idx, out=idx)
+    return float((6.0 / math.pi**2) * idx.sum())
 
 
 # Each constant's natural log as a function of exactly the parameters it

@@ -20,6 +20,13 @@ ln |B| >= t elsewhere, ties passing.  The exhaustive scan applies it to the
 single-vertex ball covers 3n/4; the sampled scan, which can only falsify,
 applies it at the radii before its ball covers 3n/4.  Part B's precondition
 reads the same t at l - 1.
+
+Part B's exact scan compares counts with one threshold, the ceiling of
+``_threshold_ints``.  A scale whose ceiling exceeds n, a subset smaller than
+it and an edge with fewer seers than it (the vertices of the whole graph
+within l - 1 of an endpoint) all stay out of every T, so the scan drops
+them; a scale left with no edge or no subset size is decided by this seers
+bound alone, without a mask block.
 """
 
 from __future__ import annotations
@@ -399,13 +406,42 @@ def congestion_check_instance(
     )
 
 
+def _first_failing_mask(n: int, edge_masks, ceil_thr: int, floor_thr: int, max_s: int):
+    """Smallest subset bitmask S with ceil_thr <= |S| <= max_s in which
+    every vertex sees more than floor_thr edges of T, or None; edge e is in
+    T when at least ceil_thr vertices of S lie in edge_masks[e]."""
+    vertices = np.arange(n, dtype=np.uint32)
+    # sees[e, v] = 1 when v sees e
+    sees = ((edge_masks[:, None] >> vertices) & 1).astype(np.float32)
+    for lo in range(0, 1 << n, _MASK_CHUNK):
+        masks = np.arange(lo, min(lo + _MASK_CHUNK, 1 << n), dtype=np.uint32)
+        popc = np.bitwise_count(masks)
+        masks = masks[(popc >= ceil_thr) & (popc <= max_s)]
+        popular = np.bitwise_count(masks[:, None] & edge_masks) >= ceil_thr
+        nonempty = popular.any(axis=1)
+        masks, popular = masks[nonempty], popular[nonempty]
+        # counts[S, v] = |{e in T : v sees e}|, exact in float32 while m < 2^24
+        counts = popular.astype(np.float32) @ sees
+        in_s = ((masks[:, None] >> vertices) & 1).astype(bool)
+        failing = np.flatnonzero(~np.any(in_s & (counts <= floor_thr), axis=1))
+        if failing.size:
+            return int(masks[failing[0]])
+    return None
+
+
 def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict:
     """Part-B check over every (S, l) meeting the precondition, l <= n.
 
-    Two prunings keep the scan honest but feasible: a scale whose threshold
-    exceeds n cannot put any edge into T (pass for every S), and subsets
-    smaller than the threshold cannot either.  A failure carries the
-    smallest failing subset bitmask at the smallest failing l.
+    Three prunings keep the scan honest but feasible, all read from the
+    ceiling of ``_threshold_ints``: a scale whose threshold exceeds n cannot
+    put any edge into T (pass for every S); subsets smaller than the
+    threshold cannot either; and an edge seen by fewer vertices of the whole
+    graph than the threshold is in no S's T, so it is dropped, and a scale
+    left with no edge passes for every S without a mask block (the seers
+    bound).  A scanned scale's ``checked`` counts the candidate subsets in
+    its size window, each decided by a mask block or by the seers bound.  A
+    failure carries the smallest failing subset bitmask at the smallest
+    failing l.
     """
     _require_exact_size(
         g, "congestion_check_exact", "check single (S, l) with congestion_check_instance"
@@ -413,7 +449,6 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
     n, d = g.n, g.d
     edges = g.edges()
     single = _single_ball_masks(g)
-    vertices = np.arange(n, dtype=np.uint32)
     scales = []
     for l in range(1, n + 1):
         ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, len(edges)))
@@ -425,28 +460,19 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
         if not max_s:
             scales.append({"l": l, "mode": "precondition-empty", "checked": "no S"})
             continue
-        # vertices within l - 1 of either endpoint; sees[e, v] = 1 when v sees e
+        checked = sum(math.comb(n, s) for s in range(ceil_thr, max_s + 1))
+        # vertices within l - 1 of either endpoint, kept for the edges that
+        # enough vertices of V see: the others are in no T and count 0
         edge_masks = single[l - 1][edges[:, 0]] | single[l - 1][edges[:, 1]]
-        sees = ((edge_masks[:, None] >> vertices) & 1).astype(np.float32)
-        checked = 0
-        for lo in range(0, 1 << n, _MASK_CHUNK):
-            masks = np.arange(lo, min(lo + _MASK_CHUNK, 1 << n), dtype=np.uint32)
-            popc = np.bitwise_count(masks)
-            masks = masks[(popc >= ceil_thr) & (popc <= max_s)]
-            checked += len(masks)
-            popular = np.bitwise_count(masks[:, None] & edge_masks) >= ceil_thr
-            nonempty = popular.any(axis=1)
-            masks, popular = masks[nonempty], popular[nonempty]
-            # counts[S, v] = |{e in T : v sees e}|, exact in float32 while m < 2^24
-            counts = popular.astype(np.float32) @ sees
-            in_s = ((masks[:, None] >> vertices) & 1).astype(bool)
-            failing = np.flatnonzero(~np.any(in_s & (counts <= floor_thr), axis=1))
-            if failing.size:
+        edge_masks = edge_masks[np.bitwise_count(edge_masks) >= ceil_thr]
+        if checked and edge_masks.size:
+            mask = _first_failing_mask(n, edge_masks, ceil_thr, floor_thr, max_s)
+            if mask is not None:
                 return ExpanVerdict(
                     part="B",
                     mode="exact",
                     status="fail",
-                    witness={"S": _mask_vertices(int(masks[failing[0]]), n), "l": l},
+                    witness={"S": _mask_vertices(mask, n), "l": l},
                     details={"scales": tuple(scales)},
                 )
         scales.append({"l": l, "mode": "scanned", "checked": checked})

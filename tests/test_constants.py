@@ -144,6 +144,36 @@ def test_partial_a_sum_tail():
     assert 1 - s == pytest.approx((6 / math.pi**2) * 1e-6, rel=1e-2)
 
 
+def _partial_a_sum_three_arrays(n_terms):
+    """The former partial_a_sum: squares and reciprocals in new arrays."""
+    idx = np.arange(n_terms, 0, -1, dtype=np.float64)
+    return float((6.0 / math.pi**2) * np.sum(1.0 / (idx * idx)))
+
+
+@pytest.mark.parametrize("n_terms", [0, 1, 2, 10**3, 10**6, np.int64(10**3)])
+def test_partial_a_sum_in_place_is_bit_identical(n_terms):
+    assert partial_a_sum(n_terms) == _partial_a_sum_three_arrays(n_terms)
+
+
+def test_partial_a_sum_pinned_value():
+    assert partial_a_sum(10**6) == 0.9999993920732021
+
+
+@pytest.mark.parametrize(
+    "n_terms, error, match",
+    [
+        (2.5, TypeError, "integer"),
+        ("3", TypeError, "integer"),
+        (True, TypeError, "not a bool"),
+        (False, TypeError, "not a bool"),
+        (-3, ValueError, "n_terms must be an integer >= 0, got -3"),
+    ],
+)
+def test_partial_a_sum_refuses_a_non_count(n_terms, error, match):
+    with pytest.raises(error, match=match):
+        partial_a_sum(n_terms)
+
+
 def test_chat_cprime_composition():
     kw = dict(q=2, C=1, d=3, alpha=1.0, eps=1.0, L=1.0)
     lt = eval_constant("Ltilde", d=3, alpha=1.0, eps=1.0, L=1.0)

@@ -559,6 +559,22 @@ def reference_congestion_exact(g, params):
     return "pass", None, tuple(scales)
 
 
+def _seers(g, l):
+    """Per edge, in g.edges() order, the vertices within l - 1 of an endpoint."""
+    return np.array([np.count_nonzero(bfs_distances(g, [u, w]) <= l - 1) for u, w in g.edges()])
+
+
+def _scale_kind(g, params, scale):
+    """How the seers bound settles a scanned scale: "decided" when no
+    candidate subset or no edge with enough seers is left, "partly" when
+    some edges are dropped and the rest scanned, "undecided" when none is."""
+    ceil_thr, _ = _threshold_ints(params, g.d, scale["l"], max(g.n, g.num_edges()))
+    kept = np.count_nonzero(_seers(g, scale["l"]) >= ceil_thr)
+    if not (kept and scale["checked"]):
+        return "decided"
+    return "partly" if kept < g.num_edges() else "undecided"
+
+
 def test_congestion_exact_matches_loop_reference():
     graphs = [
         complete_graph(4),
@@ -581,18 +597,64 @@ def test_congestion_exact_matches_loop_reference():
             (0.1, 0.5, 1.5),
         )
     ]
-    statuses = set()
-    for g in graphs:
-        for p in params:
-            verdict = congestion_check_exact(g, p)
-            status, witness, scales = reference_congestion_exact(g, p)
-            assert (verdict.status, verdict.witness, verdict.details["scales"]) == (
-                status,
-                witness,
-                scales,
-            )
-            statuses.add(status)
+    cases = [(g, p) for g in graphs for p in params]
+    # sampled graphs over a grid of L and eps, at the fitted alpha and at
+    # alpha = 0.1, which widens the size windows: the grid meets scales the
+    # seers bound decides, partly decides and leaves to the scan
+    for i, (n, d) in enumerate([(12, 3), (12, 4), (14, 3), (14, 4), (10, 5)]):
+        g = sample_simple_regular(n, d, make_rng(70 + i))[0]
+        for alpha in (fit_growth_alpha(g), 0.1):
+            for L in (1, 1.3, 2):
+                cases += [(g, ExpanParams(alpha=alpha, eps=e, L=L)) for e in (0.05, 0.5, 1)]
+    statuses, kinds = set(), set()
+    for g, p in cases:
+        verdict = congestion_check_exact(g, p)
+        status, witness, scales = reference_congestion_exact(g, p)
+        assert (verdict.status, verdict.witness, verdict.details["scales"]) == (
+            status,
+            witness,
+            scales,
+        )
+        statuses.add(status)
+        kinds.update(_scale_kind(g, p, sc) for sc in scales if sc["mode"] == "scanned")
     assert statuses == {"pass", "fail"}
+    assert kinds == {"decided", "partly", "undecided"}
+
+
+def test_congestion_exact_seers_bound_builds_no_mask_block(monkeypatch):
+    # at the pinned bench parameters on a (14, 4) graph, l = 1 has 2 seers
+    # per edge against a ceiling of 6 and l >= 2 is empty-T: every scale is
+    # decided without a mask block, which a zero block size would refuse
+    g = sample_simple_regular(14, 4, make_rng(74))[0]
+    p = ExpanParams(alpha=fit_growth_alpha(g), eps=0.2, L=2.0)
+    monkeypatch.setattr(expansion, "_MASK_CHUNK", 0)
+    verdict = congestion_check_exact(g, p)
+    reference = reference_congestion_exact(g, p)
+    assert (verdict.status, verdict.witness, verdict.details["scales"]) == reference
+    scale = verdict.details["scales"][0]
+    assert scale["mode"] == "scanned" and scale["checked"] > 0
+
+
+@pytest.mark.parametrize(
+    "seed, L, status, l",
+    [(60, 1.5, "pass", 2), (62, 1.3, "fail", 2)],
+)
+def test_congestion_exact_scans_the_edges_it_keeps(seed, L, status, l):
+    # at scale l some edges of a (10, 3) graph have too few seers for T and
+    # are dropped, the others are scanned; the verdict is the loop
+    # reference's, failing or not
+    g = sample_simple_regular(10, 3, make_rng(seed))[0]
+    p = ExpanParams(alpha=0.1, eps=0.05, L=L)
+    ceil_thr, _ = _threshold_ints(p, 3, l, g.num_edges())
+    assert 0 < np.count_nonzero(_seers(g, l) >= ceil_thr) < g.num_edges()
+    verdict = congestion_check_exact(g, p)
+    reference = reference_congestion_exact(g, p)
+    assert (verdict.status, verdict.witness, verdict.details["scales"]) == reference
+    assert verdict.status == status
+    if status == "pass":
+        assert verdict.details["scales"][l - 1]["checked"] > 0
+    else:
+        assert verdict.witness["l"] == l
 
 
 def test_congestion_exact_beyond_64_edges():
