@@ -21,12 +21,15 @@ single-vertex ball covers 3n/4; the sampled scan, which can only falsify,
 applies it at the radii before its ball covers 3n/4.  Part B's precondition
 reads the same t at l - 1.
 
-Part B's exact scan compares counts with one threshold, the ceiling of
-``_threshold_ints``.  A scale whose ceiling exceeds n, a subset smaller than
-it and an edge with fewer seers than it (the vertices of the whole graph
-within l - 1 of an endpoint) all stay out of every T, so the scan drops
-them; a scale left with no edge or no subset size is decided by this seers
-bound alone, without a mask block.
+Part B compares counts with one threshold, the ceiling of
+``_threshold_ints``.  An edge with fewer seers than it (the vertices of the
+whole graph within l - 1 of an endpoint) is in no S's T.  At any n,
+``congestion_certificate`` reads the seers of every edge at every scale from
+one all-sources sweep and passes where no edge reaches the ceiling: T is
+then empty for every S, a sufficient condition that can prove part B but
+never refute it.  At n <= 24 the exact scan drops the same edges, along with
+scales whose ceiling exceeds n and subsets smaller than it, and decides a
+scale left with no edge or no subset size without a mask block.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import PAPER_EPS, eval_constant
-from .graphs import _CHUNK_ENTRIES, RegularGraph, _level_sets, _vertices, bfs_distances
+from .graphs import _CHUNK_ENTRIES, RegularGraph, _level_sets, bfs_distances
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
 from .spectral import _mask_vertices, _popcounts, _require_exact_size
@@ -48,22 +51,17 @@ from .spectral import cheeger_exact, eigen_summary, friedman_check
 __all__ = [
     "ExpanParams",
     "ExpanVerdict",
-    "ExpanPreconditionError",
     "growth_check_exact",
     "growth_check_sampled",
     "fit_growth_alpha",
-    "congestion_check_instance",
     "congestion_check_exact",
+    "congestion_certificate",
     "spectral_sufficient_check",
     "cheeger_growth_check",
 ]
 
 _MASK_CHUNK = 1 << 13  # subsets per part-B numpy block; keeps its temporaries to a few MiB
 _LN_GUARD = 1e-12  # treat log-threshold ties as satisfied
-
-
-class ExpanPreconditionError(ValueError):
-    """An instance query fell outside the property's precondition."""
 
 
 @dataclass(frozen=True)
@@ -341,71 +339,6 @@ def _threshold_ints(params: ExpanParams, d: int, l: int, max_count: int):
     return max(ceil_thr, 1), floor_thr
 
 
-def congestion_check_instance(
-    g: RegularGraph, s, l: int, params: ExpanParams
-) -> ExpanVerdict:
-    """Part-B check for one (S, l) meeting the precondition.
-
-    PASS carries the lowest-index admissible vertex and its count of edges
-    of T; FAIL carries S; both carry the popular-edge set T in ``details``.
-    S must be a nonempty set of vertices and l an integer >= 1, whichever
-    branch the check takes.
-    """
-    subset = np.unique(_vertices(g, s))
-    l = operator.index(l)
-    if not subset.size:
-        raise ValueError("S must be nonempty")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    n, d = g.n, g.d
-    if not _precondition_holds(params.alpha, d, l, len(subset), n):
-        raise ExpanPreconditionError(
-            f"alpha (d-1)^(l-1) |S| exceeds 3n/4 at l={l}, |S|={len(subset)}"
-        )
-    ceil_thr, floor_thr = _threshold_ints(params, d, l, max_count=max(n, g.num_edges()))
-    if ceil_thr is None or ceil_thr > len(subset):
-        # T is empty: no edge can be seen by >= threshold vertices of S
-        witness = {"v": int(subset[0]), "T_size": 0, "l": l}
-        return ExpanVerdict(part="B", mode="exact", status="pass", witness=witness, details={"T": ()})
-    # a vertex of S sees edge e when an endpoint of e lies within l - 1 of it:
-    # near[v] holds the bits of the vertices of S within l - 1 of v, and
-    # sees[e] those of the vertices of S that see e
-    near = np.zeros((n, -(-len(subset) // 64)), dtype=np.uint64)
-    for level, rows, bits in _level_sets(g, subset):
-        if level == l:
-            break
-        near[rows] |= bits
-    edges = g.edges()
-    sees = near[edges[:, 0]] | near[edges[:, 1]]
-    t_edges = np.flatnonzero(np.bitwise_count(sees).sum(axis=1) >= ceil_thr)
-    details = {"T": tuple(map(tuple, edges[t_edges].tolist()))}
-    # the edges of T that each vertex of S sees, from the bits of sees[T]
-    # unpacked in blocks of at most _CHUNK_ENTRIES
-    counts = np.zeros(len(subset), dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // len(subset))
-    for start in range(0, len(t_edges), step):
-        octets = sees[t_edges[start : start + step]].astype("<u8", copy=False).view(np.uint8)
-        seen = np.unpackbits(octets, axis=1, count=len(subset), bitorder="little")
-        counts += seen.sum(axis=0, dtype=np.int64)
-    admissible = np.flatnonzero(counts <= floor_thr)
-    if admissible.size:
-        i = int(admissible[0])
-        return ExpanVerdict(
-            part="B",
-            mode="exact",
-            status="pass",
-            witness={"v": int(subset[i]), "T_size": len(t_edges), "l": l, "count": int(counts[i])},
-            details=details,
-        )
-    return ExpanVerdict(
-        part="B",
-        mode="exact",
-        status="fail",
-        witness={"S": tuple(subset.tolist()), "l": l},
-        details=details,
-    )
-
-
 def _first_failing_mask(n: int, edge_masks, ceil_thr: int, floor_thr: int, max_s: int):
     """Smallest subset bitmask S with ceil_thr <= |S| <= max_s in which
     every vertex sees more than floor_thr edges of T, or None; edge e is in
@@ -444,7 +377,7 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
     failing l.
     """
     _require_exact_size(
-        g, "congestion_check_exact", "check single (S, l) with congestion_check_instance"
+        g, "congestion_check_exact", "congestion_certificate gives a sufficient check at any n"
     )
     n, d = g.n, g.d
     edges = g.edges()
@@ -481,6 +414,63 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
     )
 
 
+def _seers_table(g: RegularGraph) -> np.ndarray:
+    """seers[l - 1, e] = |B(u, l - 1) union B(w, l - 1)| for the edges e = uw
+    of ``g.edges()`` and l = 1, ..., D + 1, D the largest eccentricity.
+
+    One all-sources sweep in blocks of _CHUNK_ENTRIES // n sources (at least
+    one): near[v] collects the bits of the block's sources within k of v, so
+    at level k the popcount of near[u] | near[w] is the block's share of
+    seers(uw, k + 1).  A block whose sweep ends early adds its last counts
+    to every later row.
+    """
+    u, w = g.edges().T
+    step = max(1, _CHUNK_ENTRIES // g.n)
+    seers = np.zeros((1, len(u)), dtype=np.int64)
+    for start in range(0, g.n, step):
+        src = np.arange(start, min(start + step, g.n))
+        near = np.zeros((g.n, -(-len(src) // 64)), dtype=np.uint64)
+        block = []
+        for _, rows, bits in _level_sets(g, src):
+            near[rows] |= bits
+            block.append(np.bitwise_count(near[u] | near[w]).sum(axis=1, dtype=np.int64))
+        block = np.array(block)
+        depth = max(len(seers), len(block))
+        seers = sum(np.pad(t, ((0, depth - len(t)), (0, 0)), "edge") for t in (seers, block))
+    return seers
+
+
+def congestion_certificate(g: RegularGraph, params: ExpanParams) -> ExpanVerdict:
+    """Part-B sufficiency at any n from the seers of every edge.
+
+    S sees an edge no more often than V does, so at a scale l where no edge
+    has as many seers as the ceiling of ``_threshold_ints``, T is empty for
+    every S and part B holds there for every S and every alpha.  The seers
+    stop growing at l = D + 1, D the largest eccentricity, and the threshold
+    does not fall (d - 1 - eps >= 1), so the scales l <= D + 1 decide all
+    others.  Status is "pass" when every one of them is empty, else
+    "inconclusive": the rule proves part B but never refutes it.  ``details``
+    holds L_B_ln = ln max_l max_e seers(e, l) / (d-1-eps)^l, the maximising
+    ``l`` and ``eps``; the check passes at every L above L_B.
+
+    One sweep costs O(D m n / 64) word operations, the OR of two gathered
+    bit rows per edge per level, which a graph of long diameter pays at
+    every level; no n x n array is built.
+    """
+    top = _seers_table(g).max(axis=1)
+    scales = np.arange(1, len(top) + 1)
+    ceilings = [_threshold_ints(params, g.d, l, max(g.n, g.num_edges()))[0] for l in scales]
+    empty = all(c is None or c > seers for c, seers in zip(ceilings, top))
+    ratio_ln = np.log(top) - scales * math.log(g.d - 1 - params.eps)
+    best = int(np.argmax(ratio_ln))
+    return ExpanVerdict(
+        part="B",
+        mode="sufficient",
+        status="pass" if empty else "inconclusive",
+        details={"L_B_ln": float(ratio_ln[best]), "l": best + 1, "eps": params.eps},
+    )
+
+
 def spectral_sufficient_check(g: RegularGraph) -> ExpanVerdict:
     """Part-B sufficiency: d >= 6 and lam(G) <= 2.1 sqrt(d-1) imply part B at
     the typical parameterization (alpha(d), eps=0.2, L=24/alpha).
@@ -488,7 +478,10 @@ def spectral_sufficient_check(g: RegularGraph) -> ExpanVerdict:
     Returns pass (mode "sufficient") or inconclusive with the reason; the
     condition gates on lam(G) while some growth statements gate on lambda2,
     so both numbers are reported.  The gate is ``friedman_check``'s
-    ``passed_21``, reported with its ``bound_21`` as the threshold.
+    ``passed_21``, reported with its ``bound_21`` as the threshold.  At these
+    parameters ln L is about 1e11 (ln d)^2, so no count reaches the threshold
+    and ``congestion_certificate`` proves part B on every graph, whatever
+    lam(G): the gate is not needed for part B there.
     """
     summary = eigen_summary(g)
     gate = friedman_check(g)

@@ -24,7 +24,7 @@ Distances come from two BFS routines: ``bfs_distances`` from one vertex set,
 and the bit-parallel sweep ``_level_sets`` from many single sources at
 once, which yields each level's newly reached vertices with a bitset of
 the sources that reach them.  Its readers (``distance_sum`` here, the
-Cheeger sweep orders, part B's visibility and the ball masks of the
+Cheeger sweep orders, part B's seers and the ball masks of the
 n <= 24 scans) take what they need from the bits; no per-source distance
 rows are built.
 """
@@ -51,9 +51,9 @@ __all__ = [
 
 INF = float("inf")
 
-# Entries per numpy block of the graph kernels: bits of distance_sum's sweep
-# (512 KiB words), floats of the Poincare kernels (32 MiB) and unpacked
-# (edge, vertex) bits of part B's counts (4 MiB).
+# Entries per numpy block of the graph kernels: bits of the sweeps of
+# distance_sum and part B's seers (512 KiB words) and floats of the Poincare
+# kernels (32 MiB).
 _CHUNK_ENTRIES = 1 << 22
 
 

@@ -272,14 +272,19 @@ def _check_p(p: float) -> None:
 def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioReport:
     """Exact two-sided evaluation for one field; a lower bound on the constant.
 
-    Rejects constant fields (the edge side vanishes), and fields whose
-    p-th-power sums overflow or underflow the double range.  The report's
-    ``field`` is a copy, so later writes to ``f`` leave it as evaluated.
+    Rejects constant fields (both sides vanish), fields constant on every
+    edge (only the edge side vanishes, as on the components of a disconnected
+    graph), and fields whose p-th-power sums overflow or underflow the double
+    range.  The report's ``field`` is a copy, so later writes to ``f`` leave
+    it as evaluated.
     """
     _check_p(p)
     x = _as_field(f, g.n)
     if np.all(x == x[0]):
         raise ValueError("field is constant: the Poincare ratio is degenerate")
+    u, v = g.edges().T
+    if np.all(x[u] == x[v]):
+        raise ValueError("field is constant on every edge: the Poincare ratio is unbounded")
     with np.errstate(over="ignore", under="ignore"):
         pairs = _pair_sum(x, norm, p)
         edges = _edge_sum(x, g, norm, p)

@@ -85,10 +85,10 @@ def test_private_dataclass_fields_are_not_constructor_arguments():
     assert [key for key, taken in init.items() if taken] == []
 
 
-# Public functions with no caller in the library or in bench/ yet, and why
+# Exported names with no reader in the library or in bench/ yet, and why
 # each one stays
 UNCALLED = {
-    "congestion_check_instance": "the only part-B check past the exact limit n <= 24",
+    "congestion_certificate": "part B at any n; the benchmark's report of L_B will read it",
     "complete_bipartite": "a named fixture graph",
     "petersen_graph": "a named fixture graph",
     "circular_ladder": "a named fixture graph",
@@ -109,7 +109,7 @@ def _read_names(tree: ast.Module) -> set:
     """The names a module reads: every attribute, and every name other than
     the parameters and assignment targets of its innermost enclosing
     function, which shadow a module-level name of the same spelling.  A
-    top-level function's reads of its own name do not count."""
+    top-level function's or class's reads of its own name do not count."""
     names = set()
 
     def visit(node, own, local):
@@ -128,7 +128,8 @@ def _read_names(tree: ast.Module) -> set:
             visit(child, own, local)
 
     for top in tree.body:
-        visit(top, top.name if isinstance(top, ast.FunctionDef) else None, set())
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        visit(top, own, set())
     return names
 
 
@@ -157,13 +158,15 @@ def _public_methods(library):
 
 
 def test_every_exported_function_has_a_caller():
-    # a name counts as called where a library or bench/ module reads it (see
-    # _read_names); a public method of an exported class counts as a function
+    # every exported name (function, class, exception or constant) and every
+    # public method of an exported class needs a reader: a library or bench/
+    # module that reads it (see _read_names)
     library, trees = _sources()
-    public = {f.name for f in _public_functions(library)}
+    public = set().union(*map(_exported, library))
     methods = {f.name for f in _public_methods(library)}
     called = set().union(*map(_read_names, trees))
     assert "eval_pow" in methods
+    assert {"ExpanParams", "DENSE_LIMIT", "RegularGraph"} <= public
     assert set(UNCALLED) <= public
     assert sorted((public | methods) - called - set(UNCALLED)) == []
 

@@ -246,6 +246,16 @@ def test_ratio_rejects_constant_field():
         poincare_ratio(g, np.ones(4), Lq(2), 2)
 
 
+def test_ratio_rejects_a_field_constant_on_every_edge():
+    # 0 on one K4 and 1 on the other: the edge sum is exactly 0, so no
+    # rescaling helps and the ratio is unbounded, not out of range
+    g = disjoint_union(complete_graph(4), complete_graph(4))
+    field = np.repeat([0.0, 1.0], 4)
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="constant on every edge: .* unbounded"):
+            poincare_ratio(g, field, Lq(2), p)
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
 def test_ratio_rejects_p_outside_one_to_inf(p):
     field = np.arange(4.0)
