@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import PAPER_EPS, eval_constant
-from .graphs import _CHUNK_ENTRIES, RegularGraph, _level_sets, bfs_distances
+from .graphs import RegularGraph, _ball_counts, _level_sets, bfs_distances
 from .logspace import LogScalar, as_logscalar
 from .rand import as_rng
 from .spectral import _mask_vertices, _popcounts, _require_exact_size
@@ -79,8 +79,8 @@ class ExpanParams:
             raise ValueError("alpha must lie in (0, 1]")
         if not (0 < self.eps <= 1):
             raise ValueError("eps must lie in (0, 1]")
-        if not self.L.ln >= 0:
-            raise ValueError("L must be >= 1")
+        if not 0 <= self.L.ln < math.inf:
+            raise ValueError("L must be >= 1 and finite")
 
     @staticmethod
     def paper(d: int) -> "ExpanParams":
@@ -108,14 +108,14 @@ class ExpanVerdict:
 def _single_ball_masks(g: RegularGraph) -> np.ndarray:
     """single[l, v] = uint32 bitmask of B({v}, l) for l in 0..n (n <= 32).
 
-    One per-source sweep from every vertex fits one word: the sources that
-    reach v within l are B({v}, l), so the level bits of v, ORed over the
-    levels up to l, are its ball.
+    One per-source sweep from every vertex fits one word: the sources within
+    l of v, the sweep's ball bits of v at level l, are B({v}, l); past the
+    last level the balls stop growing.
     """
-    single = np.zeros((g.n + 1, g.n), dtype=np.uint64)
-    for level, rows, bits in _level_sets(g, np.arange(g.n)):
-        single[level, rows] = bits[:, 0]
-    return np.bitwise_or.accumulate(single, axis=0).astype(np.uint32)
+    single = np.zeros((g.n + 1, g.n), dtype=np.uint32)
+    for level, _, _, balls in _level_sets(g, np.arange(g.n)):
+        single[level:] = balls[:, 0]
+    return single
 
 
 def _ball_tables(g: RegularGraph):
@@ -416,28 +416,11 @@ def congestion_check_exact(g: RegularGraph, params: ExpanParams) -> ExpanVerdict
 
 def _seers_table(g: RegularGraph) -> np.ndarray:
     """seers[l - 1, e] = |B(u, l - 1) union B(w, l - 1)| for the edges e = uw
-    of ``g.edges()`` and l = 1, ..., D + 1, D the largest eccentricity.
-
-    One all-sources sweep in blocks of _CHUNK_ENTRIES // n sources (at least
-    one): near[v] collects the bits of the block's sources within k of v, so
-    at level k the popcount of near[u] | near[w] is the block's share of
-    seers(uw, k + 1).  A block whose sweep ends early adds its last counts
-    to every later row.
+    of ``g.edges()`` and l = 1, ..., D + 1, D the largest eccentricity: at
+    level l - 1 a source block's share is the popcount of u's ball bits OR w's.
     """
     u, w = g.edges().T
-    step = max(1, _CHUNK_ENTRIES // g.n)
-    seers = np.zeros((1, len(u)), dtype=np.int64)
-    for start in range(0, g.n, step):
-        src = np.arange(start, min(start + step, g.n))
-        near = np.zeros((g.n, -(-len(src) // 64)), dtype=np.uint64)
-        block = []
-        for _, rows, bits in _level_sets(g, src):
-            near[rows] |= bits
-            block.append(np.bitwise_count(near[u] | near[w]).sum(axis=1, dtype=np.int64))
-        block = np.array(block)
-        depth = max(len(seers), len(block))
-        seers = sum(np.pad(t, ((0, depth - len(t)), (0, 0)), "edge") for t in (seers, block))
-    return seers
+    return _ball_counts(g, lambda balls: np.bitwise_count(balls[u] | balls[w]).sum(axis=1))
 
 
 def congestion_certificate(g: RegularGraph, params: ExpanParams) -> ExpanVerdict:

@@ -22,11 +22,11 @@ requires connectivity say so explicitly.
 
 Distances come from two BFS routines: ``bfs_distances`` from one vertex set,
 and the bit-parallel sweep ``_level_sets`` from many single sources at
-once, which yields each level's newly reached vertices with a bitset of
-the sources that reach them.  Its readers (``distance_sum`` here, the
-Cheeger sweep orders, part B's seers and the ball masks of the
-n <= 24 scans) take what they need from the bits; no per-source distance
-rows are built.
+once, which yields each level's new vertices, the bits of the sources that
+reach them and every vertex's ball bits.  Its readers are ``_ball_counts``
+(the all-sources sweep, one count per level: ``distance_sum`` and part B's
+seers), the Cheeger sweep orders and the n <= 24 ball masks; no per-source
+distance rows are built.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ __all__ = [
 
 INF = float("inf")
 
-# Entries per numpy block of the graph kernels: bits of the sweeps of
-# distance_sum and part B's seers (512 KiB words) and floats of the Poincare
-# kernels (32 MiB).
+# Entries per numpy block: bits of _ball_counts' source blocks (512 KiB
+# words), floats of the Poincare kernels (32 MiB) and sum-vector entries of
+# norms' moment blocks.
 _CHUNK_ENTRIES = 1 << 22
 
 
@@ -205,15 +205,17 @@ def bfs_distances(g: RegularGraph, sources) -> np.ndarray:
 
 
 def _level_sets(g: RegularGraph, src: np.ndarray):
-    """Yield (level, vertices, bits) for the sources ``src``, level 0 first.
+    """Yield (level, vertices, bits, balls) for the sources ``src``, from 0.
 
     ``bits`` is a uint64 (len(vertices), ceil(len(src) / 64)) array: bit i of
     row k (word i // 64, bit i % 64) is set when ``src[i]`` first reaches
     ``vertices[k]`` at this level.  Each (source, reachable vertex) pair is
-    set at exactly one level; the vertices at a level are sorted.  After a
-    level of at most n / (2 d) vertices the next visits only their
-    neighbours; after a larger one it sweeps every row, which is cheaper than
-    gathering most of them.
+    set at exactly one level; the vertices at a level are sorted.  ``balls``
+    is the sweep's own uint64 (n, words) array: row v ORs the bits so far,
+    the sources within ``level`` of v.  The next step updates it in place, so
+    a reader keeps only its gathers or counts.  After a level of at most
+    n / (2 d) vertices the next visits only their neighbours; after a larger
+    one it sweeps every row, which is cheaper than gathering most of them.
     """
     i = np.arange(len(src))
     reached = np.zeros((g.n, -(-len(src) // 64)), dtype=np.uint64)
@@ -222,7 +224,7 @@ def _level_sets(g: RegularGraph, src: np.ndarray):
     bits = reached[rows]
     level = 0
     while rows.size:
-        yield level, rows, bits
+        yield level, rows, bits, reached
         level += 1
         # a bit that a neighbour held before the last level already reached
         # v, so ORing whole ``reached`` rows finds the same new bits as ORing
@@ -246,24 +248,35 @@ def _level_sets(g: RegularGraph, src: np.ndarray):
         reached[rows] |= bits
 
 
-def distance_sum(g: RegularGraph) -> float:
-    """sum_{v, w} dist(v, w) over ordered pairs; ``inf`` when disconnected.
+def _ball_counts(g: RegularGraph, count) -> np.ndarray:
+    """table[l] = sum over the source blocks of ``count(balls)``, an int64
+    scalar or array, at level l = 0, ..., D, D the largest eccentricity.
 
-    Counts the set bits of each level of the per-source sweep, over blocks
-    of _CHUNK_ENTRIES // n sources (at least one), in order.
+    The one all-sources ``_level_sets`` sweep, in blocks of _CHUNK_ENTRIES // n
+    sources (at least one); a block whose sweep ends early carries its last
+    count into every later level.
     """
-    total = 0
     step = max(1, _CHUNK_ENTRIES // g.n)
+    table = np.zeros(1, dtype=np.int64)  # no block yet: 0 at every level
     for start in range(0, g.n, step):
         src = np.arange(start, min(start + step, g.n))
-        found = 0
-        for level, _, bits in _level_sets(g, src):
-            count = int(np.bitwise_count(bits).sum())
-            found += count
-            total += level * count
-        if found < len(src) * g.n:
-            return INF
-    return float(total)
+        block = np.array([count(balls) for *_, balls in _level_sets(g, src)], dtype=np.int64)
+        if len(block) < len(table):
+            table, block = block, table
+        # the shorter sweep's last count holds at every later level
+        block[: len(table)] += table
+        block[len(table) :] += table[-1]
+        table = block
+    return table
+
+
+def distance_sum(g: RegularGraph) -> float:
+    """sum_{v, w} dist(v, w) over ordered pairs; ``inf`` when disconnected.
+    Level l adds the n^2 - within_l pairs farther apart than l."""
+    within = _ball_counts(g, lambda balls: np.bitwise_count(balls).sum())
+    if within[-1] < g.n * g.n:
+        return INF
+    return float((g.n * g.n - within).sum())
 
 
 # -- edge-list text format -----------------------------------------------------

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _CHUNK_ENTRIES
+
 __all__ = [
     "UncondNorm",
     "Lq",
@@ -53,7 +55,6 @@ __all__ = [
 
 COTYPE_EXACT_LIMIT = 20
 RESTRICTED_EXACT_LIMIT = 16
-_MOMENT_BLOCK = 1 << 22  # sum-vector entries per eval_pow call in _subfamily_moments
 
 
 class UncondNorm:
@@ -339,7 +340,7 @@ def _subfamily_moments(nm: UncondNorm, x: np.ndarray, q: float):
             of_size = np.flatnonzero(sizes == s)
             members = np.nonzero(bits[of_size])[1].reshape(-1, s)
             signs = sign_patterns(s - 1)
-            step = max(1, _MOMENT_BLOCK // (len(signs) * k))
+            step = max(1, _CHUNK_ENTRIES // (len(signs) * k))
             for lo in range(0, len(of_size), step):
                 masks = of_size[lo : lo + step]
                 xb = np.ldexp(x[members[lo : lo + step]], -e[masks, None, None])

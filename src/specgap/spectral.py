@@ -303,8 +303,8 @@ def _sweep_orders(g: RegularGraph):
     yield np.argsort(eigen_summary(g).vector)
     seeds = np.arange(min(g.n, 32))  # ball seeds; heuristic, upper bound only
     levels = list(_level_sets(g, seeds))
-    rows = np.concatenate([rows for _, rows, _ in levels])
-    bits = np.concatenate([bits[:, 0] for _, _, bits in levels])
+    rows = np.concatenate([rows for _, rows, _, _ in levels])
+    bits = np.concatenate([bits[:, 0] for _, _, bits, _ in levels])
     for i in range(len(seeds)):
         yield rows[(bits >> i) & 1 == 1]
 

@@ -517,7 +517,7 @@ def test_certificate_seers_match_the_oracle(monkeypatch, entries):
     # one source per block (entries 1) and a few per block (100 // 30 = 3)
     # sum blocks whose sweeps end at different levels; None keeps the default
     if entries is not None:
-        monkeypatch.setattr(expansion, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(specgap.graphs, "_CHUNK_ENTRIES", entries)
     graphs = [
         petersen_graph(),
         circular_ladder(6),
@@ -737,6 +737,11 @@ def test_params_validation():
         ExpanParams(alpha=1.0, eps=0.0, L=1.0)
     with pytest.raises(ValueError, match="L"):
         ExpanParams(alpha=1.0, eps=0.2, L=0.5)
+    # an infinite L would make every part-B threshold unreachable, so part B
+    # would pass vacuously
+    for L in (math.inf, LogScalar.from_ln(math.inf)):
+        with pytest.raises(ValueError, match="L must be >= 1 and finite"):
+            ExpanParams(alpha=0.5, eps=0.2, L=L)
     p = ExpanParams.paper(6)
     assert p.eps == 0.2
     assert p.alpha.ln == pytest.approx(-1e11 * math.log(6) ** 2)

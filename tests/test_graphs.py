@@ -474,14 +474,18 @@ def sweep_rows(g, sources):
 
     Asserts the sweep's format on the way: levels 0, 1, 2, ... with sorted,
     distinct vertices; one word per 64 sources, no bit past the last source;
-    and no (source, vertex) pair set at two levels.
+    no (source, vertex) pair set at two levels; and ball bits that are the
+    OR of the level bits so far.
     """
     src = np.asarray(sources, dtype=np.int64)
     rows = np.full((len(src), g.n), INF)
     words = -(-len(src) // 64)
-    for expected, (level, vertices, bits) in enumerate(graphs._level_sets(g, src)):
+    so_far = np.zeros((g.n, words), dtype=np.uint64)
+    for expected, (level, vertices, bits, balls) in enumerate(graphs._level_sets(g, src)):
         assert level == expected and np.all(np.diff(vertices) > 0)
         assert bits.dtype == np.uint64 and bits.shape == (len(vertices), words)
+        so_far[vertices] |= bits
+        assert balls.dtype == np.uint64 and np.array_equal(balls, so_far)
         octets = bits.astype("<u8", copy=False).view(np.uint8)
         hit = np.unpackbits(octets, axis=1, bitorder="little").view(bool).T
         assert not hit[len(src) :].any()
@@ -508,8 +512,9 @@ def test_distance_rows_match_bfs():
 
 
 def test_distance_rows_blocks(monkeypatch):
-    # distance_sum sweeps _CHUNK_ENTRIES // n sources at a time
-    # (at least one), in order, and any block size gives the same sum
+    # distance_sum sweeps _CHUNK_ENTRIES // n sources at a time (at least
+    # one), in order, every block of a disconnected graph too, and any block
+    # size gives the same sum
     sweeps = []
     sweep = graphs._level_sets
 
@@ -526,8 +531,28 @@ def test_distance_rows_blocks(monkeypatch):
             assert distance_sum(g) == want, (g.n, entries)
             step = max(1, entries // g.n)
             blocks = [list(range(i, min(i + step, g.n))) for i in range(0, g.n, step)]
-            # a disconnected graph stops after its first block
-            assert sweeps == (blocks if want < INF else blocks[:1]), (g.n, entries)
+            assert sweeps == blocks, (g.n, entries)
+
+
+@pytest.mark.parametrize("per_block", [1, 3, None])
+def test_ball_counts_match_per_source_bfs(monkeypatch, per_block):
+    # a count of every ball's sources and an (m,) count of each edge's seers,
+    # against one BFS per source; on the union, blocks of 1 or 3 sources end
+    # their sweeps at different levels and carry their last counts (None
+    # keeps the default block)
+    union = disjoint_union(complete_graph(4), petersen_graph())
+    for g in (circular_ladder(9), petersen_graph(), union):
+        if per_block is not None:
+            monkeypatch.setattr(graphs, "_CHUNK_ENTRIES", per_block * g.n)
+        dist = np.array([bfs_distances(g, [s]) for s in range(g.n)])  # dist[s, v]
+        levels = np.arange(int(dist[np.isfinite(dist)].max()) + 1)
+        within = dist <= levels[:, None, None]  # within[l, s, v]
+        u, w = g.edges().T
+        got = graphs._ball_counts(g, lambda balls: np.bitwise_count(balls).sum())
+        np.testing.assert_array_equal(got, within.sum(axis=(1, 2)))
+        got = graphs._ball_counts(g, lambda b: np.bitwise_count(b[u] | b[w]).sum(axis=1))
+        np.testing.assert_array_equal(got, (within[:, :, u] | within[:, :, w]).sum(axis=1))
+        assert got.dtype == np.int64
 
 
 def test_distance_rows_unreachable_is_inf():

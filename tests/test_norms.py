@@ -447,9 +447,9 @@ def test_restricted_cotype_matches_per_subset_loop(monkeypatch):
             max_r = float(np.sum(nm.eval_many(x) ** q))
             checks = {C: loop_restricted_cotype_check(nm, x, q, C) for C in (1.0, 1.1, 1.5, 3.0)}
             constant = loop_restricted_cotype_constant(nm, x, q)
-            for block in (norms._MOMENT_BLOCK, 256):  # 256: several blocks per size
+            for block in (norms._CHUNK_ENTRIES, 256):  # 256: several blocks per size
                 with monkeypatch.context() as mp:
-                    mp.setattr(norms, "_MOMENT_BLOCK", block)
+                    mp.setattr(norms, "_CHUNK_ENTRIES", block)
                     for C, want in checks.items():
                         got = restricted_cotype_check(nm, x, q, C)
                         assert (got["ok"], got["witness"]) == (want["ok"], want["witness"])
