@@ -30,23 +30,24 @@ Cost of the all-pairs kernels, for an (n, k) field:
   v < w in blocks of at most 64 rows, doubled; n^2/2 norm evaluations, which
   for Lq at p = q are power sums with no root.
   Each block's differences against the vertices from its first row on are
-  subtracted from x.T into one reused coordinate-major (k, rows, n) buffer,
-  which the norm's kernel (``norms.UncondNorm._pow_kernel``) overwrites, so
-  every numpy pass runs over a contiguous slab rather than rows of k = 2
-  to 4 entries; only the block's rows x rows diagonal square drops its
-  lower triangle.  On lift_l1(Lq(4), 2, 2) at n = 1000, k = 4 a pair sum
-  takes 11.1 to 12.0 ms (one core of a 2-vCPU Xeon, as for the move times
+  written by one exact product (``_differences``) into one reused
+  coordinate-major (k, rows, n) buffer, which the norm's kernel
+  (``norms.UncondNorm._pow_kernel``) overwrites, so every numpy pass runs
+  over a contiguous slab rather than rows of k = 2 to 4 entries; only the
+  block's rows x rows diagonal square drops its lower triangle.  On
+  lift_l1(Lq(4), 2, 2) at n = 1000, k = 4 a pair sum takes 6.7 to 6.9 ms
+  (one core of a 2-vCPU Xeon, one BLAS thread, as for the move times
   below).
 - edge sum: one kernel call on the edge differences, gathered from a
   coordinate-major copy of x; for Lq at p = q it skips the root-then-power
   round trip.
-- a move of ``gamma_search``: one kernel call on a reused (k, 1 + probes,
-  n) buffer, the current row and the candidates against every row.  The
-  edge terms are columns of the same table, so a move costs (1 + probes) n
-  norm evaluations: at n = 1000, 75 to 98 us under Lq(q) for q = 1 to 32
-  with k = 2 and 142 to 146 us under lift_l1(Lq(4), 2, 2) with k = 4.  The
-  random draws and the bookkeeping on the 5-entry candidate vectors are a
-  large share.
+- a move of ``gamma_search``: one exact product and one kernel call on a
+  reused (k, 1 + probes, n) buffer, the current row and the candidates
+  against every row.  The edge terms are columns of the same table, so a
+  move costs (1 + probes) n norm evaluations: at n = 1000, 36 to 56 us under
+  Lq(q) for q = 1 to 32 with k = 2 and 73 to 80 us under lift_l1(Lq(4), 2,
+  2) with k = 4.  The random draws are a large share; the candidates are
+  chosen among plain floats.
 - all-pairs distances: one bit-parallel BFS sweep over ``g.adj`` per block
   of sources, each vertex holding a bitset of the sources that reached it.
   ``uc_experiment`` counts the bits per level (``graphs.distance_sum``) and
@@ -229,37 +230,76 @@ def _pivot_powers(s: np.ndarray, start: int, stop: int, width: int, q: int) -> n
     return table
 
 
+def _difference_factors(xt: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of ``_differences`` for the coordinate-major (k, n) field
+    xt: a (k, rows, 2) left factor whose column 1 is -1 and whose column 0
+    the caller fills, and the (k, 2, n) right factor [1; xt[j]] per
+    coordinate j, whose row 1 holds the field."""
+    k, n = xt.shape
+    left = np.empty((k, rows, 2))
+    left[:, :, 1] = -1.0
+    right = np.empty((k, 2, n))
+    right[:, 0] = 1.0
+    right[:, 1] = xt
+    return left, right
+
+
+def _differences(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[j, i, w] = left[j, i, 0] - right[j, 1, w], as one np.matmul of
+    the (k, r, 2) factor [a | -1] by the (k, 2, n') factor [1; x_j], the
+    layout of ``_difference_factors``; out is (k, r, n').
+
+    Every product is by 1 or -1, so exact, and each entry has those two
+    terms only: in any summation order, with or without FMA, it is fl(a -
+    x), bit for bit what np.subtract gives, subnormals and overflow to
+    +-inf included, except that a zero may come out with either sign (-0 -
+    +0 may give +0); every norm kernel takes |.| or an even power first, so
+    its values are the same.  The inputs must be finite: an inf entry would
+    give 0 * inf = NaN.  An overflow warns unless the caller holds
+    np.errstate(over="ignore").  Per entry the product costs about a third
+    of numpy's broadcasting subtract, whose strided inner loop is slow.
+    """
+    return np.matmul(left, right, out=out)
+
+
 def _pair_sum(x: np.ndarray, nm: UncondNorm, p: float) -> float:
     """sum over ordered pairs (v, w) of ||x_v - x_w||^p: twice the v < w sum.
 
     Lq(q) at p = q with an integer q <= _SQUARING_MAX splits by coordinate
     and goes column by column; every other (norm, p) evaluates the pairs
     v < w in blocks of rows: each block's differences against the vertices
-    from its first row on go into one reused coordinate-major (k, rows, n)
-    buffer, which the norm's kernel overwrites, and only the block's
-    rows x rows diagonal square needs its lower triangle dropped.
+    from its first row on are written by ``_differences`` into one reused
+    coordinate-major (k, rows, n) buffer, which the norm's kernel
+    overwrites, and only the block's rows x rows diagonal square needs its
+    lower triangle dropped.  A block holds at most _CHUNK_ENTRIES floats
+    (or one difference, k floats): where k n is more, the vertices w go in
+    slices too.
     """
     n, k = x.shape
     if isinstance(nm, Lq) and p == nm.q and float(p).is_integer() and p <= _SQUARING_MAX:
         return 2.0 * float(_column_pair_sums(x, p).sum())
-    xt = np.ascontiguousarray(x.T)  # (k, n): coordinate-major
-    total = 0.0
     rows = _triangle_rows(n, k)
-    buf = np.empty(k * rows * n)
+    cols = max(rows, _CHUNK_ENTRIES // (k * rows))  # the first slice holds the diagonal square
+    left, right = _difference_factors(x.T, rows)
+    buf = np.empty(k * rows * min(cols, n))
+    total = 0.0
     for start in range(0, n, rows):
         r = min(rows, n - start)
-        diffs = buf[: k * r * (n - start)].reshape(k, r, n - start)
-        np.subtract(xt[:, start : start + r, None], xt[:, None, start:], out=diffs)
-        vals = nm._pow_kernel(diffs, p)  # column j is vertex start + j
-        vals[:, :r] = np.triu(vals[:, :r], 1)
-        total += float(vals.sum())
+        left[:, :r, 0] = right[:, 1, start : start + r]
+        for lo in range(start, n, cols):
+            hi = min(lo + cols, n)
+            out = buf[: k * r * (hi - lo)].reshape(k, r, hi - lo)
+            diffs = _differences(left[:, :r], right[:, :, lo:hi], out)
+            vals = nm._pow_kernel(diffs, p)  # column j is vertex lo + j
+            if lo == start:
+                vals[:, :r] = np.triu(vals[:, :r], 1)
+            total += float(vals.sum())
     return 2.0 * total
 
 
-def _edge_sum(x: np.ndarray, g: RegularGraph, nm: UncondNorm, p: float) -> float:
-    """sum over edges u < v of ||x_u - x_v||^p, in ``g.edges()`` order,
+def _edge_sum(x: np.ndarray, u: np.ndarray, v: np.ndarray, nm: UncondNorm, p: float) -> float:
+    """sum over the edges (u[i], v[i]) of ||x_u - x_v||^p, in that order,
     gathered from a coordinate-major copy of x."""
-    u, v = g.edges().T
     xt = np.ascontiguousarray(x.T)
     return float(nm._pow_kernel(xt[:, u] - xt[:, v], p).sum())
 
@@ -287,7 +327,7 @@ def poincare_ratio(g: RegularGraph, f, norm: UncondNorm, p: float) -> RatioRepor
         raise ValueError("field is constant on every edge: the Poincare ratio is unbounded")
     with np.errstate(over="ignore", under="ignore"):
         pairs = _pair_sum(x, norm, p)
-        edges = _edge_sum(x, g, norm, p)
+        edges = _edge_sum(x, u, v, norm, p)
     if not (0 < pairs < math.inf and 0 < edges < math.inf):
         raise ValueError(
             f"the p-th-power sums of the field (pairs {pairs!r}, edges {edges!r}) "
@@ -346,10 +386,15 @@ def gamma_search(
     random start.
 
     A move is one call of the norm's kernel: the current row and the
-    candidates against all n rows, subtracted into one reused (k, 1 + 4, n)
-    buffer from the field, which the search keeps coordinate-major.  Row 0
-    of the table is the current row's pair term, and the columns of v's
-    neighbours are its edge terms, before and after.
+    candidates against all n rows, written by ``_differences`` into one
+    reused (k, 1 + 4, n) buffer.  The search keeps the field coordinate-major
+    as row 1 of that product's right factor, so an accepted move updates the
+    factor in place, and a move writes only the left factor's column of
+    rows.  Row 0 of the table is the current row's pair term, and the
+    columns of v's neighbours are its edge terms, before and after.  The
+    candidates' sums and ratios are Python floats, and the choice among them
+    is np.argmax's: the first maximum, or the first NaN (inf - inf), which
+    fails the move.
 
     k and budget are integers (``operator.index``).  A random start counts
     only if its pair and edge sums both lie in (0, inf), and no move is
@@ -367,6 +412,7 @@ def gamma_search(
     rng = as_rng(rng)
     n = g.n
     nbr = g.adj
+    ends = g.edges().T
     probes = 4
     best_ratio, best_FT = -math.inf, None
     evals = 0
@@ -374,14 +420,16 @@ def gamma_search(
 
     def full_parts(FT):
         F = np.ascontiguousarray(FT.T)
-        return _pair_sum(F, norm, p), _edge_sum(F, g, norm, p)
+        return _pair_sum(F, norm, p), _edge_sum(F, *ends, norm, p)
 
     scale = g.num_edges() / float(n * n)
     steps = np.array([1.0, 0.3, 3.0, 0.1])  # the candidates' step multiples
-    rows = np.empty((k, 1 + probes))  # the current row, then the candidates
     buf = np.empty((k, 1 + probes, n))  # rows against every vertex; the kernel overwrites it
     for r in range(_SEARCH_RESTARTS):
-        FT = np.ascontiguousarray(rng.normal(size=(n, k)).T)  # the field, coordinate-major
+        # the field, coordinate-major, is row 1 of right; column 0 of left
+        # holds the current row, then the candidates
+        left, right = _difference_factors(rng.normal(size=(n, k)).T, 1 + probes)
+        FT, rows = right[:, 1], left[:, :, 0]
         num, den = full_parts(FT)
         if not (0 < num < math.inf and 0 < den < math.inf):
             continue
@@ -389,7 +437,7 @@ def gamma_search(
             best_ratio, best_FT = num / den * scale, FT.copy()
         step, fails = 1.0, 0
         budget_end = min(budget, (r + 1) * per_restart)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             while evals < budget_end and evals + probes <= budget:
                 v = int(rng.integers(n))
                 dirs = rng.normal(size=(probes, k))
@@ -397,19 +445,24 @@ def gamma_search(
                 np.multiply(dirs.T, step * steps, out=rows[:, 1:])
                 rows[:, 1:] += rows[:, :1]  # the candidates FT[:, v] + t dirs
                 # table[c, w] = ||rows_c - FT[:, w]||^p; an edge term of v is a pair term
-                np.subtract(rows[:, :, None], FT[:, None, :], out=buf)
-                table = norm._pow_kernel(buf, p)
+                table = norm._pow_kernel(_differences(left, right, buf), p)
                 table[1:, v] = 0.0  # a candidate replaces row v: no pair with it
-                pair = table.sum(axis=1)
-                edge = table[:, nbr[v]].sum(axis=1)
-                cnum = num - 2 * float(pair[0]) + 2 * pair[1:]
-                cden = den - float(edge[0]) + edge[1:]
+                pair = table.sum(axis=1).tolist()
+                edge = table[:, nbr[v]].sum(axis=1).tolist()
+                base_num, base_den = num - 2 * pair[0], den - edge[0]
+                cnum = [base_num + 2 * t for t in pair[1:]]
+                cden = [base_den + t for t in edge[1:]]
+                ratios = [a / b if b > 0 else -math.inf for a, b in zip(cnum, cden)]
                 evals += probes
-                ratios = np.where(cden > 0, cnum / cden, -math.inf)
-                i = int(np.argmax(ratios))
+                # np.argmax's choice: the first NaN (inf - inf), which fails
+                # the move, or else the first maximum
+                i = 0
+                for c in range(1, probes):
+                    if ratios[c] > ratios[i] or (math.isnan(ratios[c]) and not math.isnan(ratios[i])):
+                        i = c
                 if math.inf > ratios[i] > (num / den) * (1 + 1e-12):
                     FT[:, v] = rows[:, 1 + i]
-                    num, den = float(cnum[i]), float(cden[i])
+                    num, den = cnum[i], cden[i]
                     fails = 0
                     if num / den * scale > best_ratio:
                         best_ratio, best_FT = num / den * scale, FT.copy()

@@ -190,12 +190,76 @@ def test_pair_sum_separable_case_never_evaluates_the_norm(monkeypatch, nm):
     assert poincare._pair_sum(x, nm, nm.q) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("chunk", [4, 100, 599, 1200])
+def test_pair_sum_blocks_stay_within_their_budget(monkeypatch, chunk):
+    # k n = 600 > chunk, so the rows go one at a time and the vertices w in
+    # slices (1200: two rows, whole); the sums are the unsplit ones
+    x = _pair_sum_fields()["normal_n150"]
+    cases = [(Lq(4.5), 4.5), (Lq(math.inf), 1), (lift_l1(Lq(4), 2, 2), 4)]
+    want = [poincare._pair_sum(x, nm, p) for nm, p in cases]
+    sizes = []
+
+    def spy(left, right, out, table=poincare._differences):
+        sizes.append(out.size)
+        return table(left, right, out)
+
+    monkeypatch.setattr(poincare, "_differences", spy)
+    monkeypatch.setattr(poincare, "_CHUNK_ENTRIES", chunk)
+    for (nm, p), w in zip(cases, want):
+        assert poincare._pair_sum(x, nm, p) == pytest.approx(w, rel=1e-12), (nm, p)
+    assert max(sizes) <= chunk
+    assert (len(sizes) > 150 * len(cases)) == (chunk < 600)  # more blocks than rows: w was split
+
+
+# finite entries whose differences are subnormal, signed zeros or overflow
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7e308, 1.0, -3.5]
+
+
+def _bits(a):
+    # adding +0.0 maps -0 to +0 and leaves every other double as it is
+    return (a + 0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_differences_match_subtract_bit_for_bit(monkeypatch, rows):
+    # each pair block of the difference product against np.subtract on the
+    # same factors; the differences overflow, so poincare_ratio refuses the
+    # field, with no warning (pytest makes RuntimeWarnings errors)
+    monkeypatch.setattr(poincare, "_TRIANGLE_ROWS", rows)
+    g = petersen_graph()
+    field = make_rng(40).choice(EDGE_ENTRIES, size=(g.n, 3))
+    calls = []
+
+    def spy(left, right, out, table=poincare._differences):
+        got = table(left, right, out)
+        with np.errstate(over="ignore"):
+            want = np.subtract(left[:, :, :1], right[:, 1:, :])
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        calls.append(out.shape)
+        return got
+
+    monkeypatch.setattr(poincare, "_differences", spy)
+    for nm, p in [(Lq(3), 2), (BlockNorm(Lq(3), ((Lq(4), 1), (Lq(1), 2))), 4)]:
+        with pytest.raises(ValueError, match="leave the double range"):
+            poincare_ratio(g, field, nm, p)
+    assert len(calls) == 2 * -(-g.n // rows)
+    # a move's table: the current row and four candidates against every row
+    left, right = poincare._difference_factors(field.T, 5)
+    left[:, :, 0] = make_rng(41).choice(EDGE_ENTRIES, size=(3, 5))
+    with np.errstate(over="ignore"):
+        got = poincare._differences(left, right, np.empty((3, 5, g.n)))
+        want = left[:, :, :1] - field.T[:, None, :]
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert np.isinf(want).any() and (want == 0).any() and (np.abs(want) < 2.3e-308).any()
+
+
 def test_edge_sum_matches_edge_list():
     g, _ = sample_simple_regular(40, 4, make_rng(6))
     x = make_rng(7).normal(size=(40, 4))
+    u, v = g.edges().T
     for nm, p in PAIR_SUM_CASES:
-        want = sum(float(nm.eval_many(x[u] - x[v]) ** p) for u, v in g.edges())
-        assert poincare._edge_sum(x, g, nm, p) == pytest.approx(want, rel=1e-9)
+        want = sum(float(nm.eval_many(x[a] - x[b]) ** p) for a, b in g.edges())
+        assert poincare._edge_sum(x, u, v, nm, p) == pytest.approx(want, rel=1e-9)
 
 
 RATIO_GRAPHS = [
@@ -418,7 +482,7 @@ def reference_gamma_search(g, norm, p, k, budget, rng):
     per_restart = max(1, budget // poincare._SEARCH_RESTARTS)
 
     def full_parts(F):
-        return poincare._pair_sum(F, norm, p), poincare._edge_sum(F, g, norm, p)
+        return poincare._pair_sum(F, norm, p), poincare._edge_sum(F, *g.edges().T, norm, p)
 
     scale = g.num_edges() / float(n * n)
     for r in range(poincare._SEARCH_RESTARTS):
@@ -543,18 +607,35 @@ def test_gamma_search_names_p_when_no_start_is_in_range(p):
         gamma_search(petersen_graph(), Lq(2), p, 2, 40, 0)
 
 
-@pytest.mark.parametrize("seed", range(6))
+# gamma_search(petersen_graph(), Lq(2), 400, 2, 4, seed) per seed:
+# evaluations, ratio and the field's sum, as the search gave them when it
+# chose its candidate by np.argmax over a numpy vector of ratios
+NEAR_RANGE_SEARCHES = {
+    0: (4, 1.6009030633212152e21, -0.8475036300468582),
+    1: (4, 4.146725557777285e47, 4.280542245893021),
+    2: (4, 3.5139553511348405e75, -4.8461378813718925),
+    3: (4, 1.7506037074797052e40, -0.32072261120466355),
+    4: (4, 25104606003.555584, -0.3258100247703774),
+    5: (4, 37145647831.62357, -2.3743790248007617),
+    # a candidate ratio is inf - inf = NaN after a larger finite one: the
+    # first NaN is the choice, and the move fails
+    19: (4, 0.30000000000012134, 6.898453183138975),
+    30: (4, 92766136.48391165, -0.2132708761902642),
+}
+
+
+@pytest.mark.parametrize("seed", NEAR_RANGE_SEARCHES)
 def test_gamma_search_near_the_double_range_reports_a_rechecked_ratio(seed):
     # at p = 400 some random starts' pair sums overflow; such a start, or a
     # move to a ratio that is not finite, must never become the best field
     g = petersen_graph()
-    try:
-        rep = gamma_search(g, Lq(2), 400, 2, 4, seed)
-    except ValueError as exc:
-        assert "every random start" in str(exc)
-        return
+    rep = gamma_search(g, Lq(2), 400, 2, 4, seed)
     assert math.isfinite(rep.ratio)
     assert rep.ratio == poincare_ratio(g, rep.field, Lq(2), 400).ratio
+    evaluations, ratio, field_sum = NEAR_RANGE_SEARCHES[seed]
+    assert rep.evaluations == evaluations
+    assert rep.ratio == pytest.approx(ratio, rel=1e-12)
+    assert float(rep.field.sum()) == pytest.approx(field_sum, rel=1e-12)
 
 
 def test_gamma_search_names_both_widths_of_a_block_norm():
